@@ -28,7 +28,7 @@ from .jsonio import (
 )
 from .partitions import EMPTY, Family, enumerate_partitions
 from .rules import Rule
-from .series import verify_identity
+from .series import IDENTITIES, verify_identity
 from .tableaux import TableauChain
 from .triangular import (
     build_triangular,
@@ -37,18 +37,14 @@ from .triangular import (
     littlewood_variant,
 )
 
-VERIFY_IDENTITIES = (
-    "cauchy",
-    "dual-cauchy",
-    "skew-cauchy",
-    "skew-dual-cauchy",
-    "littlewood",
-    "skew-littlewood",
-    "pieri",
-    "dual-pieri",
-    "squarefree",
-    "insertion-agreement",
-)
+
+def _cli_name(identity: str) -> str:
+    """The library name without its family suffix, which --variant supplies."""
+    family = IDENTITIES[identity].family
+    return identity.removesuffix(f"-{family.value}") if family else identity
+
+
+VERIFY_IDENTITIES = (*dict.fromkeys(map(_cli_name, IDENTITIES)), "insertion-agreement")
 
 
 def _read(path: str) -> str:
@@ -141,7 +137,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = _insertion_agreement(args.n, args.m or args.n, args.seed)
     else:
         name = args.identity
-        if name in ("littlewood", "skew-littlewood"):
+        if name not in IDENTITIES:
             if not args.variant:
                 raise FormatError("identity: --variant is required for littlewood checks")
             name = f"{name}-{Family(args.variant).value}"
@@ -158,6 +154,7 @@ def _insertion_agreement(n: int, m: int, seed: int) -> dict:
     """Seed-fixed random check that column insertion equals the grid construction."""
     rng = random.Random(seed)
     checked = 0
+    report = {"identity": "insertion-agreement", "params": {"n": n, "m": m, "seed": seed}}
     for _ in range(20):
         for rule in Rule:
             hi = 1 if rule.dual else 2
@@ -168,20 +165,9 @@ def _insertion_agreement(n: int, m: int, seed: int) -> dict:
                 tab = insert(rule, tab, {i + 1: matrix[i][j] for i in range(n)})
                 column = tuple(grid.vertices[i][j + 1] for i in range(n + 1))
                 if tab.chain != column:
-                    return {
-                        "identity": "insertion-agreement",
-                        "equal": False,
-                        "checked_terms": checked,
-                        "params": {"n": n, "m": m, "seed": seed},
-                        "matrix": matrix,
-                    }
+                    return {**report, "equal": False, "checked_terms": checked, "matrix": matrix}
                 checked += 1
-    return {
-        "identity": "insertion-agreement",
-        "equal": True,
-        "checked_terms": checked,
-        "params": {"n": n, "m": m, "seed": seed},
-    }
+    return {**report, "equal": True, "checked_terms": checked}
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -231,13 +217,13 @@ def render_grid_ascii(vertices, matrix) -> str:
 
 def cmd_render(args: argparse.Namespace) -> int:
     if args.matrix:
-        rule = _rule(args.rule)
+        rule = _rule(args.rule or "row")
         matrix = matrix_from_json(loads(_read(args.matrix), "matrix"))
         grid = build_growth(rule, matrix)
         sys.stdout.write(render_grid_ascii(grid.vertices, grid.matrix))
         return 0
     if args.array:
-        variant = _variant(args.variant, args.rule if args.rule != "row" else None)
+        variant = _variant(args.variant, args.rule)
         arr = triarray_from_json(loads(_read(args.array), "array"))
         grid = build_triangular(variant, arr)
         rows = [list(r) for r in grid.rows]
@@ -303,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(fn=cmd_enumerate)
 
     p_ren = sub.add_parser("render", help="ASCII growth diagram")
-    p_ren.add_argument("--rule", default="row")
+    p_ren.add_argument("--rule")
     p_ren.add_argument("--variant", default="all")
     p_ren.add_argument("--matrix")
     p_ren.add_argument("--array")

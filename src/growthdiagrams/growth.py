@@ -46,7 +46,7 @@ def matrix_dims(matrix: Matrix, binary: bool = False) -> tuple[int, int]:
         if len(row) != m:
             raise ValueError(f"row {i} has length {len(row)}, expected {m}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"entry ({i},{j}) must be a non-negative integer")
             if binary and v > 1:
                 raise ValueError(f"entry ({i},{j}) must be 0 or 1 for dual rules")

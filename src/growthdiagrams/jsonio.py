@@ -12,8 +12,7 @@ import json
 from typing import Any
 
 from .growth import GrowthGrid
-from .interlacing import INFINITE, PositionMultiset, RibbonProfile
-from .partitions import FrobeniusCoords, Partition, partition
+from .partitions import Partition, partition
 from .tableaux import StepKind, TableauChain
 from .triangular import TriangularArray, TriGrid
 
@@ -33,60 +32,18 @@ def loads(text: str, what: str) -> Any:
         raise FormatError(f"{what}: invalid JSON ({exc.msg} at char {exc.pos})") from exc
 
 
-def partition_to_json(p: Partition) -> list[int]:
-    return list(p)
+def _is_int(v: Any) -> bool:
+    """JSON integers only: true and false are not 1 and 0."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def partition_from_json(data: Any, field: str = "partition") -> Partition:
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+    if not isinstance(data, list) or not all(_is_int(v) for v in data):
         raise FormatError(f"{field}: expected an array of integers")
     try:
         return partition(data)
     except ValueError as exc:
         raise FormatError(f"{field}: {exc}") from exc
-
-
-def frobenius_to_json(coords: FrobeniusCoords) -> dict:
-    return {"arms": list(coords.arms), "legs": list(coords.legs)}
-
-
-def frobenius_from_json(data: Any) -> FrobeniusCoords:
-    if not isinstance(data, dict) or set(data) != {"arms", "legs"}:
-        raise FormatError('frobenius: expected {"arms": [...], "legs": [...]}')
-    for key in ("arms", "legs"):
-        if not isinstance(data[key], list) or not all(isinstance(v, int) for v in data[key]):
-            raise FormatError(f"frobenius.{key}: expected an array of integers")
-    return FrobeniusCoords(tuple(data["arms"]), tuple(data["legs"]))
-
-
-def multiset_to_json(counts: PositionMultiset) -> dict:
-    return {"counts": {str(pos): c for pos, c in sorted(counts.items())}}
-
-
-def multiset_from_json(data: Any) -> PositionMultiset:
-    if not isinstance(data, dict) or "counts" not in data:
-        raise FormatError('multiset: expected {"counts": {...}}')
-    out = {}
-    for key, val in data["counts"].items():
-        try:
-            pos = int(key)
-        except ValueError as exc:
-            raise FormatError(f"multiset.counts: non-integer key {key!r}") from exc
-        if not isinstance(val, int) or val < 0:
-            raise FormatError(f"multiset.counts[{key}]: expected a non-negative integer")
-        out[pos] = val
-    return out
-
-
-def profile_to_json(prof: RibbonProfile) -> list[dict]:
-    return [
-        {
-            "position": e.position,
-            "row": e.row,
-            "capacity": "inf" if e.capacity == INFINITE else int(e.capacity),
-        }
-        for e in prof.entries
-    ]
 
 
 def matrix_from_json(data: Any, field: str = "matrix") -> list[list[int]]:
@@ -97,7 +54,7 @@ def matrix_from_json(data: Any, field: str = "matrix") -> list[list[int]]:
         if len(row) != width:
             raise FormatError(f"{field}[{i}]: expected {width} entries, got {len(row)}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise FormatError(f"{field}[{i}][{j}]: expected a non-negative integer")
     return data
 
@@ -147,11 +104,13 @@ def triarray_from_json(data: Any, field: str = "array") -> TriangularArray:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise FormatError(f"{field}.rows: expected an array of arrays")
     n = data.get("n", len(rows))
+    if not _is_int(n):
+        raise FormatError(f"{field}.n: expected an integer")
     if n != len(rows):
         raise FormatError(f"{field}.n: {n} does not match {len(rows)} rows")
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise FormatError(f"{field}.rows[{i}][{j}]: expected a non-negative integer")
         if len(row) != n - i:
             raise FormatError(f"{field}.rows[{i}]: expected {n - i} entries, got {len(row)}")

@@ -2,9 +2,9 @@
 
 Polynomials are sparse maps from exponent vectors to exact ints, truncated at
 a total-degree cap; products silently drop terms beyond the cap.  Schur and
-skew Schur polynomials are computed as weighted sums over strip chains, and
-each identity is verified by computing both sides independently and comparing
-coefficients.
+skew Schur polynomials are weighted sums over strip chains, which one sweep
+enumerates for every shape at once.  Each identity in ``IDENTITIES`` is
+verified by computing both sides independently and comparing coefficients.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, NamedTuple
 
 from .partitions import (
     EMPTY,
@@ -21,23 +21,22 @@ from .partitions import (
     conjugate,
     contains,
     horizontal_strips_over,
-    horizontal_strips_under,
-    join,
     meet,
     member,
-    part,
+    partitions_of_size,
     size,
     sub_partitions,
     vertical_strips_over,
-    vertical_strips_under,
 )
+from .tableaux import StepKind
 
 Exponents = tuple[int, ...]
 
 
 class TruncatedPolynomial:
     """Multivariate polynomial with integer coefficients, truncated at a total
-    degree cap.  Immutable by convention; arithmetic returns new values."""
+    degree cap.  Immutable by convention; arithmetic returns new values, and
+    the constructor drops zero coefficients and terms beyond the cap."""
 
     __slots__ = ("nvars", "cap", "terms")
 
@@ -71,11 +70,7 @@ class TruncatedPolynomial:
         self._compatible(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            val = out.get(exps, 0) + coeff
-            if val:
-                out[exps] = val
-            else:
-                out.pop(exps, None)
+            out[exps] = out.get(exps, 0) + coeff
         return TruncatedPolynomial(self.nvars, self.cap, out)
 
     def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
@@ -100,11 +95,7 @@ class TruncatedPolynomial:
                 if da + db > cap:
                     continue
                 key = tuple(x + y for x, y in zip(ea, eb))
-                val = out.get(key, 0) + ca * cb
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) + ca * cb
         return TruncatedPolynomial(self.nvars, self.cap, out)
 
     def __eq__(self, other: object) -> bool:
@@ -124,16 +115,6 @@ class TruncatedPolynomial:
     def coefficient(self, exps: Exponents) -> int:
         return self.terms.get(tuple(exps), 0)
 
-    def embed(self, nvars: int, cap: int, offset: int = 0) -> "TruncatedPolynomial":
-        """The same polynomial in a larger ring, variables shifted by offset."""
-        if offset + self.nvars > nvars:
-            raise ValueError("embedded variables do not fit")
-        pad_l = (0,) * offset
-        pad_r = (0,) * (nvars - offset - self.nvars)
-        return TruncatedPolynomial(
-            nvars, cap, {pad_l + e + pad_r: c for e, c in self.terms.items()}
-        )
-
     def permuted(self, perm: Iterable[int]) -> "TruncatedPolynomial":
         """Apply a variable permutation: new exponent i comes from perm[i]."""
         p = tuple(perm)
@@ -141,9 +122,6 @@ class TruncatedPolynomial:
             self.nvars, self.cap,
             {tuple(e[p[i]] for i in range(self.nvars)): c for e, c in self.terms.items()},
         )
-
-    def sorted_terms(self) -> list[tuple[Exponents, int]]:
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
 
 def geometric(nvars: int, cap: int, exps: Exponents) -> TruncatedPolynomial:
@@ -172,61 +150,66 @@ def _unit(nvars: int, i: int, e: int = 1) -> Exponents:
 # ---------------------------------------------------------------------------
 # Schur polynomials via strip chains.
 
-SCHUR_UP = "up"
-SCHUR_DOWN = "down"
-SCHUR_DUAL_DOWN = "dual-down"
+Terms = dict[Exponents, int]
+States = dict[Partition, Terms]
+
+_STRIPS = {StepKind.HORIZONTAL: horizontal_strips_over, StepKind.VERTICAL: vertical_strips_over}
+
+
+def _sweep(start: States, n: int, max_size: int, steps: StepKind = StepKind.HORIZONTAL,
+           bound: Partition | None = None) -> States:
+    """All strip chains out of the start shapes at once (the branching rule).
+
+    ``start`` maps shapes to exponent dicts.  Each of the n steps adds a strip
+    of the given kind to every shape, inside ``bound`` and within ``max_size``
+    cells, and appends the strip's size to every exponent tuple.  Shape nu
+    ends with the sum over start shapes mu of start[mu] times
+    s_{nu/mu}(x_1..x_n), or s_{nu'/mu'} for vertical strips.
+    """
+    strips = _STRIPS[steps]
+    states = start
+    for _ in range(n):
+        nxt: States = {}
+        for sig, terms in states.items():
+            s = size(sig)
+            for tau in strips(sig, max_size - s, bound):
+                d = size(tau) - s
+                acc = nxt.setdefault(tau, {})
+                for exps, coeff in terms.items():
+                    key = exps + (d,)
+                    acc[key] = acc.get(key, 0) + coeff
+        states = nxt
+    return states
+
+
+def _total(states: States, keep: Callable[[Partition], bool]) -> Terms:
+    """The sum of the states whose shape ``keep`` accepts."""
+    total: Terms = {}
+    for shape, terms in states.items():
+        if keep(shape):
+            for exps, coeff in terms.items():
+                total[exps] = total.get(exps, 0) + coeff
+    return total
 
 
 def schur(
     lam: Partition,
     n: int,
     cap: int,
-    mode: str = SCHUR_UP,
+    steps: StepKind = StepKind.HORIZONTAL,
     mu: Partition = EMPTY,
 ) -> TruncatedPolynomial:
-    """The skew Schur polynomial s_{lam/mu}(x_1..x_n) (dual-down: s_{lam'/mu'}).
+    """The skew Schur polynomial s_{lam/mu}(x_1..x_n).
 
-    Up sums over ascending chains mu < ... < lam of n horizontal strips with
-    x_i weighting the i-th step; down sums over descending chains with x_i
-    weighting the step from chain position i to i-1; both agree.  The result is
-    homogeneous of degree |lam/mu|, so it is zero beyond the cap.
+    It is the sum over chains mu = c_0 < c_1 < ... < c_n = lam of horizontal
+    strips, x_i weighting c_i/c_{i-1}.  Chains of vertical strips give
+    s_{lam'/mu'}.  The result is homogeneous of degree |lam/mu|, so it is zero
+    beyond the cap.
     """
     if not contains(mu, lam):
         raise ValueError(f"{mu} is not contained in {lam}")
-    zero = TruncatedPolynomial.zero(n, cap)
-    if size(lam) - size(mu) > cap:
-        return zero
-    if mode == SCHUR_UP:
-        states: dict[Partition, TruncatedPolynomial] = {
-            mu: TruncatedPolynomial.one(n, cap)
-        }
-        budget = size(lam) - size(mu)
-        for i in range(n):
-            nxt: dict[Partition, TruncatedPolynomial] = {}
-            for sig, poly in states.items():
-                for tau in horizontal_strips_over(sig, budget, shape=lam):
-                    step = size(tau) - size(sig)
-                    mono = TruncatedPolynomial.monomial(n, cap, _unit(n, i, step))
-                    nxt[tau] = nxt.get(tau, zero) + poly * mono
-            states = nxt
-        return states.get(lam, zero)
-    if mode in (SCHUR_DOWN, SCHUR_DUAL_DOWN):
-        under = (
-            horizontal_strips_under if mode == SCHUR_DOWN else vertical_strips_under
-        )
-        states = {lam: TruncatedPolynomial.one(n, cap)}
-        for i in range(n, 0, -1):
-            nxt = {}
-            for sig, poly in states.items():
-                for tau in under(sig):
-                    if not contains(mu, tau):
-                        continue
-                    step = size(sig) - size(tau)
-                    mono = TruncatedPolynomial.monomial(n, cap, _unit(n, i - 1, step))
-                    nxt[tau] = nxt.get(tau, zero) + poly * mono
-            states = nxt
-        return states.get(mu, zero)
-    raise ValueError(f"unknown mode {mode!r}")
+    states = _sweep({mu: {(): 1}}, n, min(size(lam), size(mu) + cap), steps, lam)
+    return TruncatedPolynomial(n, cap, states.get(lam))
 
 
 @lru_cache(maxsize=None)
@@ -246,49 +229,35 @@ def count_syt(lam: Partition) -> int:
 # ---------------------------------------------------------------------------
 # Product sides.
 
-LITTLEWOOD_FAMILIES = (
-    Family.EVEN_COLS,
-    Family.ALL,
-    Family.EVEN_ROWS,
-    Family.ASYM_PLUS,
-    Family.ASYM_MINUS,
-)
+#: The factor for each x_i in a Littlewood product, and the power of x_i in it.
+_LITTLEWOOD_SINGLES = {
+    Family.ALL: (geometric, 1),
+    Family.EVEN_ROWS: (geometric, 2),
+    Family.ASYM_MINUS: (one_plus, 2),
+}
 
 
 def product_side(kind: str, n: int, m: int, cap: int) -> TruncatedPolynomial:
     """Expansion of the named product; variables are x_1..x_n then y_1..y_m for
     the Cauchy kinds and x_1..x_n for the Littlewood kinds."""
+    single = None
     if kind in ("cauchy", "dual-cauchy"):
-        nv = n + m
-        out = TruncatedPolynomial.one(nv, cap)
-        for i in range(n):
-            for j in range(m):
-                exps = tuple(
-                    (1 if t == i or t == n + j else 0) for t in range(nv)
-                )
-                factor = (
-                    geometric(nv, cap, exps) if kind == "cauchy" else one_plus(nv, cap, exps)
-                )
-                out = out * factor
-        return out
-    fam = Family(kind.removeprefix("littlewood-")) if kind.startswith("littlewood-") else None
-    if fam is None:
+        nv, pairs = n + m, [(i, n + j) for i in range(n) for j in range(m)]
+        pair = geometric if kind == "cauchy" else one_plus
+    elif kind.startswith("littlewood-"):
+        fam = Family(kind.removeprefix("littlewood-"))
+        nv, pairs = n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pair = one_plus if fam in (Family.ASYM_PLUS, Family.ASYM_MINUS) else geometric
+        single = _LITTLEWOOD_SINGLES.get(fam)
+    else:
         raise ValueError(f"unknown product {kind!r}")
-    out = TruncatedPolynomial.one(n, cap)
-    pair = geometric if fam in (Family.EVEN_COLS, Family.ALL, Family.EVEN_ROWS) else one_plus
-    for i in range(n):
-        for j in range(i + 1, n):
-            exps = tuple((1 if t in (i, j) else 0) for t in range(n))
-            out = out * pair(n, cap, exps)
-    if fam is Family.ALL:
+    out = TruncatedPolynomial.one(nv, cap)
+    for i, j in pairs:
+        out = out * pair(nv, cap, tuple(int(t in (i, j)) for t in range(nv)))
+    if single:
+        factor, e = single
         for i in range(n):
-            out = out * geometric(n, cap, _unit(n, i))
-    elif fam is Family.EVEN_ROWS:
-        for i in range(n):
-            out = out * geometric(n, cap, _unit(n, i, 2))
-    elif fam is Family.ASYM_MINUS:
-        for i in range(n):
-            out = out * one_plus(n, cap, _unit(n, i, 2))
+            out = out * factor(nv, cap, _unit(nv, i, e))
     return out
 
 
@@ -332,33 +301,92 @@ def _compare(identity: str, params: dict, lhs: TruncatedPolynomial,
     return Report(identity, mismatch is None, len(keys), params, mismatch)
 
 
-def _partitions_in(family: Family, max_size: int, max_rows: int,
-                   max_cols: int | None = None) -> Iterator[Partition]:
-    box = (max_rows, max_cols if max_cols is not None else max_size)
-    from .partitions import enumerate_partitions
+def _pair(xs: States, ys: States) -> Terms:
+    """The sum over shapes of xs[shape] ys[shape], x exponents before y ones."""
+    out: Terms = {}
+    for shape, xterms in xs.items():
+        for ex, cx in xterms.items():
+            for ey, cy in ys.get(shape, {}).items():
+                key = ex + ey
+                out[key] = out.get(key, 0) + cx * cy
+    return out
 
-    for lam in enumerate_partitions(max_size, box):
-        if member(lam, family):
-            yield lam
+
+def _cauchy(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, k: int):
+    """sum_nu s_{nu/rho}(x) s_{nu/lam}(y) is the product of 1/(1 - x_i y_j)
+    times sum_mu s_{lam/mu}(x) s_{rho/mu}(y).  The dual identity has vertical
+    strips on the y side and the product of 1 + x_i y_j."""
+    top = (cap + size(lam) + size(rho)) // 2
+    lhs = _pair(_sweep({rho: {(): 1}}, n, top), _sweep({lam: {(): 1}}, m, top, e.steps))
+    inner = list(sub_partitions(meet(lam, rho)))
+    rhs = _pair({mu: schur(lam, n, cap, mu=mu).terms for mu in inner},
+                {mu: schur(rho, m, cap, e.steps, mu).terms for mu in inner})
+    product = product_side("cauchy" if e.steps == StepKind.HORIZONTAL else "dual-cauchy",
+                           n, m, cap)
+    return (TruncatedPolynomial(n + m, cap, lhs),
+            product * TruncatedPolynomial(n + m, cap, rhs))
 
 
-def _over_partitions(lam: Partition, budget: int, max_rows: int) -> Iterator[Partition]:
-    """All nu containing lam with |nu/lam| <= budget and at most max_rows rows."""
-    seen = {lam}
-    yield lam
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for sig in frontier:
-            room = budget - (size(sig) - size(lam))
-            if room <= 0:
-                continue
-            for tau in horizontal_strips_over(sig, room):
-                if len(tau) <= max_rows and tau not in seen:
-                    seen.add(tau)
-                    nxt.append(tau)
-                    yield tau
-        frontier = nxt
+def _littlewood(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, k: int):
+    """The sum of s_{nu/lam}(x) over nu in the family is the product times the
+    sum of s_{lam/mu}(x) over mu in the family; for the asymmetric families the
+    inner sum is of s_{lam'/mu}(x) over mu in the opposite family."""
+    family, shape = e.family, lam
+    if family in (Family.ASYM_PLUS, Family.ASYM_MINUS):
+        family = Family.ASYM_MINUS if family is Family.ASYM_PLUS else Family.ASYM_PLUS
+        shape = conjugate(lam)
+    lhs = _total(_sweep({lam: {(): 1}}, n, size(lam) + cap), lambda nu: member(nu, e.family))
+    start = {mu: {(): 1} for mu in sub_partitions(shape) if member(mu, family)}
+    inner = _sweep(start, n, size(shape), bound=shape).get(shape)
+    product = product_side(f"littlewood-{e.family.value}", n, 0, cap)
+    return TruncatedPolynomial(n, cap, lhs), product * TruncatedPolynomial(n, cap, inner)
+
+
+def _pieri(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, k: int):
+    """h_k s_lam is the sum of s_nu over the horizontal k-strips nu over lam;
+    the dual identity has e_k and vertical strips."""
+    top = size(lam) + k
+    cap = max(cap, top)
+    shapes = {nu for nu in _STRIPS[e.steps](lam, k) if size(nu) == top}
+    lhs = schur((k,) if k else EMPTY, n, cap, e.steps) * schur(lam, n, cap)
+    rhs = _total(_sweep({EMPTY: {(): 1}}, n, top), shapes.__contains__)
+    return lhs, TruncatedPolynomial(n, cap, rhs)
+
+
+def _squarefree(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, k: int):
+    """The sum of f_lam^2 over the partitions of n is n!."""
+    return sum(count_syt(p) ** 2 for p in partitions_of_size(n)), factorial(n)
+
+
+class Identity(NamedTuple):
+    """How to compute an identity's two sides, the request fields its report
+    lists, the strip kind of its dual side and its partition family."""
+
+    sides: Callable[..., tuple]
+    params: tuple[str, ...]
+    steps: StepKind = StepKind.HORIZONTAL
+    family: Family | None = None
+
+
+_CAUCHY = ("n", "degree", "m")
+_SKEW_CAUCHY = ("n", "degree", "m", "lam", "rho")
+_PIERI = ("n", "degree", "k", "lam")
+
+#: Every identity ``verify_identity`` checks, by name.  The plain Cauchy and
+#: Littlewood identities are the skew ones with empty shapes.
+IDENTITIES: dict[str, Identity] = {
+    "cauchy": Identity(_cauchy, _CAUCHY),
+    "dual-cauchy": Identity(_cauchy, _CAUCHY, StepKind.VERTICAL),
+    "skew-cauchy": Identity(_cauchy, _SKEW_CAUCHY),
+    "skew-dual-cauchy": Identity(_cauchy, _SKEW_CAUCHY, StepKind.VERTICAL),
+    **{f"littlewood-{f.value}": Identity(_littlewood, ("n", "degree"), family=f)
+       for f in Family},
+    **{f"skew-littlewood-{f.value}": Identity(_littlewood, ("n", "degree", "lam"), family=f)
+       for f in Family},
+    "pieri": Identity(_pieri, _PIERI),
+    "dual-pieri": Identity(_pieri, _PIERI, StepKind.VERTICAL),
+    "squarefree": Identity(_squarefree, ("n",)),
+}
 
 
 def verify_identity(
@@ -372,104 +400,23 @@ def verify_identity(
 ) -> Report:
     """Compute both sides of the named identity exactly and compare.
 
-    Sum sides enumerate every partition that can contribute a term of total
+    The sum sides sweep every shape that can contribute a term of total
     degree at most the cap; this is a finite set because a (skew) Schur
     polynomial is homogeneous of the skew-shape size.
     """
-    params: dict = {"n": n, "degree": cap}
-    if identity == "squarefree":
-        lhs = sum(count_syt(p) ** 2 for p in _partitions_in(Family.ALL, n, n) if size(p) == n)
-        rhs = factorial(n)
-        return Report(identity, lhs == rhs, 1, {"n": n}, None, lhs, rhs)
-
-    if identity in ("cauchy", "dual-cauchy"):
-        mm = m if m is not None else n
-        params["m"] = mm
-        nv = n + mm
-        lhs = TruncatedPolynomial.zero(nv, cap)
-        for p in _partitions_in(Family.ALL, cap // 2, n):
-            if identity == "dual-cauchy" and part(p, 1) > mm:
-                continue
-            px = schur(p, n, cap)
-            if identity == "cauchy":
-                py = schur(p, mm, cap, SCHUR_DOWN)
-            else:
-                py = schur(p, mm, cap, SCHUR_DUAL_DOWN)
-            lhs = lhs + px.embed(nv, cap) * py.embed(nv, cap, offset=n)
-        rhs = product_side(identity, n, mm, cap)
-        return _compare(identity, params, lhs, rhs)
-
-    if identity in ("skew-cauchy", "skew-dual-cauchy"):
-        mm = m if m is not None else n
-        dual = identity == "skew-dual-cauchy"
-        params.update({"m": mm, "lam": list(lam), "rho": list(rho)})
-        nv = n + mm
-        lhs = TruncatedPolynomial.zero(nv, cap)
-        budget = (cap + size(lam) + size(rho)) // 2
-        base = join(lam, rho)
-        for nu in _over_partitions(base, budget - size(base), len(base) + max(n, mm)):
-            sx = schur(nu, n, cap, mu=rho)
-            if not sx:
-                continue
-            sy = schur(nu, mm, cap, SCHUR_DUAL_DOWN if dual else SCHUR_DOWN, mu=lam)
-            if not sy:
-                continue
-            lhs = lhs + sx.embed(nv, cap) * sy.embed(nv, cap, offset=n)
-        rhs_sum = TruncatedPolynomial.zero(nv, cap)
-        for mu in sub_partitions(meet(lam, rho)):
-            sx = schur(lam, n, cap, mu=mu)
-            if not sx:
-                continue
-            sy = schur(rho, mm, cap, SCHUR_DUAL_DOWN if dual else SCHUR_DOWN, mu=mu)
-            if not sy:
-                continue
-            rhs_sum = rhs_sum + sx.embed(nv, cap) * sy.embed(nv, cap, offset=n)
-        rhs = product_side("dual-cauchy" if dual else "cauchy", n, mm, cap) * rhs_sum
-        return _compare(identity, params, lhs, rhs)
-
-    if identity.startswith("littlewood-"):
-        fam = Family(identity.removeprefix("littlewood-"))
-        lhs = TruncatedPolynomial.zero(n, cap)
-        for p in _partitions_in(fam, cap, n):
-            lhs = lhs + schur(p, n, cap)
-        rhs = product_side(identity, n, 0, cap)
-        return _compare(identity, params, lhs, rhs)
-
-    if identity.startswith("skew-littlewood-"):
-        fam = Family(identity.removeprefix("skew-littlewood-"))
-        params["lam"] = list(lam)
-        lhs = TruncatedPolynomial.zero(n, cap)
-        for nu in _over_partitions(lam, cap, len(lam) + n):
-            if member(nu, fam):
-                lhs = lhs + schur(nu, n, cap, mu=lam)
-        if fam in (Family.ASYM_PLUS, Family.ASYM_MINUS):
-            inner_fam = Family.ASYM_MINUS if fam is Family.ASYM_PLUS else Family.ASYM_PLUS
-            inner_shape = conjugate(lam)
-        else:
-            inner_fam, inner_shape = fam, lam
-        rhs_sum = TruncatedPolynomial.zero(n, cap)
-        for mu in sub_partitions(inner_shape):
-            if member(mu, inner_fam):
-                rhs_sum = rhs_sum + schur(inner_shape, n, cap, mu=mu)
-        rhs = product_side(f"littlewood-{fam.value}", n, 0, cap) * rhs_sum
-        return _compare(identity, params, lhs, rhs)
-
-    if identity in ("pieri", "dual-pieri"):
-        kk = 0 if k is None else k
-        params["k"] = kk
-        full_cap = max(cap, size(lam) + kk)
-        if identity == "pieri":
-            hk = schur((kk,) if kk else EMPTY, n, full_cap)
-            strips = horizontal_strips_over(lam, kk)
-        else:
-            hk = schur((1,) * kk, n, full_cap)
-            strips = vertical_strips_over(lam, kk)
-        params["lam"] = list(lam)
-        lhs = hk * schur(lam, n, full_cap)
-        rhs = TruncatedPolynomial.zero(n, full_cap)
-        for nu in strips:
-            if size(nu) - size(lam) == kk:
-                rhs = rhs + schur(nu, n, full_cap)
-        return _compare(identity, params, lhs, rhs)
-
-    raise ValueError(f"unknown identity {identity!r}")
+    entry = IDENTITIES.get(identity)
+    if entry is None:
+        raise ValueError(f"unknown identity {identity!r}")
+    for field, value in (("n", n), ("m", m), ("degree", cap), ("k", k)):
+        if value is not None and value < 0:
+            raise ValueError(f"{field}: expected a non-negative integer, got {value}")
+    m = n if m is None else m
+    k = 0 if k is None else k
+    lam = tuple(lam) if "lam" in entry.params else EMPTY
+    rho = tuple(rho) if "rho" in entry.params else EMPTY
+    values = {"n": n, "degree": cap, "m": m, "k": k, "lam": list(lam), "rho": list(rho)}
+    params = {name: values[name] for name in entry.params}
+    lhs, rhs = entry.sides(entry, n, m, cap, lam, rho, k)
+    if isinstance(lhs, int):
+        return Report(identity, lhs == rhs, 1, params, None, lhs, rhs)
+    return _compare(identity, params, lhs, rhs)

@@ -6,18 +6,21 @@ from growthdiagrams import cli
 from growthdiagrams.jsonio import (
     FormatError,
     dumps,
-    frobenius_from_json,
-    frobenius_to_json,
     matrix_from_json,
-    multiset_from_json,
-    multiset_to_json,
     partition_from_json,
-    profile_to_json,
     tableau_from_json,
     tableau_to_json,
     triarray_from_json,
 )
-from growthdiagrams import FrobeniusCoords, ProfileKind, TableauChain, profile
+from growthdiagrams import (
+    Family,
+    Rule,
+    TableauChain,
+    build_growth,
+    build_triangular,
+    littlewood_variant,
+    triangular_array,
+)
 
 
 def run_cli(capsys, *argv):
@@ -40,9 +43,6 @@ def test_json_codecs_roundtrip():
         partition_from_json([1, 2])
     with pytest.raises(FormatError):
         partition_from_json("nope")
-    m = multiset_from_json({"counts": {"0": 2, "3": 1}})
-    assert m == {0: 2, 3: 1}
-    assert multiset_from_json(multiset_to_json(m)) == m
     t = TableauChain(((1,), (2, 1)))
     assert tableau_from_json(tableau_to_json(t)) == t
     with pytest.raises(FormatError):
@@ -51,13 +51,24 @@ def test_json_codecs_roundtrip():
         matrix_from_json([[1], [2, 3]])
     with pytest.raises(FormatError):
         triarray_from_json({"rows": [[0, 1], [0], [0]]})
-    prof = profile_to_json(profile((3, 2), (3, 2), ProfileKind.ADDABLE))
-    assert prof[0] == {"position": 0, "row": 1, "capacity": "inf"}
-    coords = FrobeniusCoords((5, 3, 0), (4, 2, 1))
-    assert frobenius_to_json(coords) == {"arms": [5, 3, 0], "legs": [4, 2, 1]}
-    assert frobenius_from_json(frobenius_to_json(coords)) == coords
-    with pytest.raises(FormatError):
-        frobenius_from_json({"arms": [1]})
+
+
+def test_json_booleans_are_not_integers(capsys, tmp_path):
+    for bad in ([1, True], [False]):
+        with pytest.raises(FormatError, match="partition"):
+            partition_from_json(bad)
+    with pytest.raises(FormatError, match=r"matrix\[0\]\[1\]"):
+        matrix_from_json([[1, True], [0, 1]])
+    with pytest.raises(FormatError, match=r"array.rows\[0\]\[0\]"):
+        triarray_from_json({"rows": [[False]]})
+    with pytest.raises(FormatError, match="array.n"):
+        triarray_from_json({"n": True, "rows": [[0]]})
+    with pytest.raises(ValueError, match=r"entry \(0,1\)"):
+        build_growth(Rule.ROW, [[1, True], [0, 1]])
+    path = tmp_path / "A.json"
+    path.write_text("[[1,true],[0,1]]")
+    code, out, err = run_cli(capsys, "rsk", "--matrix", str(path))
+    assert code == 1 and out == "" and "matrix[0][1]" in err
 
 
 def test_rsk_cli_roundtrip(capsys, tmp_path, demo_matrix):
@@ -107,6 +118,39 @@ def test_verify_cli(capsys):
     assert code == 0 and json.loads(out)["equal"]
 
 
+def test_verify_identities_listed_once():
+    assert cli.VERIFY_IDENTITIES == (
+        "cauchy",
+        "dual-cauchy",
+        "skew-cauchy",
+        "skew-dual-cauchy",
+        "littlewood",
+        "skew-littlewood",
+        "pieri",
+        "dual-pieri",
+        "squarefree",
+        "insertion-agreement",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["--identity", "littlewood", "--variant", "all", "--n", "-1"], "n"),
+        (["--identity", "cauchy", "--n", "-1"], "n"),
+        (["--identity", "cauchy", "--n", "2", "--m", "-1"], "m"),
+        (["--identity", "pieri", "--n", "2", "--shape", "[2,1]", "--k", "-1"], "k"),
+        (["--identity", "littlewood", "--variant", "all", "--n", "2", "--degree", "-1"],
+         "degree"),
+    ],
+    ids=["littlewood-n", "cauchy-n", "m", "k", "degree"],
+)
+def test_verify_rejects_negative_inputs(capsys, argv, field):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {field}: expected a non-negative integer, got -1\n"
+
+
 def test_enumerate_cli(capsys, tmp_path):
     b = tmp_path / "B.json"
     b.write_text("[[0,1],[1,0],[1,1]]")
@@ -143,6 +187,29 @@ def test_render_cli(capsys, demo_matrix):
     lines = out.splitlines()
     assert lines[0].startswith("∅")
     assert "3,3,1" in lines[-1]
+
+
+def test_render_array_honours_rule(capsys, tmp_path):
+    rows = [[2, 1, 0, 1], [2, 1, 1], [2, 1], [0]]
+    path = tmp_path / "C.json"
+    path.write_text(json.dumps({"n": 4, "rows": rows}))
+    outs = {}
+    for rule in ("row", "col", None):
+        extra = ["--rule", rule] if rule else []
+        code, outs[rule], _ = run_cli(
+            capsys, "render", "--variant", "even-rows", *extra, "--array", str(path)
+        )
+        assert code == 0
+    arr = triangular_array(rows)
+    row_grid = build_triangular(littlewood_variant(Family.EVEN_ROWS, Rule.ROW), arr)
+    col_grid = build_triangular(littlewood_variant(Family.EVEN_ROWS, Rule.COL), arr)
+    assert row_grid.rows != col_grid.rows
+    assert outs["row"] != outs["col"]
+    assert outs[None] == outs["col"]  # the canonical rule for even rows
+    labels = [line.split() for line in outs["row"].splitlines()[::2]]
+    assert labels == [
+        [",".join(map(str, p)) if p else "∅" for p in row] for row in row_grid.rows
+    ]
 
 
 def test_dumps_deterministic():

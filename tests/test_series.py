@@ -6,6 +6,8 @@ import pytest
 import oracle
 from growthdiagrams import (
     EMPTY,
+    Family,
+    StepKind,
     TruncatedPolynomial,
     conjugate,
     count_syt,
@@ -16,7 +18,7 @@ from growthdiagrams import (
     verify_identity,
 )
 from growthdiagrams.partitions import sub_partitions
-from growthdiagrams.series import SCHUR_DOWN, SCHUR_DUAL_DOWN, geometric, one_plus
+from growthdiagrams.series import geometric, one_plus
 
 
 from hypothesis import given, strategies as st
@@ -82,19 +84,21 @@ def test_skew_schur_matches_filling_oracle():
             assert schur(lam, 2, 8, mu=mu).terms == expect
 
 
-def test_schur_mode_agreement():
-    # every lam inside (4,4,4), every mu inside lam, n <= 3
+def test_schur_sweep_matches_filling_oracle_on_box():
+    # every lam inside (4,4,4), every mu inside lam, n <= 3: 1,470 cases
+    cases = 0
     for lam in enumerate_partitions(12, (3, 4)):
         for mu in sub_partitions(lam):
             for n in (1, 2, 3):
-                up = schur(lam, n, 12, mu=mu)
-                down = schur(lam, n, 12, SCHUR_DOWN, mu=mu)
-                assert up == down, (lam, mu, n)
+                expect = oracle.schur_poly(lam, n, mu)
+                assert schur(lam, n, 12, mu=mu).terms == expect, (lam, mu, n)
+                cases += 1
+    assert cases == 1470
 
 
 def test_schur_conjugation():
     for lam in enumerate_partitions(6):
-        dual = schur(lam, 3, 6, SCHUR_DUAL_DOWN)
+        dual = schur(lam, 3, 6, StepKind.VERTICAL)
         direct = schur(conjugate(lam), 3, 6)
         assert dual == direct, lam
 
@@ -155,6 +159,11 @@ def test_count_syt():
         ("littlewood-asym-1", dict(n=2, cap=7)),
         ("pieri", dict(n=2, cap=6, lam=(2, 1), k=2)),
         ("dual-pieri", dict(n=2, cap=6, lam=(2, 1), k=1)),
+        # (3, 1) is not self-conjugate, so the asymmetric families' inner sum
+        # over the conjugate shape is exercised
+        *((f"skew-littlewood-{f.value}", dict(n=3, cap=6, lam=(3, 1)))
+          for f in Family),
+        *((f"littlewood-{f.value}", dict(n=5, cap=14)) for f in Family),
     ],
 )
 def test_verify_identities_small(identity, kwargs):
