@@ -28,7 +28,7 @@ from .jsonio import (
 )
 from .partitions import EMPTY, Family, enumerate_partitions
 from .rules import Rule
-from .series import IDENTITIES, verify_identity
+from .series import IDENTITIES, _check_non_negative, verify_identity
 from .tableaux import TableauChain
 from .triangular import (
     build_triangular,
@@ -134,7 +134,11 @@ def cmd_littlewood_decode(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.identity == "insertion-agreement":
-        report = _insertion_agreement(args.n, args.m or args.n, args.seed)
+        m = args.n if args.m is None else args.m
+        _check_non_negative(n=args.n, m=m)
+        if args.n == 0:
+            raise FormatError("n: expected a positive integer, got 0")
+        report = _insertion_agreement(args.n, m, args.seed)
     else:
         name = args.identity
         if name not in IDENTITIES:

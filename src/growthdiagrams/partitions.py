@@ -9,6 +9,7 @@ here is a pure function on immutable values.
 from __future__ import annotations
 
 from enum import Enum
+from operator import ge
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -139,20 +140,20 @@ def is_horizontal_strip(mu: Partition, lam: Partition) -> bool:
     Equivalent to the interlacing condition lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...
     Returns False when mu is not contained in lam.
     """
-    if len(lam) > len(mu) + 1:
-        return False
-    for r in range(1, len(lam) + 1):
-        m = part(mu, r)
-        if not part(lam, r) >= m >= part(lam, r + 1):
-            return False
-    return len(mu) <= len(lam)
+    return (
+        len(mu) <= len(lam) <= len(mu) + 1
+        and all(map(ge, lam, mu))
+        and all(map(ge, mu, lam[1:]))
+    )
 
 
 def is_vertical_strip(mu: Partition, lam: Partition) -> bool:
     """True iff mu <= lam and lam/mu has at most one cell per row."""
-    if len(mu) > len(lam):
-        return False
-    return all(0 <= part(lam, r) - part(mu, r) <= 1 for r in range(1, len(lam) + 1))
+    return (
+        len(mu) <= len(lam)
+        and all(0 <= l - m <= 1 for l, m in zip(lam, mu))
+        and all(l == 1 for l in lam[len(mu):])
+    )
 
 
 def odd_part_count(lam: Partition) -> int:

@@ -95,7 +95,12 @@ def asym_indices(lam: Partition, sign: int) -> AsymIndexSets:
     l+1 on the S side.  When the interlacing condition fails both sets are
     empty and ``exists`` is False.
     """
-    a, b = frobenius(lam)
+    return _index_sets(frobenius(lam), sign)
+
+
+def _index_sets(coords: FrobeniusCoords, sign: int) -> AsymIndexSets:
+    """:func:`asym_indices` on the Frobenius coordinates of lam."""
+    a, b = coords
     l = len(a)
     if sign == 1:
         exists = all(b[i] >= a[i] for i in range(l)) and all(
@@ -141,20 +146,19 @@ def asym_indices(lam: Partition, sign: int) -> AsymIndexSets:
 # ---------------------------------------------------------------------------
 # Asymmetric up/down elements in Frobenius coordinates.
 
-def _asym_up_from_choice(lam: Partition, sign: int, chosen: frozenset[int]) -> Partition:
+def _asym_up_from_choice(
+    coords: FrobeniusCoords, idx: AsymIndexSets, sign: int, chosen: frozenset[int]
+) -> Partition:
     """The nu in P^sign with lam < nu whose free choices take the larger value
-    exactly at the indices in ``chosen`` (a subset of the S index set).
+    exactly at the indices in ``chosen`` (a subset of the S index set); lam
+    is given by its Frobenius coordinates and index sets.
 
-    Assumes the interlacing condition holds (asym_indices(...).exists); under
-    it every index is either free or forced to one of its two values, and the
-    virtual index l+1 for sign -1 takes the value -1, meaning absent, unless
-    chosen.
+    Assumes the interlacing condition holds (idx.exists); under it every
+    index is either free or forced to one of its two values, and the virtual
+    index l+1 for sign -1 takes the value -1, meaning absent, unless chosen.
     """
-    a, b = frobenius(lam)
+    a, b = coords
     l = len(a)
-    idx = asym_indices(lam, sign)
-    if not idx.exists:
-        raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partner")
     free = set(idx.s_indices)
     if sign == 1:
         cs = []
@@ -184,13 +188,15 @@ def _asym_up_from_choice(lam: Partition, sign: int, chosen: frozenset[int]) -> P
     return from_frobenius(FrobeniusCoords(tuple(c + 1 for c in cs), tuple(cs)))
 
 
-def _asym_down_choice(lam: Partition, sign: int, mu: Partition) -> frozenset[int]:
+def _asym_down_choice(
+    coords: FrobeniusCoords, idx: AsymIndexSets, sign: int, mu: Partition
+) -> frozenset[int]:
     """Which free indices of the R index set take the deeper removal in mu.
 
     Raises DomainError when mu is not a valid down-set element for lam; this is
     checked by reconstructing mu from the extracted choice set.
     """
-    a, _ = frobenius(lam)
+    a = coords.arms
     l = len(a)
     da, db = frobenius(mu)
     if sign == 1:
@@ -204,12 +210,11 @@ def _asym_down_choice(lam: Partition, sign: int, mu: Partition) -> frozenset[int
         ds = list(db)
         deep_off = 2
     if len(ds) > l:
-        raise DomainError(f"{mu} has too many Frobenius coordinates for {lam}")
+        raise DomainError(f"{mu} has too many Frobenius coordinates")
     ds += [-1] * (l - len(ds))
-    free = asym_indices(lam, sign).r_indices
-    chosen = frozenset(i for i in free if ds[i - 1] == a[i - 1] - deep_off)
-    if _asym_down_from_choice(lam, sign, chosen) != mu:
-        raise DomainError(f"{mu} is not a {sign:+d}-asymmetric predecessor of {lam}")
+    chosen = frozenset(i for i in idx.r_indices if ds[i - 1] == a[i - 1] - deep_off)
+    if _asym_down_from_choice(coords, idx, sign, chosen) != mu:
+        raise DomainError(f"{mu} is not a {sign:+d}-asymmetric predecessor")
     return chosen
 
 
@@ -313,10 +318,11 @@ def proj_apply(pf: ProjRule, lam: Partition, k: int, mu: Partition) -> Partition
         return conjugate(partition(c + (c % 2) for c in conj))
     # asymmetric families
     sign = 1 if fam is Family.ASYM_PLUS else -1
-    idx = asym_indices(lam, sign)
+    coords = frobenius(lam)
+    idx = _index_sets(coords, sign)
     if not idx.exists:
         raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partners")
-    chosen = _asym_down_choice(lam, sign, mu)
+    chosen = _asym_down_choice(coords, idx, sign, mu)
     ranks = sorted(idx.r_indices)
     sub = sorted(ranks.index(i) for i in chosen)  # 0-based ranks into R
     drop = size(lam) - size(mu)
@@ -339,12 +345,7 @@ def proj_apply(pf: ProjRule, lam: Partition, k: int, mu: Partition) -> Partition
                 s_chosen.add(s_sorted[-1])
             elif k != drop:
                 raise DomainError(f"k = {k} is not |lam/mu| or |lam/mu| + 2")
-    nu = _asym_up_from_choice(lam, sign, frozenset(s_chosen))
-    if size(nu) - size(lam) != k:
-        raise DomainError(
-            f"asymmetric transport changed the size budget for {lam}, {mu}, k={k}"
-        )
-    return nu
+    return _asym_up_from_choice(coords, idx, sign, frozenset(s_chosen))
 
 
 def proj_unapply(pf: ProjRule, lam: Partition, nu: Partition) -> tuple[Partition, int]:
@@ -370,11 +371,12 @@ def proj_unapply(pf: ProjRule, lam: Partition, nu: Partition) -> tuple[Partition
             raise DomainError(f"{nu} is not the even-column partner of {lam}")
         return conjugate(partition(c - (c % 2) for c in conj)), 0
     sign = 1 if fam is Family.ASYM_PLUS else -1
-    idx = asym_indices(lam, sign)
+    coords = frobenius(lam)
+    idx = _index_sets(coords, sign)
     if not idx.exists:
         raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partners")
     s_sorted = sorted(idx.s_indices)
-    s_chosen = _asym_up_choice(lam, sign, nu)
+    s_chosen = _asym_up_choice(coords, idx, sign, nu)
     ranks = sorted(idx.r_indices)
     if sign == 1:
         sub = sorted(s_sorted.index(i) for i in s_chosen)
@@ -386,40 +388,42 @@ def proj_unapply(pf: ProjRule, lam: Partition, nu: Partition) -> tuple[Partition
         c = 2 if s_sorted and s_sorted[-1] in s_chosen else 0
         sub = sorted(s_sorted.index(i) for i in s_chosen if i != s_sorted[-1])
     r_chosen = frozenset(ranks[t] for t in sub)
-    mu = _asym_down_from_choice(lam, sign, r_chosen)
-    return mu, c
+    return _asym_down_from_choice(coords, idx, sign, r_chosen), c
 
 
-def _asym_up_choice(lam: Partition, sign: int, nu: Partition) -> frozenset[int]:
+def _asym_up_choice(
+    coords: FrobeniusCoords, idx: AsymIndexSets, sign: int, nu: Partition
+) -> frozenset[int]:
     """Which free S indices take the larger coordinate in nu.
 
     Validated by reconstructing nu from the extracted choice set.
     """
-    a, b = frobenius(lam)
+    a, b = coords
     l = len(a)
     na, nb = frobenius(nu)
     if sign == 1:
         if tuple(x + 1 for x in na) != nb or len(na) != l:
-            raise DomainError(f"{nu} is not a +1-asymmetric partner of {lam}")
+            raise DomainError(f"{nu} is not a +1-asymmetric partner")
         cs = list(na)
         highs = [b[i] for i in range(l)]
     else:
         if tuple(x + 1 for x in nb) != na or len(na) not in (l, l + 1):
-            raise DomainError(f"{nu} is not a -1-asymmetric partner of {lam}")
+            raise DomainError(f"{nu} is not a -1-asymmetric partner")
         cs = list(nb) + [-1] * (l + 1 - len(nb))
         highs = [b[i] + 1 for i in range(l)] + [0]
-    free = asym_indices(lam, sign).s_indices
-    chosen = frozenset(i for i in free if cs[i - 1] == highs[i - 1])
-    if _asym_up_from_choice(lam, sign, chosen) != nu:
-        raise DomainError(f"{nu} is not a {sign:+d}-asymmetric successor of {lam}")
+    chosen = frozenset(i for i in idx.s_indices if cs[i - 1] == highs[i - 1])
+    if _asym_up_from_choice(coords, idx, sign, chosen) != nu:
+        raise DomainError(f"{nu} is not a {sign:+d}-asymmetric successor")
     return chosen
 
 
-def _asym_down_from_choice(lam: Partition, sign: int, chosen: frozenset[int]) -> Partition:
+def _asym_down_from_choice(
+    coords: FrobeniusCoords, idx: AsymIndexSets, sign: int, chosen: frozenset[int]
+) -> Partition:
     """The mu below lam whose free choices take the deeper removal at ``chosen``."""
-    a, b = frobenius(lam)
+    a, b = coords
     l = len(a)
-    free = set(asym_indices(lam, sign).r_indices)
+    free = set(idx.r_indices)
     ds = []
     for i in range(1, l + 1):
         b_i = b[i - 1]
@@ -441,7 +445,7 @@ def _asym_down_from_choice(lam: Partition, sign: int, chosen: frozenset[int]) ->
         elif forced_shallow:
             ds.append(shallow)
         else:
-            raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partner below")
+            raise DomainError(f"{coords} admits no {sign:+d}-asymmetric partner below")
     ds = [d for d in ds if d >= 0]
     if sign == 1:
         return from_frobenius(FrobeniusCoords(tuple(ds), tuple(d + 1 for d in ds)))

@@ -1,33 +1,37 @@
 """The four local (dual) growth rules as explicit bijections with inverses.
 
 Each rule F_{lam,rho,k} maps the union of down sets (dual: two down sets) onto
-the up set U(lam,rho,k) (dual: U*).  All four are implemented purely through
-position-multiset encodings: encode the input, transform the multiset, decode.
+the up set U(lam,rho,k) (dual: U*).  The paper states them on the multiset R of
+ribbon positions that mu removes from lam ^ rho and the multiset S that nu adds
+to lam v rho; with j = |R|
 
     row       R |-> R + {0^(k-j)}
     col       greedy matching against the pool of unused addable slots
     dual-row  R |-> R, or R + {0} when |R| = k-1
     dual-col  R |-> {x-1 : x in R}, plus {d} when |R| = k-1
+
+Here they act on part vectors.  Position i >= 1 is the ribbon in row
+r = _removable_rows(lam, rho)[i-1]: it removes (lam ^ rho)_r - mu_r cells, and
+its addable slot adds nu_{r+1} - (lam v rho)_{r+1} cells; position 0 is row 1.
+So the row rule is Fomin's nu_1 = (lam v rho)_1 + k - j and
+nu_{r+1} = (lam v rho)_{r+1} + (lam ^ rho)_r - mu_r.  Dual position i is the
+corner in row _dual_removable_rows[i-1] (down) or the cell in row
+_dual_addable_rows[i] (up).  Each call checks its input once; the outputs are
+valid by construction.  ``interlacing.encode``/``decode`` are the reference the
+tests check these rules against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from enum import Enum
 
 from .interlacing import (
-    CapacityError,
-    Direction,
     DomainError,
-    PositionMultiset,
+    _dual_addable_rows,
+    _dual_removable_rows,
     _removable_rows,
-    decode,
-    encode,
-    multiset_size,
-    profile,
-    ProfileKind,
 )
-from .partitions import Partition, size
+from .partitions import Partition, is_horizontal_strip, is_vertical_strip, join, meet, size
 
 
 class Rule(str, Enum):
@@ -47,113 +51,87 @@ def apply_rule(
     """F_{lam,rho,k}(mu); raises DomainError when mu is outside the domain."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    counts = encode(mu, lam, rho, Direction.DOWN, dual=rule.dual)
-    j = multiset_size(counts)
-    if rule is Rule.ROW:
-        if j > k:
-            raise DomainError(f"|R(mu)| = {j} exceeds k = {k}")
-        out = dict(counts)
-        if k > j:
-            out[0] = k - j
-    elif rule is Rule.COL:
-        if j > k:
-            raise DomainError(f"|R(mu)| = {j} exceeds k = {k}")
-        out = _col_forward(counts, k, _removable_caps(lam, rho))
-    elif rule is Rule.DUAL_ROW:
+    rho_strip = is_vertical_strip if rule.dual else is_horizontal_strip
+    if not (is_horizontal_strip(mu, lam) and rho_strip(mu, rho)):
+        raise DomainError(f"{mu} is not below both {lam} and {rho}")
+    base = meet(lam, rho)
+    # removed[r-1] = (lam ^ rho)_r - mu_r; nu[r-1] starts at (lam v rho)_r
+    removed = [b - m for b, m in zip(base, mu + (0,) * (len(base) - len(mu)))]
+    j = sum(removed)
+    nu = [*join(lam, rho), 0]
+    if rule.dual:
         if j not in (k, k - 1):
             raise DomainError(f"|R(mu)| = {j} not in {{k, k-1}} for k = {k}")
-        out = dict(counts)
+        corners, slots = _dual_removable_rows(lam, rho), _dual_addable_rows(lam, rho)
+        # corner i fills slot i (dual-row) or slot i-1 (dual-col); the extra
+        # cell takes the slot no corner maps to
+        shift = 0 if rule is Rule.DUAL_ROW else 1
+        for i, r in enumerate(corners, 1):
+            if removed[r - 1]:
+                nu[slots[i - shift] - 1] += 1
         if j == k - 1:
-            out[0] = 1
-    elif rule is Rule.DUAL_COL:
-        if j not in (k, k - 1):
-            raise DomainError(f"|R(mu)| = {j} not in {{k, k-1}} for k = {k}")
-        d = len(profile(lam, rho, ProfileKind.DUAL_REMOVABLE).entries)
-        out = {x - 1: 1 for x in counts}
-        if j == k - 1:
-            out[d] = 1
+            nu[slots[shift * len(corners)] - 1] += 1
     else:
-        raise ValueError(f"unknown rule {rule!r}")
-    return decode(out, lam, rho, Direction.UP, dual=rule.dual)
+        if j > k:
+            raise DomainError(f"|R(mu)| = {j} exceeds k = {k}")
+        if rule is Rule.ROW:
+            nu[0] += k - j
+            for r, c in enumerate(removed, 1):
+                nu[r] += c
+        else:
+            # greedy: drivers R + {inf^(k-j)} ascending each take the highest
+            # removable row below them whose addable slot is unused, else row 0
+            pool = _pool(lam, rho, removed, len(base))
+            drivers = [r for r, c in enumerate(removed, 1) for _ in range(c)]
+            for x in drivers + [len(base) + 1] * (k - j):
+                y = x - 1
+                while y and not pool[y]:
+                    y -= 1
+                pool[y] -= 1
+                nu[y] += 1
+    return tuple(v for v in nu if v)
 
 
 def unapply_rule(
     rule: Rule, lam: Partition, rho: Partition, nu: Partition
 ) -> tuple[Partition, int]:
     """Invert F: returns (mu, a) with a = |nu| + |mu| - |lam| - |rho|."""
-    s_counts = encode(nu, lam, rho, Direction.UP, dual=rule.dual)
-    if rule is Rule.ROW:
-        r_counts = {p: c for p, c in s_counts.items() if p != 0}
-    elif rule is Rule.COL:
-        r_counts = _col_backward(s_counts, _removable_caps(lam, rho))
-    elif rule is Rule.DUAL_ROW:
-        r_counts = {p: 1 for p in s_counts if p != 0}
-    elif rule is Rule.DUAL_COL:
-        d = len(profile(lam, rho, ProfileKind.DUAL_REMOVABLE).entries)
-        r_counts = {p + 1: 1 for p in s_counts if p != d}
+    lam_strip = is_vertical_strip if rule.dual else is_horizontal_strip
+    if not (is_horizontal_strip(rho, nu) and lam_strip(lam, nu)):
+        raise DomainError(f"{nu} is not above both {lam} and {rho}")
+    top = join(lam, rho)
+    # added[r-1] = nu_r - (lam v rho)_r; mu[r-1] starts at (lam ^ rho)_r
+    added = [n - t for n, t in zip(nu + (0,) * (len(top) + 1 - len(nu)), top + (0,))]
+    mu = list(meet(lam, rho))
+    if rule.dual:
+        corners = _dual_removable_rows(lam, rho)
+        shift = 0 if rule is Rule.DUAL_ROW else 1
+        for i, r in enumerate(_dual_addable_rows(lam, rho)):
+            if added[r - 1] and 1 <= i + shift <= len(corners):
+                mu[corners[i + shift - 1] - 1] -= 1
+    elif rule is Rule.ROW:
+        for r in range(1, len(mu) + 1):
+            mu[r - 1] -= added[r]
     else:
-        raise ValueError(f"unknown rule {rule!r}")
-    mu = decode(r_counts, lam, rho, Direction.DOWN, dual=rule.dual)
-    a = size(nu) + size(mu) - size(lam) - size(rho)
-    return mu, a
+        # mirror greedy: S descending, each element takes the lowest unused
+        # removable row above it; unmatched ones came from infinite drivers
+        pool = _pool(lam, rho, added[1:], len(mu))
+        for s in range(len(mu), -1, -1):
+            for _ in range(added[s]):
+                y = s + 1
+                while y <= len(mu) and not pool[y]:
+                    y += 1
+                if y <= len(mu):
+                    pool[y] -= 1
+                    mu[y - 1] -= 1
+    out = tuple(v for v in mu if v)
+    return out, size(nu) + size(out) - size(lam) - size(rho)
 
 
-def _removable_caps(lam: Partition, rho: Partition) -> tuple[int, ...]:
-    """Capacities of the removable ribbons at positions 1..d.
-
-    The addable ribbon at position i >= 1 sits one row above the removable
-    ribbon at position i and has the same capacity, which is what makes the
-    pool subtraction in column insertion well defined.
-    """
-    return tuple(cap for _, cap in _removable_rows(lam, rho))
-
-
-def _col_forward(counts: PositionMultiset, k: int, caps: tuple[int, ...]) -> PositionMultiset:
-    """Greedy matching: drivers R + {inf^(k-j)} ascending, each takes the
-    largest pool element strictly below it; the pool starts as all addable
-    slots minus R."""
-    d = len(caps)
-    pool = [0] * (d + 1)  # pool[0] stands in for the unbounded bottom row
-    for i in range(1, d + 1):
-        left = caps[i - 1] - counts.get(i, 0)
-        if left < 0:
-            raise CapacityError(
-                f"removable multiplicity at position {i} exceeds the addable capacity"
-            )
-        pool[i] = left
-    drivers = sorted(p for p, c in counts.items() for _ in range(c))
-    drivers += [d + 1] * (k - len(drivers))  # stand-ins for the infinite drivers
-    out: PositionMultiset = {}
-    for x in drivers:
-        y = 0
-        for cand in range(min(x - 1, d), 0, -1):
-            if pool[cand] > 0:
-                y = cand
-                break
-        if y > 0:
-            pool[y] -= 1
-        out[y] = out.get(y, 0) + 1
-    return out
-
-
-def _col_backward(s_counts: PositionMultiset, caps: tuple[int, ...]) -> PositionMultiset:
-    """Mirror greedy: process S descending, each element takes the smallest
-    remaining removable position strictly above it; elements with no partner
-    came from infinite drivers."""
-    d = len(caps)
-    pool: list[int] = []
-    for i in range(1, d + 1):
-        left = caps[i - 1] - s_counts.get(i, 0)
-        if left < 0:
-            raise DomainError(
-                f"addable multiplicity at position {i} exceeds the removable capacity"
-            )
-        pool.extend([i] * left)
-    out: PositionMultiset = {}
-    elems = sorted((p for p, c in s_counts.items() for _ in range(c)), reverse=True)
-    for s in elems:
-        idx = bisect_right(pool, s)
-        if idx < len(pool):
-            r = pool.pop(idx)
-            out[r] = out.get(r, 0) + 1
-    return out
+def _pool(lam: Partition, rho: Partition, used: list[int], rows: int) -> list[int]:
+    """Unused capacity of the addable slot above each removable row 1..rows
+    after ``used[r-1]`` of its cells are taken; index 0 stands for row 1."""
+    pool = [0] * (rows + 1)
+    for r, cap in _removable_rows(lam, rho):
+        pool[r] = cap - used[r - 1]
+    return pool

@@ -389,6 +389,13 @@ IDENTITIES: dict[str, Identity] = {
 }
 
 
+def _check_non_negative(**fields: int | None) -> None:
+    """Field-named ValueError for the first negative count; None is not given."""
+    for field, value in fields.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{field}: expected a non-negative integer, got {value}")
+
+
 def verify_identity(
     identity: str,
     n: int,
@@ -407,9 +414,7 @@ def verify_identity(
     entry = IDENTITIES.get(identity)
     if entry is None:
         raise ValueError(f"unknown identity {identity!r}")
-    for field, value in (("n", n), ("m", m), ("degree", cap), ("k", k)):
-        if value is not None and value < 0:
-            raise ValueError(f"{field}: expected a non-negative integer, got {value}")
+    _check_non_negative(n=n, m=m, degree=cap, k=k)
     m = n if m is None else m
     k = 0 if k is None else k
     lam = tuple(lam) if "lam" in entry.params else EMPTY

@@ -142,13 +142,25 @@ def test_verify_identities_listed_once():
         (["--identity", "pieri", "--n", "2", "--shape", "[2,1]", "--k", "-1"], "k"),
         (["--identity", "littlewood", "--variant", "all", "--n", "2", "--degree", "-1"],
          "degree"),
+        (["--identity", "insertion-agreement", "--n", "-1"], "n"),
+        (["--identity", "insertion-agreement", "--n", "2", "--m", "-1"], "m"),
     ],
-    ids=["littlewood-n", "cauchy-n", "m", "k", "degree"],
+    ids=["littlewood-n", "cauchy-n", "m", "k", "degree", "insertion-n", "insertion-m"],
 )
 def test_verify_rejects_negative_inputs(capsys, argv, field):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 1 and out == ""
     assert err == f"error: {field}: expected a non-negative integer, got -1\n"
+
+
+def test_insertion_agreement_sizes(capsys):
+    code, out, err = run_cli(capsys, "verify", "--identity", "insertion-agreement", "--n", "0")
+    assert code == 1 and out == "" and err == "error: n: expected a positive integer, got 0\n"
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "insertion-agreement", "--n", "2", "--m", "0",
+    )
+    data = json.loads(out)
+    assert code == 0 and data["params"]["m"] == 0 and data["checked_terms"] == 0
 
 
 def test_enumerate_cli(capsys, tmp_path):

@@ -102,6 +102,14 @@ def test_strips_match_cell_oracle_and_conjugate_duality(mu, lam):
     assert is_horizontal_strip(mu, lam) == is_vertical_strip(conjugate(mu), conjugate(lam))
 
 
+def test_strips_match_cell_oracle_exhaustively():
+    shapes = enumerate_partitions(7)
+    for mu in shapes:
+        for lam in shapes:
+            assert is_horizontal_strip(mu, lam) == oracle.horiz_strip(mu, lam), (mu, lam)
+            assert is_vertical_strip(mu, lam) == oracle.vert_strip(mu, lam), (mu, lam)
+
+
 def test_member():
     assert member((2, 2), Family.EVEN_COLS)
     assert not member((3, 2), Family.EVEN_ROWS)

@@ -9,7 +9,18 @@ from growthdiagrams import (
     unapply_rule,
     up_set,
 )
-from growthdiagrams.interlacing import down_sets_through, up_sets_through
+from growthdiagrams.interlacing import (
+    CapacityError,
+    Direction,
+    ProfileKind,
+    _removable_rows,
+    decode,
+    down_sets_through,
+    encode,
+    multiset_size,
+    profile,
+    up_sets_through,
+)
 from growthdiagrams.partitions import enumerate_partitions
 
 # the worked insertion table for lam = rho = (3,2), k = 2
@@ -118,3 +129,109 @@ def test_degree_bookkeeping():
                 assert (size(meet(lam, rho)) - size(mu)) + (
                     size(nu) + size(mu) - size(lam) - size(rho)
                 ) == k
+
+
+# ---------------------------------------------------------------------------
+# The rules as the paper states them: encode mu as a multiset R of removable
+# ribbon positions, transform R into S, decode S as nu.  The package's rules
+# act on part vectors; these references pin them to the position multisets.
+
+def _reference_apply(rule, lam, rho, k, mu):
+    if k < 0:
+        raise DomainError("k must be >= 0")
+    counts = encode(mu, lam, rho, Direction.DOWN, dual=rule.dual)
+    j = multiset_size(counts)
+    if rule.dual and j not in (k, k - 1) or not rule.dual and j > k:
+        raise DomainError(f"|R(mu)| = {j} does not fit k = {k}")
+    if rule is Rule.ROW:
+        out = {**counts, 0: k - j} if k > j else counts
+    elif rule is Rule.COL:
+        out = _reference_col_forward(counts, k, _caps(lam, rho))
+    elif rule is Rule.DUAL_ROW:
+        out = {**counts, 0: 1} if j == k - 1 else counts
+    else:
+        d = len(profile(lam, rho, ProfileKind.DUAL_REMOVABLE).entries)
+        out = {x - 1: 1 for x in counts}
+        if j == k - 1:
+            out[d] = 1
+    return decode(out, lam, rho, Direction.UP, dual=rule.dual)
+
+
+def _reference_unapply(rule, lam, rho, nu):
+    s_counts = encode(nu, lam, rho, Direction.UP, dual=rule.dual)
+    if rule is Rule.ROW or rule is Rule.DUAL_ROW:
+        r_counts = {p: c for p, c in s_counts.items() if p != 0}
+    elif rule is Rule.COL:
+        r_counts = _reference_col_backward(s_counts, _caps(lam, rho))
+    else:
+        d = len(profile(lam, rho, ProfileKind.DUAL_REMOVABLE).entries)
+        r_counts = {p + 1: 1 for p in s_counts if p != d}
+    mu = decode(r_counts, lam, rho, Direction.DOWN, dual=rule.dual)
+    return mu, size(nu) + size(mu) - size(lam) - size(rho)
+
+
+def _caps(lam, rho):
+    return [cap for _, cap in _removable_rows(lam, rho)]
+
+
+def _reference_col_forward(counts, k, caps):
+    """Drivers R + {inf^(k-j)} ascending each take the largest pool slot
+    strictly below them (else slot 0); the pool is the addable slots minus R."""
+    pool = [0] + [cap - counts.get(i, 0) for i, cap in enumerate(caps, 1)]
+    if min(pool) < 0:
+        raise CapacityError("removable multiplicity exceeds the addable capacity")
+    drivers = sorted(p for p, c in counts.items() for _ in range(c))
+    drivers += [len(caps) + 1] * (k - len(drivers))
+    out = {}
+    for x in drivers:
+        y = max((i for i in range(1, x) if pool[i] > 0), default=0)
+        pool[y] -= 1
+        out[y] = out.get(y, 0) + 1
+    return out
+
+
+def _reference_col_backward(s_counts, caps):
+    """S descending, each element takes the smallest unused removable
+    position strictly above it; unmatched elements came from infinite drivers."""
+    pool = [cap - s_counts.get(i, 0) for i, cap in enumerate(caps, 1)]
+    if min(pool, default=0) < 0:
+        raise DomainError("addable multiplicity exceeds the removable capacity")
+    out = {}
+    for s in sorted((p for p, c in s_counts.items() for _ in range(c)), reverse=True):
+        r = next((i for i in range(s + 1, len(caps) + 1) if pool[i - 1] > 0), None)
+        if r is not None:
+            pool[r - 1] -= 1
+            out[r] = out.get(r, 0) + 1
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+def test_rules_match_position_multiset_reference():
+    """Value for value and DomainError for DomainError: apply over every mu in
+    the 3x3 box with k <= 4, unapply over every nu in the 4x4 box."""
+    box = enumerate_partitions(9, (3, 3))
+    above = enumerate_partitions(16, (4, 4))
+    cases = 0
+    for rule in Rule:
+        for lam in box:
+            for rho in box:
+                for mu in box:
+                    for k in range(5):
+                        expect = _outcome(_reference_apply, rule, lam, rho, k, mu)
+                        assert _outcome(apply_rule, rule, lam, rho, k, mu) == expect, (
+                            rule, lam, rho, k, mu,
+                        )
+                        cases += 1
+                for nu in above:
+                    expect = _outcome(_reference_unapply, rule, lam, rho, nu)
+                    assert _outcome(unapply_rule, rule, lam, rho, nu) == expect, (
+                        rule, lam, rho, nu,
+                    )
+                    cases += 1
+    assert cases == 272_000
