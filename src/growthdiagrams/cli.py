@@ -65,13 +65,16 @@ def _rule(name: str) -> Rule:
         raise FormatError(f"rule: unknown rule {name!r}") from None
 
 
-def _variant(name: str, rule_name: str | None):
+def _family(name: str) -> Family:
     try:
-        family = Family(name)
+        return Family(name)
     except ValueError:
         raise FormatError(f"variant: unknown variant {name!r}") from None
+
+
+def _variant(name: str, rule_name: str | None):
     base = _rule(rule_name) if rule_name else None
-    return littlewood_variant(family, base)
+    return littlewood_variant(_family(name), base)
 
 
 def cmd_rsk(args: argparse.Namespace) -> int:
@@ -144,7 +147,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if name not in IDENTITIES:
             if not args.variant:
                 raise FormatError("identity: --variant is required for littlewood checks")
-            name = f"{name}-{Family(args.variant).value}"
+            name = f"{name}-{_family(args.variant).value}"
         lam = _parse_partition_arg(args.shape, "shape") if args.shape else EMPTY
         rho = _parse_partition_arg(args.rho, "rho") if args.rho else EMPTY
         report = verify_identity(
@@ -183,6 +186,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
         return 0
     if args.partitions is not None:
+        _check_non_negative(partitions=args.partitions, rows=args.rows, cols=args.cols)
         box = None
         if args.rows is not None or args.cols is not None:
             box = (args.rows if args.rows is not None else args.partitions,

@@ -6,9 +6,10 @@ For a pair of partitions (lam, rho) the four sets are
     down_set(lam, rho, k)      {mu : lam > mu < rho,  |(lam ^ rho)/mu| = k}
 
 and their dual variants where the strip condition on the rho side (down) or
-the lam side (up) is vertical instead of horizontal.  The sets are computed by
-exhaustive search over a provably complete envelope; the structured encodings
-below identify their elements with multisets of ribbon positions.
+the lam side (up) is vertical instead of horizontal.  By interlacing, each
+row of a member lies between rows of lam and rho, so each set is an interval
+of Young's lattice cut to one size (``partitions_between``); the structured
+encodings below identify their elements with multisets of ribbon positions.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .partitions import (
     join,
     meet,
     part,
+    partitions_between,
+    size,
 )
 
 INFINITE = math.inf
@@ -141,43 +144,21 @@ def _dual_addable_rows(lam: Partition, rho: Partition) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles.  The searches run over the per-row ranges that the
-# interlacing characterization of horizontal/vertical strips dictates, which
-# is a complete envelope; the small-case tests cross-check them against a
-# plain filter over globally enumerated partitions.
+# The up and down sets: one partitions_between interval per (lam, rho, kmax),
+# split by size.
 
 def up_sets_through(
     lam: Partition, rho: Partition, kmax: int, dual: bool = False
 ) -> list[list[Partition]]:
     """[U(lam, rho, k) for k in 0..kmax], each sorted."""
     base = join(lam, rho)
-    nb = len(base)
-    out: list[list[Partition]] = [[] for _ in range(kmax + 1)]
-    rows: list[int] = []
-
-    def rec(r: int, used: int) -> None:
-        if r > nb + 1:
-            out[used].append(tuple(v for v in rows if v))
-            return
-        lo = base[r - 1] if r <= nb else 0
-        if dual:
-            hi = part(lam, r) + 1
-            if r > 1:
-                hi = min(hi, part(rho, r - 1), rows[-1])
-        else:
-            hi = lo + (kmax - used)
-            if r > 1:
-                hi = min(hi, part(lam, r - 1), part(rho, r - 1))
-        hi = min(hi, lo + (kmax - used))
-        for v in range(lo, hi + 1):
-            rows.append(v)
-            rec(r + 1, used + v - lo)
-            rows.pop()
-
-    rec(1, 0)
-    for bucket in out:
-        bucket.sort()
-    return out
+    top = (part(base, 1) + kmax,)  # stands in for row 0 of lam and rho
+    rows = range(1, len(base) + 2)
+    if dual:
+        hi = [min(part(lam, r) + 1, part(top + rho, r)) for r in rows]
+    else:
+        hi = [part(top + meet(lam, rho), r) for r in rows]
+    return _by_size(partitions_between(base + (0,), hi, kmax), base, kmax)
 
 
 def down_sets_through(
@@ -185,37 +166,21 @@ def down_sets_through(
 ) -> list[list[Partition]]:
     """[D(lam, rho, k) for k in 0..kmax], each sorted."""
     base = meet(lam, rho)
-    nb = len(base)
-    out: list[list[Partition]] = [[] for _ in range(kmax + 1)]
-    # rows beyond the meet are forced empty; the strip conditions there do not
-    # involve the removed cells, so check them once up front
-    if len(lam) > nb + 1:
-        return out
+    rows = range(1, max(len(lam), len(rho)) + 1)
     if dual:
-        if any(rho[r] > 1 for r in range(nb, len(rho))):
-            return out
-    elif len(rho) > nb + 1:
-        return out
-    rows: list[int] = []
+        lo = [max(part(lam, r + 1), part(rho, r) - 1, 0) for r in rows]
+    else:
+        lo = [max(part(lam, r + 1), part(rho, r + 1)) for r in rows]
+    hi = [part(base, r) for r in rows]
+    return _by_size(partitions_between(lo, hi, max_remove=kmax), base, kmax)
 
-    def rec(r: int, used: int) -> None:
-        if r > nb:
-            out[used].append(tuple(v for v in rows if v))
-            return
-        hi = base[r - 1]
-        if dual:
-            lo = max(part(lam, r + 1), part(rho, r) - 1, 0)
-        else:
-            lo = max(part(lam, r + 1), part(rho, r + 1))
-        lo = max(lo, hi - (kmax - used))
-        for v in range(hi, lo - 1, -1):
-            rows.append(v)
-            rec(r + 1, used + hi - v)
-            rows.pop()
 
-    rec(1, 0)
-    for bucket in out:
-        bucket.sort()
+def _by_size(members: list[Partition], base: Partition, kmax: int) -> list[list[Partition]]:
+    """The members bucketed by how many cells they differ from base, each sorted."""
+    out: list[list[Partition]] = [[] for _ in range(kmax + 1)]
+    s = size(base)
+    for nu in reversed(members):
+        out[abs(size(nu) - s)].append(nu)
     return out
 
 

@@ -9,8 +9,10 @@ here is a pure function on immutable values.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import accumulate
+from math import inf
 from operator import ge
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
 
@@ -120,14 +122,14 @@ def from_frobenius(coords: FrobeniusCoords) -> Partition:
 
 def meet(lam: Partition, rho: Partition) -> Partition:
     """Intersection of Young diagrams (pointwise minimum)."""
-    return tuple(min(a, b) for a, b in zip(lam, rho))
+    return tuple(map(min, lam, rho))
 
 
 def join(lam: Partition, rho: Partition) -> Partition:
     """Union of Young diagrams (pointwise maximum)."""
     if len(lam) < len(rho):
         lam, rho = rho, lam
-    return tuple(max(a, b) for a, b in zip(lam, rho)) + lam[len(rho):]
+    return tuple(map(max, lam, rho)) + lam[len(rho):]
 
 
 def meet_join(lam: Partition, rho: Partition) -> tuple[Partition, Partition]:
@@ -187,164 +189,95 @@ def enumerate_partitions(
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    rows = cols = None
-    if box is not None:
-        rows, cols = box
-    out: list[Partition] = []
-    for s in range(max_size + 1):
-        out.extend(_partitions_of(s, cols if cols is not None else s, rows))
-    return out
-
-
-def _partitions_of(s: int, max_part: int, max_rows: int | None) -> Iterator[Partition]:
-    if s == 0:
-        yield EMPTY
-        return
-    if max_rows is not None and max_rows <= 0:
-        return
-    for first in range(min(s, max_part), 0, -1):
-        rest = _partitions_of(s - first, first, None if max_rows is None else max_rows - 1)
-        for tail in rest:
-            yield (first,) + tail
+    return [lam for s in range(max_size + 1) for lam in partitions_of_size(s, box)]
 
 
 def partitions_of_size(s: int, box: tuple[int, int] | None = None) -> list[Partition]:
     """All partitions of size exactly ``s`` (graded-lex tail of enumerate_partitions)."""
-    rows, cols = box if box is not None else (None, s)
-    return list(_partitions_of(s, cols if cols is not None else s, rows))
+    rows, cols = (max(0, min(s, d)) for d in box or (s, s))
+    return partitions_between((), (cols,) * rows, s, rows * cols - s)
 
 
 # ---------------------------------------------------------------------------
-# Strip enumeration.  These generators are the building blocks of the
-# brute-force set oracles and the Schur-polynomial chain sums.
+# Interval enumeration.  Every strip set, up/down set and size class is an
+# interval of Young's lattice cut by a size window: each row of nu lies
+# between rows of fixed partitions (the interlacing lam_1 >= mu_1 >= lam_2 >=
+# ...), so one row-by-row search serves them all.
+
+def partitions_between(
+    lo: Sequence[int], hi: Sequence[int], max_add: float = inf, max_remove: float = inf
+) -> list[Partition]:
+    """Every partition nu with lo[r] <= nu_r <= hi[r] in each row, at most
+    ``max_add`` cells above lo and at most ``max_remove`` cells below hi,
+    in lex-descending order.
+
+    ``hi`` holds finite ints and fixes the number of rows; ``lo`` is weakly
+    decreasing, no longer than hi and zero past its end, so filling the
+    remaining rows with lo never overdraws the add budget.
+    """
+    if max_add < 0 or max_remove < 0:
+        return []
+    n = len(hi)
+    lo = tuple(lo) + (0,) * (n - len(lo))
+    tail = list(accumulate(reversed(hi), initial=0))[::-1]  # tail[r] = sum(hi[r:])
+    out: list[Partition] = []
+    rows: list[int] = []
+
+    def rec(r: int, cap: float, add: float, remove: float) -> None:
+        if r == n:
+            out.append(tuple(rows))
+            return
+        l, h = lo[r], hi[r]
+        for v in range(min(h, cap, l + add), max(l, h - remove) - 1, -1):
+            if v:
+                rows.append(v)
+                rec(r + 1, v, add - v + l, remove - h + v)
+                rows.pop()
+            elif remove - h >= tail[r + 1]:
+                out.append(tuple(rows))  # every later row is 0 as well
+
+    rec(0, inf, max_add, max_remove)
+    return out
+
 
 def horizontal_strips_over(
     mu: Partition, max_add: int, shape: Partition | None = None
-) -> Iterator[Partition]:
-    """All nu with mu < nu (horizontal strip) and |nu/mu| <= max_add.
+) -> list[Partition]:
+    """All nu with mu < nu (horizontal strip) and |nu/mu| <= max_add, lex-ascending.
 
     A horizontal strip adds at most one new row, and row r is bounded by the
     previous row of mu; ``shape`` optionally caps nu cellwise.
     """
-    nrows = len(mu) + 1
-    row_vals: list[int] = []
-
-    def rec(r: int, budget: int) -> Iterator[Partition]:
-        if r > nrows:
-            yield tuple(v for v in row_vals if v)
-            return
-        lo = part(mu, r)
-        hi = part(mu, r - 1) if r > 1 else lo + budget
-        hi = min(hi, lo + budget)
-        if shape is not None:
-            hi = min(hi, part(shape, r))
-        if hi < lo:
-            return
-        for v in range(lo, hi + 1):
-            row_vals.append(v)
-            yield from rec(r + 1, budget - (v - lo))
-            row_vals.pop()
-
-    yield from rec(1, max_add)
+    return _over(mu + (0,), (part(mu, 1) + max_add,) + mu, max_add, shape)
 
 
 def vertical_strips_over(
     mu: Partition, max_add: int, shape: Partition | None = None
-) -> Iterator[Partition]:
-    """All nu with mu <' nu (vertical strip) and |nu/mu| <= max_add."""
-    row_vals: list[int] = []
-
-    def rec(r: int, budget: int) -> Iterator[Partition]:
-        if r > len(mu):
-            # remaining rows form a column of 1s, bounded by the last row
-            limit = budget
-            if row_vals and row_vals[-1] == 0:
-                limit = 0
-            if shape is not None:
-                limit = min(limit, max(0, len(shape) - len(mu)))
-                for t in range(limit + 1):
-                    if t and part(shape, len(mu) + t) < 1:
-                        limit = t - 1
-                        break
-            for t in range(limit + 1):
-                yield tuple(v for v in row_vals if v) + (1,) * t
-            return
-        lo = part(mu, r)
-        hi = min(lo + 1, lo + budget)
-        if r > 1:
-            hi = min(hi, row_vals[-1])
-        if shape is not None:
-            hi = min(hi, part(shape, r))
-        if hi < lo:
-            return
-        for v in range(lo, hi + 1):
-            row_vals.append(v)
-            yield from rec(r + 1, budget - (v - lo))
-            row_vals.pop()
-
-    yield from rec(1, max_add)
+) -> list[Partition]:
+    """All nu with mu <' nu (vertical strip) and |nu/mu| <= max_add, lex-ascending."""
+    lo = mu + (0,) * max_add
+    return _over(lo, tuple(v + 1 for v in lo), max_add, shape)
 
 
-def horizontal_strips_under(
-    lam: Partition, max_remove: int | None = None
-) -> Iterator[Partition]:
-    """All mu with mu < lam (horizontal strip)."""
-    row_vals: list[int] = []
-
-    def rec(r: int, removed: int) -> Iterator[Partition]:
-        if max_remove is not None and removed > max_remove:
-            return
-        if r > len(lam):
-            yield tuple(v for v in row_vals if v)
-            return
-        lo = part(lam, r + 1)
-        hi = lam[r - 1]
-        for v in range(hi, lo - 1, -1):
-            row_vals.append(v)
-            yield from rec(r + 1, removed + hi - v)
-            row_vals.pop()
-
-    yield from rec(1, 0)
+def _over(lo: Partition, hi: Partition, max_add: int, shape: Partition | None) -> list[Partition]:
+    """The interval [lo, hi], hi capped cellwise by shape, lex-ascending."""
+    if shape is not None:
+        hi = tuple(min(h, part(shape, r)) for r, h in enumerate(hi, start=1))
+    return partitions_between(lo, hi, max_add)[::-1]
 
 
-def vertical_strips_under(
-    lam: Partition, max_remove: int | None = None
-) -> Iterator[Partition]:
-    """All mu with mu <' lam (vertical strip)."""
-    row_vals: list[int] = []
-
-    def rec(r: int, removed: int) -> Iterator[Partition]:
-        if max_remove is not None and removed > max_remove:
-            return
-        if r > len(lam):
-            yield tuple(v for v in row_vals if v)
-            return
-        hi = lam[r - 1]
-        lo = max(hi - 1, 0)
-        if r < len(lam):
-            lo = max(lo, lam[r] - 1)
-        for v in range(hi, lo - 1, -1):
-            if r > 1 and v > row_vals[-1]:
-                continue
-            row_vals.append(v)
-            yield from rec(r + 1, removed + hi - v)
-            row_vals.pop()
-
-    yield from rec(1, 0)
+def horizontal_strips_under(lam: Partition, max_remove: int | None = None) -> list[Partition]:
+    """All mu with mu < lam (horizontal strip), lex-descending."""
+    budget = inf if max_remove is None else max_remove
+    return partitions_between(lam[1:], lam, inf, budget)
 
 
-def sub_partitions(lam: Partition) -> Iterator[Partition]:
-    """All partitions contained in lam."""
-    row_vals: list[int] = []
+def vertical_strips_under(lam: Partition, max_remove: int | None = None) -> list[Partition]:
+    """All mu with mu <' lam (vertical strip), lex-descending."""
+    budget = inf if max_remove is None else max_remove
+    return partitions_between([v - 1 for v in lam], lam, inf, budget)
 
-    def rec(r: int) -> Iterator[Partition]:
-        if r > len(lam):
-            yield tuple(v for v in row_vals if v)
-            return
-        hi = lam[r - 1] if r == 1 else min(lam[r - 1], row_vals[-1])
-        for v in range(hi, -1, -1):
-            row_vals.append(v)
-            yield from rec(r + 1)
-            row_vals.pop()
 
-    yield from rec(1)
+def sub_partitions(lam: Partition) -> list[Partition]:
+    """All partitions contained in lam, lex-descending."""
+    return partitions_between((), lam)

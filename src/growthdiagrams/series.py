@@ -318,7 +318,7 @@ def _cauchy(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partitio
     strips on the y side and the product of 1 + x_i y_j."""
     top = (cap + size(lam) + size(rho)) // 2
     lhs = _pair(_sweep({rho: {(): 1}}, n, top), _sweep({lam: {(): 1}}, m, top, e.steps))
-    inner = list(sub_partitions(meet(lam, rho)))
+    inner = sub_partitions(meet(lam, rho))
     rhs = _pair({mu: schur(lam, n, cap, mu=mu).terms for mu in inner},
                 {mu: schur(rho, m, cap, e.steps, mu).terms for mu in inner})
     product = product_side("cauchy" if e.steps == StepKind.HORIZONTAL else "dual-cauchy",

@@ -163,6 +163,28 @@ def test_insertion_agreement_sizes(capsys):
     assert code == 0 and data["params"]["m"] == 0 and data["checked_terms"] == 0
 
 
+def test_verify_rejects_unknown_variant(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", "littlewood", "--variant", "bogus", "--n", "2",
+    )
+    assert code == 1 and out == "" and err == "error: variant: unknown variant 'bogus'\n"
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["--partitions", "-1"], "partitions"),
+        (["--partitions", "3", "--rows", "-1"], "rows"),
+        (["--partitions", "3", "--cols", "-1"], "cols"),
+    ],
+    ids=["partitions", "rows", "cols"],
+)
+def test_enumerate_rejects_negative_sizes(capsys, argv, field):
+    code, out, err = run_cli(capsys, "enumerate", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {field}: expected a non-negative integer, got -1\n"
+
+
 def test_enumerate_cli(capsys, tmp_path):
     b = tmp_path / "B.json"
     b.write_text("[[0,1],[1,0],[1,1]]")

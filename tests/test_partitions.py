@@ -20,6 +20,14 @@ from growthdiagrams import (
     partition,
     size,
 )
+from growthdiagrams.partitions import (
+    horizontal_strips_over,
+    horizontal_strips_under,
+    partitions_of_size,
+    sub_partitions,
+    vertical_strips_over,
+    vertical_strips_under,
+)
 
 
 @st.composite
@@ -130,20 +138,29 @@ def test_member_asym_conjugation():
         assert member(lam, Family.EVEN_ROWS) == member(conjugate(lam), Family.EVEN_COLS)
 
 
-def test_strip_generators():
-    from growthdiagrams.partitions import (
-        horizontal_strips_over,
-        horizontal_strips_under,
-        vertical_strips_over,
-        vertical_strips_under,
-    )
-
-    assert sorted(horizontal_strips_over((2, 1), 1)) == [(2, 1), (2, 1, 1), (2, 2), (3, 1)]
-    assert sorted(vertical_strips_over((2, 1), 9, shape=(2, 2, 1))) == [
-        (2, 1), (2, 1, 1), (2, 2), (2, 2, 1),
-    ]
-    assert sorted(horizontal_strips_under((2, 2))) == [(2,), (2, 1), (2, 2)]
-    assert sorted(vertical_strips_under((2, 2))) == [(1, 1), (2, 1), (2, 2)]
+def test_enumerators_match_cell_oracle_exhaustively():
+    small = oracle.all_partitions(6)
+    pool = oracle.all_partitions(10)
+    for mu in small:
+        n = sum(mu)
+        for strip, over in ((oracle.horiz_strip, horizontal_strips_over),
+                            (oracle.vert_strip, vertical_strips_over)):
+            above = [nu for nu in pool if strip(mu, nu)]
+            for b in range(5):
+                for shape in [None] + small:
+                    want = [nu for nu in above if sum(nu) - n <= b
+                            and (shape is None or oracle.contains(nu, shape))]
+                    assert over(mu, b, shape) == sorted(want), (mu, b, shape)
+        for strip, under in ((oracle.horiz_strip, horizontal_strips_under),
+                             (oracle.vert_strip, vertical_strips_under)):
+            below = [nu for nu in small if strip(nu, mu)]
+            for b in [None, 0, 1, 2, 3, 4]:
+                want = [nu for nu in below if b is None or n - sum(nu) <= b]
+                assert under(mu, b) == sorted(want, reverse=True), (mu, b)
+        inside = [nu for nu in small if oracle.contains(nu, mu)]
+        assert sub_partitions(mu) == sorted(inside, reverse=True), mu
+    for s in range(11):
+        assert partitions_of_size(s) == list(oracle.partitions_of(s))
 
 
 def test_enumerate_partitions():
