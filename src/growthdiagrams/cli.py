@@ -135,19 +135,30 @@ def cmd_littlewood_decode(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Optional verify flags and the identity parameter each one sets.
+_VERIFY_FLAGS = (("shape", "lam"), ("rho", "rho"), ("k", "k"), ("m", "m"))
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.identity == "insertion-agreement":
+    name = args.identity
+    if name not in IDENTITIES and name != "insertion-agreement":
+        if not args.variant:
+            raise FormatError("identity: --variant is required for littlewood checks")
+        name = f"{name}-{_family(args.variant).value}"
+    entry = IDENTITIES.get(name)  # None for insertion-agreement
+    takes = ("m",) if entry is None else entry.params
+    for flag, param in _VERIFY_FLAGS:
+        if getattr(args, flag) is not None and param not in takes:
+            raise FormatError(f"{flag}: identity {args.identity!r} takes no {flag}")
+    if args.variant is not None and (entry is None or entry.family is None):
+        raise FormatError(f"variant: identity {args.identity!r} takes no variant")
+    if entry is None:
         m = args.n if args.m is None else args.m
         _check_non_negative(n=args.n, m=m)
         if args.n == 0:
             raise FormatError("n: expected a positive integer, got 0")
         report = _insertion_agreement(args.n, m, args.seed)
     else:
-        name = args.identity
-        if name not in IDENTITIES:
-            if not args.variant:
-                raise FormatError("identity: --variant is required for littlewood checks")
-            name = f"{name}-{_family(args.variant).value}"
         lam = _parse_partition_arg(args.shape, "shape") if args.shape else EMPTY
         rho = _parse_partition_arg(args.rho, "rho") if args.rho else EMPTY
         report = verify_identity(

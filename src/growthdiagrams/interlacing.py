@@ -21,7 +21,6 @@ from functools import lru_cache
 
 from .partitions import (
     Partition,
-    conj_part,
     contains,
     is_horizontal_strip,
     is_vertical_strip,
@@ -117,30 +116,21 @@ def _removable_rows(lam: Partition, rho: Partition) -> tuple[tuple[int, int], ..
 
 @lru_cache(maxsize=1 << 17)
 def _dual_removable_rows(lam: Partition, rho: Partition) -> tuple[int, ...]:
-    """Rows of the inner corners of lam ^ rho that are dual removable."""
-    base = meet(lam, rho)
-    out = []
-    for r in range(1, len(base) + 1):
-        x = base[r - 1]
-        if part(base, r + 1) == x:
-            continue  # not an inner corner
-        if x > part(lam, r + 1) and r > conj_part(rho, x + 1):
-            out.append(r)
-    return tuple(out)
+    """Rows of the inner corners of lam ^ rho that are dual removable: the rows
+    r with lam_{r+1} < rho_r <= lam_r, so (lam ^ rho)_r = rho_r is a corner."""
+    return tuple(
+        r for r in range(1, len(rho) + 1) if part(lam, r + 1) < rho[r - 1] <= part(lam, r)
+    )
 
 
 @lru_cache(maxsize=1 << 17)
 def _dual_addable_rows(lam: Partition, rho: Partition) -> tuple[int, ...]:
-    """Rows of the outer corners of lam v rho that are dual addable."""
-    base = join(lam, rho)
-    out = []
-    for r in range(1, len(base) + 2):
-        x = part(base, r) + 1
-        if r > 1 and part(base, r - 1) < x:
-            continue  # not an outer corner
-        if part(lam, r) == x - 1 and conj_part(rho, x) == r - 1:
-            out.append(r)
-    return tuple(out)
+    """Rows of the outer corners of lam v rho that are dual addable: the rows r
+    with rho_r <= lam_r < rho_{r-1} (rho_0 = +inf), so (lam v rho)_r = lam_r."""
+    above = (INFINITE,) + rho
+    return tuple(
+        r for r in range(1, len(rho) + 2) if part(rho, r) <= part(lam, r) < above[r - 1]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,19 @@ vertical strips for the asymmetric families and horizontal strips otherwise.
   even-cols  the unique map (add/remove one cell in every odd column)
   asym+1     index-set transport in Frobenius coordinates
   asym-1     index-set transport with an s_0 pad (row*) or an index shift (col*)
+
+An asymmetric member is fixed by one coordinate sequence c, (c | c+1) for
+asym+1 and (c+1 | c) for asym-1.  One option table per Frobenius index i of
+lam = (a | b) lists the values c_i may take below lam (vertical strip) and
+above it (horizontal strip), the smaller strip first; the sentinels are
+a_0 = +inf, b_{l+1} = -1 and, for asym-1, a virtual index l+1 above lam (see
+:func:`asym_indices`).  The indices with two values are the free sets R and S,
+and both maps match the free choices below lam to those above it by rank.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -91,131 +100,118 @@ class AsymIndexSets:
 def asym_indices(lam: Partition, sign: int) -> AsymIndexSets:
     """The free-choice index sets R and S of the +-1-asymmetric bijections.
 
-    Sentinels: a_0 = +inf and, for sign -1, b_{l+1} = -1 with a virtual index
-    l+1 on the S side.  When the interlacing condition fails both sets are
-    empty and ``exists`` is False.
+    A family member is (c | c+1) for sign +1 and (c+1 | c) for sign -1; with
+    t = 0 for +1 and t = 1 for -1 its index i has arm c_i + t and leg
+    c_i + 1 - t.  For each Frobenius index i of lam = (a | b), the members
+    below lam by a vertical strip take c_i from (a_i - t, a_i - 1 - t) and
+    those above lam by a horizontal strip from (b_i - 1 + t, b_i + t), the
+    smaller strip first.  Below, a value c >= 0 is allowed when its leg lies in
+    [b_{i+1} + 1, b_i], and c = -1 (index absent) only when a_i = 0.  Above, a
+    value is allowed when c >= 0 and its arm lies in [a_i, a_{i-1} - 1].  The
+    sentinels are a_0 = +inf and b_{l+1} = -1; for sign -1 a virtual index l+1
+    takes (-1, 0) above lam when l = 0 or a_l > 1, and (-1,) otherwise.
+
+    R (below) and S (above) are the indices with two allowed values.  When
+    some index has none, lam has no partner: both sets are empty and
+    ``exists`` is False.
     """
-    return _index_sets(frobenius(lam), sign)
-
-
-def _index_sets(coords: FrobeniusCoords, sign: int) -> AsymIndexSets:
-    """:func:`asym_indices` on the Frobenius coordinates of lam."""
-    a, b = coords
-    l = len(a)
-    if sign == 1:
-        exists = all(b[i] >= a[i] for i in range(l)) and all(
-            a[i] >= b[i + 1] for i in range(l - 1)
-        )
-        if not exists:
-            return AsymIndexSets((), (), False)
-        s_set = tuple(
-            i
-            for i in range(1, l + 1)
-            if (i == 1 or a[i - 2] > b[i - 1]) and b[i - 1] > a[i - 1]
-        )
-        r_set = tuple(
-            i
-            for i in range(1, l + 1)
-            if (b[i] if i < l else -1) < a[i - 1] < b[i - 1]
-        )
-        return AsymIndexSets(r_set, s_set, True)
-    if sign == -1:
-        exists = all(b[i] + 2 >= a[i] for i in range(l)) and all(
-            a[i] >= b[i + 1] + 2 for i in range(l - 1)
-        )
-        if not exists:
-            return AsymIndexSets((), (), False)
-        s_set = []
-        for i in range(1, l + 2):
-            prev_a = a[i - 2] if i >= 2 else None  # a_0 = infinity
-            b_i = b[i - 1] if i <= l else -1
-            a_i = a[i - 1] if i <= l else None  # a_{l+1} = -infinity
-            above = prev_a is None or prev_a > b_i + 2
-            below = a_i is None or b_i + 2 > a_i
-            if above and below:
-                s_set.append(i)
-        r_set = tuple(
-            i
-            for i in range(1, l + 1)
-            if b[i - 1] + 2 > a[i - 1] > (b[i] if i < l else -1) + 2
-        )
-        return AsymIndexSets(r_set, tuple(s_set), True)
-    raise ValueError("sign must be +1 or -1")
+    down, up = _asym_options(frobenius(lam), sign)
+    if not (all(down) and all(up)):
+        return AsymIndexSets((), (), False)
+    return AsymIndexSets(
+        tuple(i for i, opts in enumerate(down, 1) if len(opts) == 2),
+        tuple(i for i, opts in enumerate(up, 1) if len(opts) == 2),
+        True,
+    )
 
 
 # ---------------------------------------------------------------------------
-# Asymmetric up/down elements in Frobenius coordinates.
+# Asymmetric members below and above lam: one option table per index.
 
-def _asym_up_from_choice(
-    coords: FrobeniusCoords, idx: AsymIndexSets, sign: int, chosen: frozenset[int]
-) -> Partition:
-    """The nu in P^sign with lam < nu whose free choices take the larger value
-    exactly at the indices in ``chosen`` (a subset of the S index set); lam
-    is given by its Frobenius coordinates and index sets.
+_Options = list[tuple[int, ...]]
 
-    Assumes the interlacing condition holds (idx.exists); under it every
-    index is either free or forced to one of its two values, and the virtual
-    index l+1 for sign -1 takes the value -1, meaning absent, unless chosen.
-    """
+
+def _asym_options(coords: FrobeniusCoords, sign: int) -> tuple[_Options, _Options]:
+    """(down, up): per Frobenius index of lam, the allowed values of c for the
+    members below and above lam, the smaller strip first (the rule is in
+    :func:`asym_indices`)."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    t = (1 - sign) // 2
     a, b = coords
     l = len(a)
-    free = set(idx.s_indices)
-    if sign == 1:
-        cs = []
-        for i in range(1, l + 1):
-            if i in chosen:
-                cs.append(b[i - 1])
-            elif i in free:
-                cs.append(b[i - 1] - 1)
-            elif b[i - 1] == a[i - 1]:
-                cs.append(b[i - 1])  # forced high
-            else:
-                cs.append(b[i - 1] - 1)  # forced low: b_i = a_{i-1}
-        return from_frobenius(FrobeniusCoords(tuple(cs), tuple(c + 1 for c in cs)))
-    cs = []
-    for i in range(1, l + 2):
-        b_i = b[i - 1] if i <= l else -1
-        a_i = a[i - 1] if i <= l else None
-        if i in chosen:
-            cs.append(b_i + 1)
-        elif i in free:
-            cs.append(b_i)
-        elif a_i is not None and b_i + 2 == a_i:
-            cs.append(b_i + 1)  # forced high
-        else:
-            cs.append(b_i)  # forced low; at i = l+1 this means absent
-    cs = [c for c in cs if c >= 0]
-    return from_frobenius(FrobeniusCoords(tuple(c + 1 for c in cs), tuple(cs)))
+    down: _Options = []
+    up: _Options = []
+    for i in range(l):
+        b_next = b[i + 1] if i + 1 < l else -1
+        a_prev = a[i - 1] if i else math.inf
+        down.append(tuple(
+            c for c in (a[i] - t, a[i] - 1 - t)
+            if (b_next < c + 1 - t <= b[i] if c >= 0 else c == -1 and a[i] == 0)
+        ))
+        up.append(tuple(
+            c for c in (b[i] - 1 + t, b[i] + t) if c >= 0 and a[i] <= c + t < a_prev
+        ))
+    if sign == -1:
+        up.append((-1, 0) if l == 0 or a[-1] > 1 else (-1,))
+    return down, up
 
 
-def _asym_down_choice(
-    coords: FrobeniusCoords, idx: AsymIndexSets, sign: int, mu: Partition
-) -> frozenset[int]:
-    """Which free indices of the R index set take the deeper removal in mu.
+def _asym_choice(options: _Options, sign: int, target: Partition) -> list[int]:
+    """The 0-based ranks, among the indices with two values, of those where
+    target takes the larger strip.
 
-    Raises DomainError when mu is not a valid down-set element for lam; this is
-    checked by reconstructing mu from the extracted choice set.
+    Raises DomainError unless target is in the sign's family and each of its
+    coordinates (-1 past its last) is an allowed value of its index.
     """
-    a = coords.arms
-    l = len(a)
-    da, db = frobenius(mu)
-    if sign == 1:
-        if tuple(x + 1 for x in da) != db:
-            raise DomainError(f"{mu} is not +1-asymmetric")
-        ds = list(da)
-        deep_off = 1
-    else:
-        if tuple(x + 1 for x in db) != da:
-            raise DomainError(f"{mu} is not -1-asymmetric")
-        ds = list(db)
-        deep_off = 2
-    if len(ds) > l:
-        raise DomainError(f"{mu} has too many Frobenius coordinates")
-    ds += [-1] * (l - len(ds))
-    chosen = frozenset(i for i in idx.r_indices if ds[i - 1] == a[i - 1] - deep_off)
-    if _asym_down_from_choice(coords, idx, sign, chosen) != mu:
-        raise DomainError(f"{mu} is not a {sign:+d}-asymmetric predecessor")
-    return chosen
+    t = (1 - sign) // 2
+    arms, legs = frobenius(target)
+    if any(leg != arm + 1 - 2 * t for arm, leg in zip(arms, legs)):
+        raise DomainError(f"{target} is not {sign:+d}-asymmetric")
+    if len(arms) > len(options):
+        raise DomainError(f"{target} has too many Frobenius coordinates")
+    ranks: list[int] = []
+    rank = 0
+    for i, opts in enumerate(options):
+        c = arms[i] - t if i < len(arms) else -1
+        if c not in opts:
+            raise DomainError(f"{target} is not a {sign:+d}-asymmetric partner")
+        if len(opts) == 2:
+            if c == opts[1]:
+                ranks.append(rank)
+            rank += 1
+    return ranks
+
+
+def _asym_build(options: _Options, sign: int, ranks: list[int]) -> Partition:
+    """The member whose indices with two values take the larger strip exactly
+    at the given 0-based ranks, and their only value elsewhere."""
+    t = (1 - sign) // 2
+    cs = []
+    rank = 0
+    for opts in options:
+        c = opts[0]
+        if len(opts) == 2:
+            c = opts[rank in ranks]
+            rank += 1
+        if c >= 0:
+            cs.append(c)
+    arms = tuple(c + t for c in cs)
+    return from_frobenius(FrobeniusCoords(arms, tuple(c + 1 - t for c in cs)))
+
+
+def _asym_tables(pf: ProjRule, lam: Partition) -> tuple[int, _Options, _Options, int]:
+    """(sign, down, up, pad) for lam, where pad is the rank above lam that takes
+    the two extra cells of an asym-1 partner: the first (row*) or the last
+    (col*) index with two values.  The other ranks keep their order.  For
+    asym+1, which has no extra cells, pad = |R| lies past every rank."""
+    sign = 1 if pf.family is Family.ASYM_PLUS else -1
+    down, up = _asym_options(frobenius(lam), sign)
+    if not (all(down) and all(up)):
+        raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partners")
+    if sign == -1 and pf.star is StarVariant.ROW_STAR:
+        return sign, down, up, 0
+    return sign, down, up, sum(len(opts) == 2 for opts in down)
 
 
 # ---------------------------------------------------------------------------
@@ -316,36 +312,14 @@ def proj_apply(pf: ProjRule, lam: Partition, k: int, mu: Partition) -> Partition
         if mu != expect_mu:
             raise DomainError(f"{mu} is not the even-column partner of {lam}")
         return conjugate(partition(c + (c % 2) for c in conj))
-    # asymmetric families
-    sign = 1 if fam is Family.ASYM_PLUS else -1
-    coords = frobenius(lam)
-    idx = _index_sets(coords, sign)
-    if not idx.exists:
-        raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partners")
-    chosen = _asym_down_choice(coords, idx, sign, mu)
-    ranks = sorted(idx.r_indices)
-    sub = sorted(ranks.index(i) for i in chosen)  # 0-based ranks into R
+    sign, down, up, pad = _asym_tables(pf, lam)
+    ranks = [r + (r >= pad) for r in _asym_choice(down, sign, mu)]
     drop = size(lam) - size(mu)
-    s_sorted = sorted(idx.s_indices)
-    if sign == 1:
-        if k != drop:
-            raise DomainError(f"asym+1 projections preserve size; k = {k} != {drop}")
-        s_chosen = {s_sorted[t] for t in sub}
-    else:
-        # s_sorted = (s_0, ..., s_n); row* pads with s_0, col* shifts down
-        if pf.star is StarVariant.ROW_STAR:
-            s_chosen = {s_sorted[t + 1] for t in sub}
-            if k == drop + 2:
-                s_chosen.add(s_sorted[0])
-            elif k != drop:
-                raise DomainError(f"k = {k} is not |lam/mu| or |lam/mu| + 2")
-        else:
-            s_chosen = {s_sorted[t] for t in sub}
-            if k == drop + 2:
-                s_chosen.add(s_sorted[-1])
-            elif k != drop:
-                raise DomainError(f"k = {k} is not |lam/mu| or |lam/mu| + 2")
-    return _asym_up_from_choice(coords, idx, sign, frozenset(s_chosen))
+    if sign == -1 and k == drop + 2:
+        ranks.append(pad)
+    elif k != drop:
+        raise DomainError(f"k = {k} is not |lam/mu| or, for asym-1, |lam/mu| + 2")
+    return _asym_build(up, sign, ranks)
 
 
 def proj_unapply(pf: ProjRule, lam: Partition, nu: Partition) -> tuple[Partition, int]:
@@ -370,83 +344,7 @@ def proj_unapply(pf: ProjRule, lam: Partition, nu: Partition) -> tuple[Partition
         if nu != expect_nu:
             raise DomainError(f"{nu} is not the even-column partner of {lam}")
         return conjugate(partition(c - (c % 2) for c in conj)), 0
-    sign = 1 if fam is Family.ASYM_PLUS else -1
-    coords = frobenius(lam)
-    idx = _index_sets(coords, sign)
-    if not idx.exists:
-        raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partners")
-    s_sorted = sorted(idx.s_indices)
-    s_chosen = _asym_up_choice(coords, idx, sign, nu)
-    ranks = sorted(idx.r_indices)
-    if sign == 1:
-        sub = sorted(s_sorted.index(i) for i in s_chosen)
-        c = 0
-    elif pf.star is StarVariant.ROW_STAR:
-        c = 2 if s_sorted and s_sorted[0] in s_chosen else 0
-        sub = sorted(s_sorted.index(i) - 1 for i in s_chosen if i != s_sorted[0])
-    else:
-        c = 2 if s_sorted and s_sorted[-1] in s_chosen else 0
-        sub = sorted(s_sorted.index(i) for i in s_chosen if i != s_sorted[-1])
-    r_chosen = frozenset(ranks[t] for t in sub)
-    return _asym_down_from_choice(coords, idx, sign, r_chosen), c
-
-
-def _asym_up_choice(
-    coords: FrobeniusCoords, idx: AsymIndexSets, sign: int, nu: Partition
-) -> frozenset[int]:
-    """Which free S indices take the larger coordinate in nu.
-
-    Validated by reconstructing nu from the extracted choice set.
-    """
-    a, b = coords
-    l = len(a)
-    na, nb = frobenius(nu)
-    if sign == 1:
-        if tuple(x + 1 for x in na) != nb or len(na) != l:
-            raise DomainError(f"{nu} is not a +1-asymmetric partner")
-        cs = list(na)
-        highs = [b[i] for i in range(l)]
-    else:
-        if tuple(x + 1 for x in nb) != na or len(na) not in (l, l + 1):
-            raise DomainError(f"{nu} is not a -1-asymmetric partner")
-        cs = list(nb) + [-1] * (l + 1 - len(nb))
-        highs = [b[i] + 1 for i in range(l)] + [0]
-    chosen = frozenset(i for i in idx.s_indices if cs[i - 1] == highs[i - 1])
-    if _asym_up_from_choice(coords, idx, sign, chosen) != nu:
-        raise DomainError(f"{nu} is not a {sign:+d}-asymmetric successor")
-    return chosen
-
-
-def _asym_down_from_choice(
-    coords: FrobeniusCoords, idx: AsymIndexSets, sign: int, chosen: frozenset[int]
-) -> Partition:
-    """The mu below lam whose free choices take the deeper removal at ``chosen``."""
-    a, b = coords
-    l = len(a)
-    free = set(idx.r_indices)
-    ds = []
-    for i in range(1, l + 1):
-        b_i = b[i - 1]
-        next_b = b[i] if i < l else -1
-        if sign == 1:
-            deep, shallow = a[i - 1] - 1, a[i - 1]
-            forced_deep = a[i - 1] == b_i
-            forced_shallow = a[i - 1] == next_b
-        else:
-            deep, shallow = a[i - 1] - 2, a[i - 1] - 1
-            forced_deep = a[i - 1] == b_i + 2
-            forced_shallow = a[i - 1] <= next_b + 2
-        if i in chosen:
-            ds.append(deep)
-        elif i in free:
-            ds.append(shallow)
-        elif forced_deep:
-            ds.append(deep)
-        elif forced_shallow:
-            ds.append(shallow)
-        else:
-            raise DomainError(f"{coords} admits no {sign:+d}-asymmetric partner below")
-    ds = [d for d in ds if d >= 0]
-    if sign == 1:
-        return from_frobenius(FrobeniusCoords(tuple(ds), tuple(d + 1 for d in ds)))
-    return from_frobenius(FrobeniusCoords(tuple(d + 1 for d in ds), tuple(ds)))
+    sign, down, up, pad = _asym_tables(pf, lam)
+    ranks = _asym_choice(up, sign, nu)
+    mu = _asym_build(down, sign, [r - (r > pad) for r in ranks if r != pad])
+    return mu, 2 if pad in ranks else 0

@@ -171,6 +171,28 @@ def test_verify_rejects_unknown_variant(capsys):
 
 
 @pytest.mark.parametrize(
+    "identity,argv,flag",
+    [
+        ("cauchy", ["--degree", "3", "--shape", "[2,1]"], "shape"),
+        ("cauchy", ["--k", "1"], "k"),
+        ("cauchy", ["--variant", "all"], "variant"),
+        ("littlewood", ["--variant", "all", "--m", "3"], "m"),
+        ("pieri", ["--shape", "[1]", "--rho", "[1]"], "rho"),
+        ("squarefree", ["--shape", "[1]"], "shape"),
+        ("insertion-agreement", ["--shape", "[1]"], "shape"),
+        ("insertion-agreement", ["--k", "1"], "k"),
+        ("insertion-agreement", ["--variant", "all"], "variant"),
+    ],
+    ids=["cauchy-shape", "cauchy-k", "cauchy-variant", "littlewood-m", "pieri-rho",
+         "squarefree-shape", "insertion-shape", "insertion-k", "insertion-variant"],
+)
+def test_verify_rejects_flags_the_identity_ignores(capsys, identity, argv, flag):
+    code, out, err = run_cli(capsys, "verify", "--identity", identity, "--n", "2", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {flag}: identity {identity!r} takes no {flag}\n"
+
+
+@pytest.mark.parametrize(
     "argv,field",
     [
         (["--partitions", "-1"], "partitions"),

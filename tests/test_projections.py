@@ -1,6 +1,7 @@
 import pytest
 
 from growthdiagrams import (
+    AsymIndexSets,
     DomainError,
     Family,
     FrobeniusCoords,
@@ -10,8 +11,11 @@ from growthdiagrams import (
     enumerate_partitions,
     family_down_set,
     family_up_set,
+    frobenius,
     from_frobenius,
     halves,
+    is_horizontal_strip,
+    member,
     phi_double,
     phi_halve,
     proj_apply,
@@ -184,3 +188,272 @@ def test_asym_size_relations():
             for mu in proj_domain(Family.ASYM_MINUS, lam, k):
                 nu = proj_apply(proj_rule(Family.ASYM_MINUS), lam, k, mu)
                 assert (size(nu) - size(lam)) - (size(lam) - size(mu)) in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Reference for the asymmetric projections: index-set transport written case
+# by case (free and forced values per index, each choice read back and checked
+# by rebuilding the partition).  The option-table implementation must be the
+# same bijection, value for value and DomainError for DomainError.
+
+def _ref_index_sets(coords, sign):
+    """:func:`asym_indices` on the Frobenius coordinates of lam."""
+    a, b = coords
+    l = len(a)
+    if sign == 1:
+        exists = all(b[i] >= a[i] for i in range(l)) and all(
+            a[i] >= b[i + 1] for i in range(l - 1)
+        )
+        if not exists:
+            return AsymIndexSets((), (), False)
+        s_set = tuple(
+            i
+            for i in range(1, l + 1)
+            if (i == 1 or a[i - 2] > b[i - 1]) and b[i - 1] > a[i - 1]
+        )
+        r_set = tuple(
+            i
+            for i in range(1, l + 1)
+            if (b[i] if i < l else -1) < a[i - 1] < b[i - 1]
+        )
+        return AsymIndexSets(r_set, s_set, True)
+    if sign == -1:
+        exists = all(b[i] + 2 >= a[i] for i in range(l)) and all(
+            a[i] >= b[i + 1] + 2 for i in range(l - 1)
+        )
+        if not exists:
+            return AsymIndexSets((), (), False)
+        s_set = []
+        for i in range(1, l + 2):
+            prev_a = a[i - 2] if i >= 2 else None  # a_0 = infinity
+            b_i = b[i - 1] if i <= l else -1
+            a_i = a[i - 1] if i <= l else None  # a_{l+1} = -infinity
+            above = prev_a is None or prev_a > b_i + 2
+            below = a_i is None or b_i + 2 > a_i
+            if above and below:
+                s_set.append(i)
+        r_set = tuple(
+            i
+            for i in range(1, l + 1)
+            if b[i - 1] + 2 > a[i - 1] > (b[i] if i < l else -1) + 2
+        )
+        return AsymIndexSets(r_set, tuple(s_set), True)
+    raise ValueError("sign must be +1 or -1")
+
+
+def _ref_up_from_choice(coords, idx, sign, chosen):
+    """The nu in P^sign with lam < nu whose free choices take the larger value
+    exactly at the indices in ``chosen`` (a subset of the S index set); lam
+    is given by its Frobenius coordinates and index sets.
+
+    Assumes the interlacing condition holds (idx.exists); under it every
+    index is either free or forced to one of its two values, and the virtual
+    index l+1 for sign -1 takes the value -1, meaning absent, unless chosen.
+    """
+    a, b = coords
+    l = len(a)
+    free = set(idx.s_indices)
+    if sign == 1:
+        cs = []
+        for i in range(1, l + 1):
+            if i in chosen:
+                cs.append(b[i - 1])
+            elif i in free:
+                cs.append(b[i - 1] - 1)
+            elif b[i - 1] == a[i - 1]:
+                cs.append(b[i - 1])  # forced high
+            else:
+                cs.append(b[i - 1] - 1)  # forced low: b_i = a_{i-1}
+        return from_frobenius(FrobeniusCoords(tuple(cs), tuple(c + 1 for c in cs)))
+    cs = []
+    for i in range(1, l + 2):
+        b_i = b[i - 1] if i <= l else -1
+        a_i = a[i - 1] if i <= l else None
+        if i in chosen:
+            cs.append(b_i + 1)
+        elif i in free:
+            cs.append(b_i)
+        elif a_i is not None and b_i + 2 == a_i:
+            cs.append(b_i + 1)  # forced high
+        else:
+            cs.append(b_i)  # forced low; at i = l+1 this means absent
+    cs = [c for c in cs if c >= 0]
+    return from_frobenius(FrobeniusCoords(tuple(c + 1 for c in cs), tuple(cs)))
+
+
+def _ref_down_choice(coords, idx, sign, mu):
+    """Which free indices of the R index set take the deeper removal in mu.
+
+    Raises DomainError when mu is not a valid down-set element for lam; this is
+    checked by reconstructing mu from the extracted choice set.
+    """
+    a = coords.arms
+    l = len(a)
+    da, db = frobenius(mu)
+    if sign == 1:
+        if tuple(x + 1 for x in da) != db:
+            raise DomainError(f"{mu} is not +1-asymmetric")
+        ds = list(da)
+        deep_off = 1
+    else:
+        if tuple(x + 1 for x in db) != da:
+            raise DomainError(f"{mu} is not -1-asymmetric")
+        ds = list(db)
+        deep_off = 2
+    if len(ds) > l:
+        raise DomainError(f"{mu} has too many Frobenius coordinates")
+    ds += [-1] * (l - len(ds))
+    chosen = frozenset(i for i in idx.r_indices if ds[i - 1] == a[i - 1] - deep_off)
+    if _ref_down_from_choice(coords, idx, sign, chosen) != mu:
+        raise DomainError(f"{mu} is not a {sign:+d}-asymmetric predecessor")
+    return chosen
+
+
+def _ref_up_choice(coords, idx, sign, nu):
+    """Which free S indices take the larger coordinate in nu.
+
+    Validated by reconstructing nu from the extracted choice set.
+    """
+    a, b = coords
+    l = len(a)
+    na, nb = frobenius(nu)
+    if sign == 1:
+        if tuple(x + 1 for x in na) != nb or len(na) != l:
+            raise DomainError(f"{nu} is not a +1-asymmetric partner")
+        cs = list(na)
+        highs = [b[i] for i in range(l)]
+    else:
+        if tuple(x + 1 for x in nb) != na or len(na) not in (l, l + 1):
+            raise DomainError(f"{nu} is not a -1-asymmetric partner")
+        cs = list(nb) + [-1] * (l + 1 - len(nb))
+        highs = [b[i] + 1 for i in range(l)] + [0]
+    chosen = frozenset(i for i in idx.s_indices if cs[i - 1] == highs[i - 1])
+    if _ref_up_from_choice(coords, idx, sign, chosen) != nu:
+        raise DomainError(f"{nu} is not a {sign:+d}-asymmetric successor")
+    return chosen
+
+
+def _ref_down_from_choice(coords, idx, sign, chosen):
+    """The mu below lam whose free choices take the deeper removal at ``chosen``."""
+    a, b = coords
+    l = len(a)
+    free = set(idx.r_indices)
+    ds = []
+    for i in range(1, l + 1):
+        b_i = b[i - 1]
+        next_b = b[i] if i < l else -1
+        if sign == 1:
+            deep, shallow = a[i - 1] - 1, a[i - 1]
+            forced_deep = a[i - 1] == b_i
+            forced_shallow = a[i - 1] == next_b
+        else:
+            deep, shallow = a[i - 1] - 2, a[i - 1] - 1
+            forced_deep = a[i - 1] == b_i + 2
+            forced_shallow = a[i - 1] <= next_b + 2
+        if i in chosen:
+            ds.append(deep)
+        elif i in free:
+            ds.append(shallow)
+        elif forced_deep:
+            ds.append(deep)
+        elif forced_shallow:
+            ds.append(shallow)
+        else:
+            raise DomainError(f"{coords} admits no {sign:+d}-asymmetric partner below")
+    ds = [d for d in ds if d >= 0]
+    if sign == 1:
+        return from_frobenius(FrobeniusCoords(tuple(ds), tuple(d + 1 for d in ds)))
+    return from_frobenius(FrobeniusCoords(tuple(d + 1 for d in ds), tuple(ds)))
+
+
+def _ref_apply(pf, lam, k, mu):
+    if k < 0:
+        raise DomainError("k must be >= 0")
+    fam = pf.family
+    sign = 1 if fam is Family.ASYM_PLUS else -1
+    coords = frobenius(lam)
+    idx = _ref_index_sets(coords, sign)
+    if not idx.exists:
+        raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partners")
+    chosen = _ref_down_choice(coords, idx, sign, mu)
+    ranks = sorted(idx.r_indices)
+    sub = sorted(ranks.index(i) for i in chosen)  # 0-based ranks into R
+    drop = size(lam) - size(mu)
+    s_sorted = sorted(idx.s_indices)
+    if sign == 1:
+        if k != drop:
+            raise DomainError(f"asym+1 projections preserve size; k = {k} != {drop}")
+        s_chosen = {s_sorted[t] for t in sub}
+    else:
+        # s_sorted = (s_0, ..., s_n); row* pads with s_0, col* shifts down
+        if pf.star is StarVariant.ROW_STAR:
+            s_chosen = {s_sorted[t + 1] for t in sub}
+            if k == drop + 2:
+                s_chosen.add(s_sorted[0])
+            elif k != drop:
+                raise DomainError(f"k = {k} is not |lam/mu| or |lam/mu| + 2")
+        else:
+            s_chosen = {s_sorted[t] for t in sub}
+            if k == drop + 2:
+                s_chosen.add(s_sorted[-1])
+            elif k != drop:
+                raise DomainError(f"k = {k} is not |lam/mu| or |lam/mu| + 2")
+    return _ref_up_from_choice(coords, idx, sign, frozenset(s_chosen))
+
+
+def _ref_unapply(pf, lam, nu):
+    if not is_horizontal_strip(lam, nu):
+        raise DomainError(f"{nu}/{lam} is not a horizontal strip")
+    if not member(nu, pf.family):
+        raise DomainError(f"{nu} is not in family {pf.family.value}")
+    fam = pf.family
+    sign = 1 if fam is Family.ASYM_PLUS else -1
+    coords = frobenius(lam)
+    idx = _ref_index_sets(coords, sign)
+    if not idx.exists:
+        raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partners")
+    s_sorted = sorted(idx.s_indices)
+    s_chosen = _ref_up_choice(coords, idx, sign, nu)
+    ranks = sorted(idx.r_indices)
+    if sign == 1:
+        sub = sorted(s_sorted.index(i) for i in s_chosen)
+        c = 0
+    elif pf.star is StarVariant.ROW_STAR:
+        c = 2 if s_sorted and s_sorted[0] in s_chosen else 0
+        sub = sorted(s_sorted.index(i) - 1 for i in s_chosen if i != s_sorted[0])
+    else:
+        c = 2 if s_sorted and s_sorted[-1] in s_chosen else 0
+        sub = sorted(s_sorted.index(i) for i in s_chosen if i != s_sorted[-1])
+    r_chosen = frozenset(ranks[t] for t in sub)
+    return _ref_down_from_choice(coords, idx, sign, r_chosen), c
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+def test_asym_projections_match_index_set_reference():
+    for lam in enumerate_partitions(12):
+        for sign in (1, -1):
+            assert asym_indices(lam, sign) == _ref_index_sets(frobenius(lam), sign), (lam, sign)
+    rules = [
+        proj_rule(Family.ASYM_PLUS),
+        proj_rule(Family.ASYM_MINUS),
+        proj_rule(Family.ASYM_MINUS, star=StarVariant.COL_STAR),
+    ]
+    # size 8 is the first with two free indices for asym+1: (3,2,2,1) = (2,0 | 3,1);
+    # mu runs over the partitions no larger than lam, nu over those no smaller
+    parts = enumerate_partitions(8)
+    for pf in rules:
+        for lam in parts:
+            for other in parts:
+                if size(other) <= size(lam):
+                    for k in range(7):
+                        got = _outcome(proj_apply, pf, lam, k, other)
+                        assert got == _outcome(_ref_apply, pf, lam, k, other), (pf, lam, k, other)
+                if size(other) >= size(lam):
+                    got = _outcome(proj_unapply, pf, lam, other)
+                    assert got == _outcome(_ref_unapply, pf, lam, other), (pf, lam, other)
