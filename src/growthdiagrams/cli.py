@@ -136,7 +136,8 @@ def cmd_littlewood_decode(args: argparse.Namespace) -> int:
 
 
 #: Optional verify flags and the identity parameter each one sets.
-_VERIFY_FLAGS = (("shape", "lam"), ("rho", "rho"), ("k", "k"), ("m", "m"))
+_VERIFY_FLAGS = (("shape", "lam"), ("rho", "rho"), ("k", "k"), ("m", "m"),
+                 ("degree", "degree"), ("seed", "seed"))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -146,7 +147,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise FormatError("identity: --variant is required for littlewood checks")
         name = f"{name}-{_family(args.variant).value}"
     entry = IDENTITIES.get(name)  # None for insertion-agreement
-    takes = ("m",) if entry is None else entry.params
+    takes = ("m", "seed") if entry is None else entry.params
     for flag, param in _VERIFY_FLAGS:
         if getattr(args, flag) is not None and param not in takes:
             raise FormatError(f"{flag}: identity {args.identity!r} takes no {flag}")
@@ -157,12 +158,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _check_non_negative(n=args.n, m=m)
         if args.n == 0:
             raise FormatError("n: expected a positive integer, got 0")
-        report = _insertion_agreement(args.n, m, args.seed)
+        report = _insertion_agreement(args.n, m, args.seed or 0)
     else:
         lam = _parse_partition_arg(args.shape, "shape") if args.shape else EMPTY
         rho = _parse_partition_arg(args.rho, "rho") if args.rho else EMPTY
+        cap = 6 if args.degree is None else args.degree
         report = verify_identity(
-            name, n=args.n, cap=args.degree, m=args.m, lam=lam, rho=rho, k=args.k
+            name, n=args.n, cap=cap, m=args.m, lam=lam, rho=rho, k=args.k
         ).to_dict()
     sys.stdout.write(dumps(report))
     return 0 if report["equal"] else 2
@@ -291,12 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--identity", required=True, choices=VERIFY_IDENTITIES)
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--m", type=int)
-    p_ver.add_argument("--degree", type=int, default=6)
+    p_ver.add_argument("--degree", type=int)
     p_ver.add_argument("--variant")
     p_ver.add_argument("--shape", help="partition as JSON, e.g. [2,1]")
     p_ver.add_argument("--rho", help="partition as JSON")
     p_ver.add_argument("--k", type=int)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=int)
     p_ver.set_defaults(fn=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="growths of a matrix, or partitions")

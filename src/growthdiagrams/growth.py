@@ -1,4 +1,5 @@
-"""Rectangular (dual) growth diagrams and the induced RSK-type correspondences.
+"""Rectangular (dual) growth diagrams, the induced RSK-type correspondences,
+and the one square sweep that every growth diagram in the package runs.
 
 A growth diagram over an n x m matrix labels the (n+1) x (m+1) grid vertices
 with partitions; i-steps (down the rows) are horizontal strips, j-steps are
@@ -11,12 +12,18 @@ square is resolved by a local rule applied in the orientation
 
 with mu the top-left and nu the bottom-right vertex.  Coordinates are matrix
 coordinates: i downwards, j rightwards.
+
+Every diagram runs one engine, ``_grow`` and its inverse ``_ungrow``: square
+(i, j) exists for starts[i] <= j <= the last column, row by row.  Rectangles
+have starts[i] = 1, the triangular diagrams starts[i] = i; with a projection,
+the first square of each row is a half square (see ``triangular.py``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .interlacing import DomainError
@@ -30,10 +37,48 @@ from .partitions import (
     partitions_of_size,
     size,
 )
+from .projections import ProjRule, proj_apply, proj_unapply
 from .rules import Rule, apply_rule, unapply_rule
 from .tableaux import StepKind, TableauChain
 
 Matrix = Sequence[Sequence[int]]
+
+
+# ---------------------------------------------------------------------------
+# The engine.  Rules and projections are looked up as module globals on every
+# square, so a wrapper installed on this module's names sees each call.
+
+def _grow(v: list[list[Partition]], a: Matrix, starts: Sequence[int], rule: Rule,
+          proj: ProjRule | None = None) -> None:
+    """Fill v[i][j] for every square (i, j), row by row, from v[i-1][j-1],
+    v[i][j-1], v[i-1][j] and a[i-1][j-1].  With ``proj`` the first square of
+    each row is the half square: it reads only v[i-1][j-1] and v[i-1][j]."""
+    end = len(v[0])
+    for i in range(1, len(v)):
+        up, row, entries = v[i - 1], v[i], a[i - 1]
+        first = starts[i]
+        if proj is not None:
+            mu, lam = up[first - 1], up[first]
+            row[first] = proj_apply(proj, lam, size(lam) - size(mu) + entries[first - 1], mu)
+            first += 1
+        for j in range(first, end):
+            mu, lam, rho = up[j - 1], row[j - 1], up[j]
+            k = size(meet(lam, rho)) - size(mu) + entries[j - 1]
+            row[j] = apply_rule(rule, lam, rho, k, mu)
+
+
+def _ungrow(v: list[list[Partition]], a: list[list[int]], starts: Sequence[int],
+            rule: Rule, proj: ProjRule | None = None) -> None:
+    """Invert _grow: walk its squares in reverse, recover v[i-1][j-1] from
+    v[i][j-1], v[i-1][j] and v[i][j], and write the entry into a[i-1][j-1]."""
+    last = len(v[0]) - 1
+    for i in range(len(v) - 1, 0, -1):
+        up, row, entries = v[i - 1], v[i], a[i - 1]
+        first = starts[i]
+        for j in range(last, first - (proj is None), -1):
+            up[j - 1], entries[j - 1] = unapply_rule(rule, row[j - 1], up[j], row[j])
+        if proj is not None:
+            up[first - 1], entries[first - 1] = proj_unapply(proj, up[first], row[first])
 
 
 def matrix_dims(matrix: Matrix, binary: bool = False) -> tuple[int, int]:
@@ -51,6 +96,10 @@ def matrix_dims(matrix: Matrix, binary: bool = False) -> tuple[int, int]:
             if binary and v > 1:
                 raise ValueError(f"entry ({i},{j}) must be 0 or 1 for dual rules")
     return n, m
+
+
+def _frozen(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(v) for v in row) for row in matrix)
 
 
 @dataclass(frozen=True)
@@ -107,29 +156,16 @@ def build_growth(
     """The unique rule-built (dual) growth over ``matrix`` with the given borders."""
     n, m = matrix_dims(matrix, binary=rule.dual)
     S, T = _default_borders(rule, n, m, S, T)
-    grid = [[EMPTY] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        grid[i][0] = S.chain[i]
-    for j in range(m + 1):
-        grid[0][j] = T.chain[j]
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            mu, lam, rho = grid[i - 1][j - 1], grid[i][j - 1], grid[i - 1][j]
-            k = size(meet(lam, rho)) - size(mu) + matrix[i - 1][j - 1]
-            grid[i][j] = apply_rule(rule, lam, rho, k, mu)
-    return GrowthGrid(
-        tuple(tuple(row) for row in grid),
-        tuple(tuple(int(v) for v in row) for row in matrix),
-        rule.dual,
-    )
-
+    grid = [[p] + [EMPTY] * m for p in S.chain]
+    grid[0] = list(T.chain)
+    _grow(grid, matrix, [1] * (n + 1), rule)
+    return GrowthGrid(tuple(map(tuple, grid)), _frozen(matrix), rule.dual)
 
 def extract_PQ(grid: GrowthGrid) -> tuple[TableauChain, TableauChain]:
     """P reads the last column, Q the last row."""
-    p = TableauChain(tuple(grid.vertices[i][grid.m] for i in range(grid.n + 1)))
     qsteps = StepKind.VERTICAL if grid.dual else StepKind.HORIZONTAL
-    q = TableauChain(tuple(grid.vertices[grid.n][j] for j in range(grid.m + 1)), qsteps)
-    return p, q
+    p = TableauChain(tuple(row[-1] for row in grid.vertices))
+    return p, TableauChain(grid.vertices[-1], qsteps)
 
 
 def rsk(
@@ -155,21 +191,12 @@ def rsk_inverse(
     if P.shape != Q.shape:
         raise ValueError(f"final shapes differ: {P.shape} vs {Q.shape}")
     n, m = P.entries, Q.entries
-    grid: list[list[Partition | None]] = [[None] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        grid[i][m] = P.chain[i]
-    for j in range(m + 1):
-        grid[n][j] = Q.chain[j]
+    grid = [[EMPTY] * m + [p] for p in P.chain]
+    grid[n] = list(Q.chain)
     matrix = [[0] * m for _ in range(n)]
-    for i in range(n, 0, -1):
-        for j in range(m, 0, -1):
-            lam, rho, nu = grid[i][j - 1], grid[i - 1][j], grid[i][j]
-            mu, a = unapply_rule(rule, lam, rho, nu)
-            grid[i - 1][j - 1] = mu
-            matrix[i - 1][j - 1] = a
-    S = TableauChain(tuple(grid[i][0] for i in range(n + 1)))
-    T = TableauChain(tuple(grid[0][j] for j in range(m + 1)), qsteps)
-    return tuple(tuple(r) for r in matrix), S, T
+    _ungrow(grid, matrix, [1] * (n + 1), rule)
+    S = TableauChain(tuple(row[0] for row in grid))
+    return tuple(map(tuple, matrix)), S, TableauChain(tuple(grid[0]), qsteps)
 
 
 # ---------------------------------------------------------------------------
@@ -252,80 +279,77 @@ def pieri_inverse(
     rule: Rule, hat: TableauChain, shape: Partition
 ) -> tuple[TableauChain, tuple[int, ...]]:
     """Recover (tableau, counts) from the Pieri image and the source shape."""
-    n = hat.entries
-    chain: list[Partition] = [EMPTY] * (n + 1)
-    counts = [0] * n
-    chain[n] = shape
-    for i in range(n, 0, -1):
-        mu, a = unapply_rule(rule, chain[i], hat.chain[i - 1], hat.chain[i])
-        chain[i - 1] = mu
-        counts[i - 1] = a
-    if chain[0] != hat.chain[0]:
+    grid = [[EMPTY, p] for p in hat.chain]
+    grid[-1][0] = shape
+    counts = [[0] for _ in range(hat.entries)]
+    _ungrow(grid, counts, [1] * len(grid), rule)
+    if grid[0][0] != hat.chain[0]:
         raise DomainError("inner shapes disagree after inversion")
-    return TableauChain(tuple(chain), hat.steps), tuple(counts)
+    return TableauChain(tuple(row[0] for row in grid), hat.steps), tuple(c[0] for c in counts)
 
 
 # ---------------------------------------------------------------------------
-# Brute-force enumeration of all (dual) growths of a matrix, straight borders.
+# Brute-force enumeration of all (dual) growths with straight borders, over
+# a rectangle or (from triangular.py) a staircase.
 
-def enumerate_growths(matrix: Matrix, dual: bool = False) -> list[GrowthGrid]:
-    """All assignments satisfying the growth definition: strip conditions on
-    every edge plus the prefix-sum size law.  Exponential; intended for small
-    matrices."""
-    n, m = matrix_dims(matrix, binary=dual)
-    sizes = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            sizes[i][j] = (
-                sizes[i - 1][j] + sizes[i][j - 1] - sizes[i - 1][j - 1] + matrix[i - 1][j - 1]
-            )
-    by_size: dict[int, list[Partition]] = {}
+def _prefix(a: Matrix) -> list[list[int]]:
+    """pre[i][j] = the sum of a over rows 1..i and columns 1..j."""
+    pre = [[0] * (len(a[0]) + 1 if a else 1)]
+    for row in a:
+        pre.append([0, *(p + r for p, r in zip(pre[-1][1:], accumulate(row)))])
+    return pre
+
+
+def _enumerate(
+    a: Matrix, vertex_starts: Sequence[int], dual: bool
+) -> list[tuple[tuple[Partition, ...], ...]]:
+    """Every labelling of the vertices (i, j), vertex_starts[i] <= j, with strip
+    edges and |v[i][j]| = sum of a over [1..i] x [1..j]; rows come back cut to
+    their vertex range."""
+    sizes = _prefix(a)
+    cells = [(i, j) for i, s in enumerate(vertex_starts) for j in range(s, len(sizes[0]))]
     jstrip = is_vertical_strip if dual else is_horizontal_strip
-    grid = [[EMPTY] * (m + 1) for _ in range(n + 1)]
-    found: list[GrowthGrid] = []
+    by_size: dict[int, list[Partition]] = {}
+    v = [[EMPTY] * len(sizes[0]) for _ in vertex_starts]
+    found = []
 
     def rec(pos: int) -> None:
-        if pos == (n + 1) * (m + 1):
-            found.append(
-                GrowthGrid(
-                    tuple(tuple(row) for row in grid),
-                    tuple(tuple(int(v) for v in row) for row in matrix),
-                    dual,
-                )
-            )
+        if pos == len(cells):
+            found.append(tuple(tuple(row[s:]) for row, s in zip(v, vertex_starts)))
             return
-        i, j = divmod(pos, m + 1)
+        i, j = cells[pos]
         s = sizes[i][j]
         if s not in by_size:
             by_size[s] = partitions_of_size(s)
         for p in by_size[s]:
-            if i > 0 and not is_horizontal_strip(grid[i - 1][j], p):
+            if i > 0 and not is_horizontal_strip(v[i - 1][j], p):
                 continue
-            if j > 0 and not jstrip(grid[i][j - 1], p):
+            if j > vertex_starts[i] and not jstrip(v[i][j - 1], p):
                 continue
-            grid[i][j] = p
+            v[i][j] = p
             rec(pos + 1)
-        grid[i][j] = EMPTY
 
     rec(0)
     return found
 
 
+def enumerate_growths(matrix: Matrix, dual: bool = False) -> list[GrowthGrid]:
+    """All assignments satisfying the growth definition: strip conditions on
+    every edge plus the prefix-sum size law.  Exponential; intended for small
+    matrices."""
+    n, _ = matrix_dims(matrix, binary=dual)
+    frozen = _frozen(matrix)
+    return [GrowthGrid(rows, frozen, dual) for rows in _enumerate(matrix, [0] * (n + 1), dual)]
+
+
 def grid_size_law(grid: GrowthGrid) -> bool:
     """Check |vertex(i,j)| = |S^(i)| + |T^(j)| - |S^(0)| + sum of matrix entries
     north-west of (i,j), where S and T are the border chains of the grid."""
-    n, m = grid.n, grid.m
-    s_sizes = [size(grid.vertices[i][0]) for i in range(n + 1)]
-    t_sizes = [size(grid.vertices[0][j]) for j in range(m + 1)]
-    pre = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            pre[i][j] = (
-                pre[i - 1][j] + pre[i][j - 1] - pre[i - 1][j - 1] + grid.matrix[i - 1][j - 1]
-            )
-    for i in range(n + 1):
-        for j in range(m + 1):
-            expect = s_sizes[i] + t_sizes[j] - s_sizes[0] + pre[i][j]
-            if size(grid.vertices[i][j]) != expect:
-                return False
-    return True
+    pre = _prefix(grid.matrix)
+    left = [size(row[0]) for row in grid.vertices]
+    top = [size(p) for p in grid.vertices[0]]
+    return all(
+        size(p) == left[i] + top[j] - left[0] + pre[i][j]
+        for i, row in enumerate(grid.vertices)
+        for j, p in enumerate(row)
+    )

@@ -2,7 +2,7 @@
 
 A triangular array C = (c[i][j], 1 <= i <= j <= n) labels the upper-triangular
 vertex set (i, j), 0 <= i <= j <= n.  Full squares follow the variant's base
-rule exactly as in rectangular growths; the diagonal (partial) squares
+rule exactly as in rectangular growths; the diagonal half squares
 
         mu --- lam
                 |        nu = proj_apply(proj, lam, |lam/mu| + c[i][i], mu)
@@ -12,6 +12,11 @@ use the variant's projection bijection, which keeps the diagonal chain inside
 the variant's partition family.  Reading the last column yields the tableau of
 the Littlewood correspondence.  In dual grids (asymmetric variants) j-steps
 are vertical strips; i-steps are always horizontal, so the output is an SSYT.
+
+Builds, inverses and the enumerator run the rectangular engine of growth.py
+on the staircase starts[i] = i, with the array read as its symmetric n x n
+matrix: each diagonal square comes first in its row, and |vertex(i, j)| is the
+matrix's sum over [1..i] x [1..j].
 """
 
 from __future__ import annotations
@@ -19,20 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .growth import _enumerate, _grow, _ungrow, insert
 from .interlacing import DomainError
-from .partitions import (
-    EMPTY,
-    Family,
-    Partition,
-    is_horizontal_strip,
-    is_vertical_strip,
-    meet,
-    member,
-    partitions_of_size,
-    size,
-)
-from .projections import ProjRule, proj_apply, proj_rule, proj_unapply
-from .rules import Rule, apply_rule, unapply_rule
+from .partitions import EMPTY, Family, Partition, member, size
+from .projections import ProjRule, proj_apply, proj_rule
+from .rules import Rule
 from .tableaux import StepKind, TableauChain
 
 #: canonical base rule per variant (the pairings of the classical insertion
@@ -108,12 +104,17 @@ def triangular_array(rows: Sequence[Sequence[int]]) -> TriangularArray:
     return TriangularArray(len(rows), tuple(tuple(int(v) for v in row) for row in rows))
 
 
+def _symmetric(array: TriangularArray) -> list[list[int]]:
+    """The symmetric n x n matrix whose upper triangle is the array."""
+    rows = array.rows
+    return [[r[i - j] for j, r in enumerate(rows[:i])] + list(rows[i]) for i in range(array.n)]
+
+
 def validate_entries(variant: LittlewoodVariant, array: TriangularArray) -> None:
     """Check the entry domains the variant's identity imposes."""
     diag = DIAGONAL_DOMAIN[variant.family]
-    for i in range(1, array.n + 1):
-        for j in range(i, array.n + 1):
-            v = array.entry(i, j)
+    for i, row in enumerate(array.rows, start=1):
+        for j, v in enumerate(row, start=i):
             if i == j:
                 if diag is not None and v not in diag:
                     raise ValueError(
@@ -162,31 +163,18 @@ def build_triangular(
     S: TableauChain | None = None,
 ) -> TriGrid:
     """The unique triangular (dual) growth over the array with border
-    vertices(0, j) = S^(j); columns are swept left to right, diagonal last."""
+    vertices(0, j) = S^(j); rows are swept top down, each diagonal square first."""
     n = array.n
     validate_entries(variant, array)
     S = _default_border(variant, n, S)
-    grid: list[list[Partition]] = [[EMPTY] * (n + 1 - i) for i in range(n + 1)]
-    for j in range(n + 1):
-        grid[0][j] = S.chain[j]
-    for j in range(1, n + 1):
-        for i in range(1, j):
-            mu = grid[i - 1][j - 1 - (i - 1)]
-            lam = grid[i][j - 1 - i]
-            rho = grid[i - 1][j - (i - 1)]
-            k = size(meet(lam, rho)) - size(mu) + array.entry(i, j)
-            grid[i][j - i] = apply_rule(variant.base_rule, lam, rho, k, mu)
-        mu = grid[j - 1][0]
-        lam = grid[j - 1][1]
-        k = size(lam) - size(mu) + array.entry(j, j)
-        grid[j][0] = proj_apply(variant.proj, lam, k, mu)
-    return TriGrid(tuple(tuple(r) for r in grid), array, variant)
+    grid = [list(S.chain)] + [[EMPTY] * (n + 1) for _ in range(n)]
+    _grow(grid, _symmetric(array), range(n + 1), variant.base_rule, variant.proj)
+    return TriGrid(tuple(tuple(row[i:]) for i, row in enumerate(grid)), array, variant)
 
 
 def extract_P(grid: TriGrid) -> TableauChain:
     """The tableau read off the last column: shape at entries <= i is vertex(i, n)."""
-    n = grid.n
-    return TableauChain(tuple(grid.vertex(i, n) for i in range(n + 1)))
+    return TableauChain(tuple(row[-1] for row in grid.rows))
 
 
 def littlewood_map(
@@ -206,26 +194,12 @@ def littlewood_inverse(
     n = P.entries
     if not member(P.shape, variant.family):
         raise DomainError(f"{P.shape} is not in family {variant.family.value}")
-    grid: list[list[Partition | None]] = [[None] * (n + 1 - i) for i in range(n + 1)]
-    for i in range(n + 1):
-        grid[i][n - i] = P.chain[i]
-    rows = [[0] * (n - i) for i in range(n)]
-    for j in range(n, 0, -1):
-        nu = grid[j][0]
-        lam = grid[j - 1][1]
-        mu, c = proj_unapply(variant.proj, lam, nu)
-        grid[j - 1][0] = mu
-        rows[j - 1][0] = c
-        for i in range(j - 1, 0, -1):
-            lam = grid[i][j - 1 - i]
-            rho = grid[i - 1][j - (i - 1)]
-            nu = grid[i][j - i]
-            mu, a = unapply_rule(variant.base_rule, lam, rho, nu)
-            grid[i - 1][j - 1 - (i - 1)] = mu
-            rows[i - 1][j - i] = a
+    grid = [[EMPTY] * n + [p] for p in P.chain]
+    entries = [[0] * n for _ in range(n)]
+    _ungrow(grid, entries, range(n + 1), variant.base_rule, variant.proj)
     steps = StepKind.VERTICAL if variant.dual else StepKind.HORIZONTAL
-    border = TableauChain(tuple(grid[0][j] for j in range(n + 1)), steps)
-    return TriangularArray(n, tuple(tuple(r) for r in rows)), border
+    rows = tuple(tuple(row[i:]) for i, row in enumerate(entries))
+    return TriangularArray(n, rows), TableauChain(tuple(grid[0]), steps)
 
 
 def triangular_insert(
@@ -237,8 +211,6 @@ def triangular_insert(
     This is the insertion view of build_triangular for straight borders;
     skew diagrams go through build_triangular directly.
     """
-    from .growth import insert
-
     i = tableau.entries + 1
     if len(column) != i:
         raise ValueError(f"column {i} needs {i} entries, got {len(column)}")
@@ -282,28 +254,4 @@ def enumerate_triangular_growths(
 ) -> list[tuple[tuple[Partition, ...], ...]]:
     """All vertex assignments satisfying the strip conditions and the size law
     (straight border); exponential, for small arrays only."""
-    n = array.n
-    cells = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
-    jstrip = is_vertical_strip if dual else is_horizontal_strip
-    by_size: dict[int, list[Partition]] = {}
-    grid: list[list[Partition]] = [[EMPTY] * (n + 1 - i) for i in range(n + 1)]
-    found = []
-
-    def rec(pos: int) -> None:
-        if pos == len(cells):
-            found.append(tuple(tuple(row) for row in grid))
-            return
-        i, j = cells[pos]
-        s = triangular_size(array, i, j)
-        if s not in by_size:
-            by_size[s] = partitions_of_size(s)
-        for p in by_size[s]:
-            if i > 0 and not is_horizontal_strip(grid[i - 1][j - (i - 1)], p):
-                continue
-            if j > i and not jstrip(grid[i][j - 1 - i], p):
-                continue
-            grid[i][j - i] = p
-            rec(pos + 1)
-
-    rec(0)
-    return found
+    return _enumerate(_symmetric(array), range(array.n + 1), dual)

@@ -118,6 +118,13 @@ def test_verify_cli(capsys):
     assert code == 0 and json.loads(out)["equal"]
 
 
+def test_verify_defaults_degree_and_seed(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--identity", "cauchy", "--n", "1")
+    assert code == 0 and json.loads(out)["params"]["degree"] == 6
+    code, out, _ = run_cli(capsys, "verify", "--identity", "insertion-agreement", "--n", "2")
+    assert code == 0 and json.loads(out)["params"]["seed"] == 0
+
+
 def test_verify_identities_listed_once():
     assert cli.VERIFY_IDENTITIES == (
         "cauchy",
@@ -182,9 +189,16 @@ def test_verify_rejects_unknown_variant(capsys):
         ("insertion-agreement", ["--shape", "[1]"], "shape"),
         ("insertion-agreement", ["--k", "1"], "k"),
         ("insertion-agreement", ["--variant", "all"], "variant"),
+        ("squarefree", ["--degree", "9"], "degree"),
+        ("insertion-agreement", ["--degree", "3"], "degree"),
+        ("cauchy", ["--degree", "2", "--seed", "5"], "seed"),
+        ("littlewood", ["--variant", "all", "--seed", "0"], "seed"),
+        ("squarefree", ["--seed", "1"], "seed"),
     ],
     ids=["cauchy-shape", "cauchy-k", "cauchy-variant", "littlewood-m", "pieri-rho",
-         "squarefree-shape", "insertion-shape", "insertion-k", "insertion-variant"],
+         "squarefree-shape", "insertion-shape", "insertion-k", "insertion-variant",
+         "squarefree-degree", "insertion-degree", "cauchy-seed", "littlewood-seed",
+         "squarefree-seed"],
 )
 def test_verify_rejects_flags_the_identity_ignores(capsys, identity, argv, flag):
     code, out, err = run_cli(capsys, "verify", "--identity", identity, "--n", "2", *argv)

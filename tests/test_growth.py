@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from growthdiagrams import (
@@ -134,6 +135,25 @@ def test_rsk_roundtrip_corpus():
             p, q = extract_PQ(grid)
             back, _, _ = rsk_inverse(rule, p, q)
             assert [list(r) for r in back] == matrix
+
+
+@st.composite
+def rule_and_matrix(draw):
+    rule = draw(st.sampled_from(list(Rule)))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.integers(0, 1 if rule.dual else 2)
+    return rule, draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+@given(rule_and_matrix())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_rsk_roundtrip_property(case):
+    rule, matrix = case
+    grid = build_growth(rule, matrix)
+    assert grid_size_law(grid)
+    back, s, t = rsk_inverse(rule, *extract_PQ(grid))
+    assert [list(r) for r in back] == matrix
+    assert set(s.chain) == set(t.chain) == {EMPTY}
 
 
 def test_rsk_symmetry():

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growthdiagrams import (
     EMPTY,
@@ -20,7 +21,9 @@ from growthdiagrams import (
     triangular_array,
     triangular_insert,
 )
-from growthdiagrams.triangular import triangular_size, validate_entries
+from growthdiagrams.partitions import member
+from growthdiagrams.projections import StarVariant
+from growthdiagrams.triangular import DIAGONAL_DOMAIN, triangular_size, validate_entries
 
 C_EXAMPLE = triangular_array([[0, 0, 1], [1, 0], [0]])
 
@@ -125,6 +128,45 @@ def test_littlewood_roundtrip(family):
         Family.ASYM_PLUS: 8,
         Family.ASYM_MINUS: 64,
     }[family]
+
+
+#: the five canonical variants and the three other base rules or stars
+VARIANTS = [littlewood_variant(f) for f in Family] + [
+    littlewood_variant(Family.ALL, Rule.COL),
+    littlewood_variant(Family.EVEN_ROWS, Rule.ROW),
+    littlewood_variant(Family.ASYM_MINUS, star=StarVariant.COL_STAR),
+]
+
+
+def diagonal_entries(family):
+    domain = DIAGONAL_DOMAIN[family]
+    if domain is not None:
+        return st.sampled_from(domain)
+    step = 2 if family is Family.EVEN_ROWS else 1
+    return st.integers(0, 2).map(lambda v: step * v)
+
+
+@st.composite
+def variant_and_array(draw):
+    variant = draw(st.sampled_from(VARIANTS))
+    n = draw(st.integers(0, 8))
+    off = st.integers(0, 1 if variant.dual else 2)
+    rows = [
+        [draw(diagonal_entries(variant.family))] + draw(st.lists(off, min_size=k, max_size=k))
+        for k in range(n - 1, -1, -1)
+    ]
+    return variant, triangular_array(rows)
+
+
+@given(variant_and_array())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_littlewood_roundtrip_property(case):
+    variant, arr = case
+    p = littlewood_map(variant, arr)
+    assert member(p.shape, variant.family)
+    back, border = littlewood_inverse(variant, p)
+    assert back == arr
+    assert set(border.chain) == {EMPTY}
 
 
 def test_insertion_equivalence():
