@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import add, lt
 from typing import Callable, Iterable, NamedTuple
 
 from .partitions import (
@@ -124,29 +125,6 @@ class TruncatedPolynomial:
         )
 
 
-def geometric(nvars: int, cap: int, exps: Exponents) -> TruncatedPolynomial:
-    """1/(1 - x^exps) expanded to the cap."""
-    d = sum(exps)
-    if d == 0:
-        raise ValueError("cannot invert 1 - 1")
-    terms = {}
-    t = 0
-    while t * d <= cap:
-        terms[tuple(t * e for e in exps)] = 1
-        t += 1
-    return TruncatedPolynomial(nvars, cap, terms)
-
-
-def one_plus(nvars: int, cap: int, exps: Exponents) -> TruncatedPolynomial:
-    return TruncatedPolynomial(nvars, cap, {(0,) * nvars: 1, tuple(exps): 1})
-
-
-def _unit(nvars: int, i: int, e: int = 1) -> Exponents:
-    out = [0] * nvars
-    out[i] = e
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Schur polynomials via strip chains.
 
@@ -229,36 +207,57 @@ def count_syt(lam: Partition) -> int:
 # ---------------------------------------------------------------------------
 # Product sides.
 
-#: The factor for each x_i in a Littlewood product, and the power of x_i in it.
-_LITTLEWOOD_SINGLES = {
-    Family.ALL: (geometric, 1),
-    Family.EVEN_ROWS: (geometric, 2),
-    Family.ASYM_MINUS: (one_plus, 2),
+#: Per Littlewood family: whether it is dual, with factors 1 + x^e rather than
+#: 1/(1 - x^e); the power p of its single-variable factors in x_i^p (0 for
+#: none); and the family its skew inner sum runs over, on lam' when dual.
+_LITTLEWOOD = {
+    Family.ALL: (False, 1, Family.ALL),
+    Family.EVEN_ROWS: (False, 2, Family.EVEN_ROWS),
+    Family.EVEN_COLS: (False, 0, Family.EVEN_COLS),
+    Family.ASYM_PLUS: (True, 0, Family.ASYM_MINUS),
+    Family.ASYM_MINUS: (True, 2, Family.ASYM_PLUS),
 }
+
+
+def _factors(family: Family | None, n: int, m: int) -> list[Exponents]:
+    """The monomials of a product's factors: x_i y_j for Cauchy (no family),
+    or x_i x_j for i < j and then x_i^p for a Littlewood family."""
+    if family is None:
+        nv, p, pairs = n + m, 0, [(i, n + j) for i in range(n) for j in range(m)]
+    else:
+        nv, p = n, _LITTLEWOOD[family][1]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    singles = [tuple(p * (t == i) for t in range(nv)) for i in range(n)] if p else []
+    return [tuple(int(t in pair) for t in range(nv)) for pair in pairs] + singles
+
+
+def _times(terms: Terms, monomials: list[Exponents], dual: bool, cap: int) -> Terms:
+    """terms times the product over the monomials x^e of 1 + x^e when dual,
+    else of 1/(1 - x^e), truncated at the cap.  Each factor shifts the terms:
+    1 + x^e adds one copy by e, and 1/(1 - x^e) one copy per multiple of e."""
+    for e in monomials:
+        d = sum(e)
+        out = dict(terms)
+        for exps, coeff in terms.items():
+            copies = (cap - sum(exps)) // d
+            for _ in range(min(copies, 1) if dual else copies):
+                exps = tuple(map(add, exps, e))
+                out[exps] = out.get(exps, 0) + coeff
+        terms = out
+    return terms
 
 
 def product_side(kind: str, n: int, m: int, cap: int) -> TruncatedPolynomial:
     """Expansion of the named product; variables are x_1..x_n then y_1..y_m for
     the Cauchy kinds and x_1..x_n for the Littlewood kinds."""
-    single = None
     if kind in ("cauchy", "dual-cauchy"):
-        nv, pairs = n + m, [(i, n + j) for i in range(n) for j in range(m)]
-        pair = geometric if kind == "cauchy" else one_plus
+        nv, family, dual = n + m, None, kind == "dual-cauchy"
     elif kind.startswith("littlewood-"):
-        fam = Family(kind.removeprefix("littlewood-"))
-        nv, pairs = n, [(i, j) for i in range(n) for j in range(i + 1, n)]
-        pair = one_plus if fam in (Family.ASYM_PLUS, Family.ASYM_MINUS) else geometric
-        single = _LITTLEWOOD_SINGLES.get(fam)
+        family = Family(kind.removeprefix("littlewood-"))
+        nv, dual = n, _LITTLEWOOD[family][0]
     else:
         raise ValueError(f"unknown product {kind!r}")
-    out = TruncatedPolynomial.one(nv, cap)
-    for i, j in pairs:
-        out = out * pair(nv, cap, tuple(int(t in (i, j)) for t in range(nv)))
-    if single:
-        factor, e = single
-        for i in range(n):
-            out = out * factor(nv, cap, _unit(nv, i, e))
-    return out
+    return TruncatedPolynomial(nv, cap, _times({(0,) * nv: 1}, _factors(family, n, m), dual, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -318,28 +317,23 @@ def _cauchy(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partitio
     strips on the y side and the product of 1 + x_i y_j."""
     top = (cap + size(lam) + size(rho)) // 2
     lhs = _pair(_sweep({rho: {(): 1}}, n, top), _sweep({lam: {(): 1}}, m, top, e.steps))
-    inner = sub_partitions(meet(lam, rho))
-    rhs = _pair({mu: schur(lam, n, cap, mu=mu).terms for mu in inner},
-                {mu: schur(rho, m, cap, e.steps, mu).terms for mu in inner})
-    product = product_side("cauchy" if e.steps == StepKind.HORIZONTAL else "dual-cauchy",
-                           n, m, cap)
-    return (TruncatedPolynomial(n + m, cap, lhs),
-            product * TruncatedPolynomial(n + m, cap, rhs))
+    start = {mu: schur(lam, n, cap, mu=mu).terms for mu in sub_partitions(meet(lam, rho))}
+    inner = _sweep(start, m, size(rho), e.steps, rho).get(rho, {})
+    rhs = _times(inner, _factors(None, n, m), e.steps is StepKind.VERTICAL, cap)
+    return TruncatedPolynomial(n + m, cap, lhs), TruncatedPolynomial(n + m, cap, rhs)
 
 
 def _littlewood(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, k: int):
     """The sum of s_{nu/lam}(x) over nu in the family is the product times the
     sum of s_{lam/mu}(x) over mu in the family; for the asymmetric families the
     inner sum is of s_{lam'/mu}(x) over mu in the opposite family."""
-    family, shape = e.family, lam
-    if family in (Family.ASYM_PLUS, Family.ASYM_MINUS):
-        family = Family.ASYM_MINUS if family is Family.ASYM_PLUS else Family.ASYM_PLUS
-        shape = conjugate(lam)
+    dual, _, family = _LITTLEWOOD[e.family]
+    shape = conjugate(lam) if dual else lam
     lhs = _total(_sweep({lam: {(): 1}}, n, size(lam) + cap), lambda nu: member(nu, e.family))
     start = {mu: {(): 1} for mu in sub_partitions(shape) if member(mu, family)}
-    inner = _sweep(start, n, size(shape), bound=shape).get(shape)
-    product = product_side(f"littlewood-{e.family.value}", n, 0, cap)
-    return TruncatedPolynomial(n, cap, lhs), product * TruncatedPolynomial(n, cap, inner)
+    inner = _sweep(start, n, size(shape), bound=shape).get(shape, {})
+    rhs = _times(inner, _factors(e.family, n, 0), dual, cap)
+    return TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs)
 
 
 def _pieri(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, k: int):
@@ -396,6 +390,13 @@ def _check_non_negative(**fields: int | None) -> None:
             raise ValueError(f"{field}: expected a non-negative integer, got {value}")
 
 
+def _check_partitions(**shapes: Partition) -> None:
+    """Field-named ValueError for the first shape that is not a partition."""
+    for field, lam in shapes.items():
+        if any(type(p) is not int or p < 1 for p in lam) or any(map(lt, lam, lam[1:])):
+            raise ValueError(f"{field}: expected a partition, got {lam}")
+
+
 def verify_identity(
     identity: str,
     n: int,
@@ -419,6 +420,7 @@ def verify_identity(
     k = 0 if k is None else k
     lam = tuple(lam) if "lam" in entry.params else EMPTY
     rho = tuple(rho) if "rho" in entry.params else EMPTY
+    _check_partitions(lam=lam, rho=rho)
     values = {"n": n, "degree": cap, "m": m, "k": k, "lam": list(lam), "rho": list(rho)}
     params = {name: values[name] for name in entry.params}
     lhs, rhs = entry.sides(entry, n, m, cap, lam, rho, k)

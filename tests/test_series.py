@@ -18,7 +18,6 @@ from growthdiagrams import (
     verify_identity,
 )
 from growthdiagrams.partitions import sub_partitions
-from growthdiagrams.series import geometric, one_plus
 
 
 from hypothesis import given, strategies as st
@@ -56,8 +55,6 @@ def test_polynomial_ring_basics():
     x2 = x * x
     assert x2 * x2 * x == TruncatedPolynomial.zero(2, 4)
     assert one * x == x
-    assert geometric(1, 3, (1,)).terms == {(0,): 1, (1,): 1, (2,): 1, (3,): 1}
-    assert one_plus(1, 3, (2,)).terms == {(0,): 1, (2,): 1}
     with pytest.raises(ValueError):
         x + TruncatedPolynomial.one(3, 4)
 
@@ -135,6 +132,66 @@ def test_product_side_examples():
     }
 
 
+def _weight_counts(nvars, cells, cap):
+    """Brute force: the number of fillings of each weight within the cap.  A
+    cell (variables, values) holds one of the values, which it adds to the
+    exponent of each of its variables."""
+    counts = {}
+    weight = [0] * nvars
+
+    def fill(k, budget):
+        if k == len(cells):
+            counts[tuple(weight)] = counts.get(tuple(weight), 0) + 1
+            return
+        variables, values = cells[k]
+        for v in values:
+            if v * len(variables) > budget:
+                break
+            for t in variables:
+                weight[t] += v
+            fill(k + 1, budget - v * len(variables))
+            for t in variables:
+                weight[t] -= v
+
+    fill(0, cap)
+    return counts
+
+
+def test_product_side_counts_arrays():
+    """product_side counts arrays by weight.  Cauchy: n x m matrices weighted
+    x^(row sums) y^(column sums), 0/1 entries when dual.  Littlewood:
+    triangular arrays weighted as in criterion 7, with the diagonal domains
+    below and 0/1 off-diagonal entries for the asymmetric families."""
+    # single-variable factors 1/(1 - x) and 1 + x^2
+    assert product_side("littlewood-all", 1, 0, 3).terms == {(0,): 1, (1,): 1, (2,): 1, (3,): 1}
+    assert product_side("littlewood-asym-1", 1, 0, 3).terms == {(0,): 1, (2,): 1}
+    cases = 0
+    for cap in range(9):
+        every = range(cap + 1)
+        diagonals = {
+            Family.ALL: every,
+            Family.EVEN_ROWS: range(0, cap + 1, 2),
+            Family.EVEN_COLS: (0,),
+            Family.ASYM_PLUS: (0,),
+            Family.ASYM_MINUS: (0, 2),
+        }
+        for n in range(4):
+            for m in range(3):
+                for kind, values in (("cauchy", every), ("dual-cauchy", (0, 1))):
+                    cells = [((i, n + j), values) for i in range(n) for j in range(m)]
+                    expect = _weight_counts(n + m, cells, cap)
+                    assert product_side(kind, n, m, cap).terms == expect, (kind, n, m, cap)
+                    cases += 1
+            for f in Family:
+                off = (0, 1) if f in (Family.ASYM_PLUS, Family.ASYM_MINUS) else every
+                cells = [((i, j), off) for i in range(n) for j in range(i + 1, n)]
+                cells += [((i,), diagonals[f]) for i in range(n)]
+                expect = _weight_counts(n, cells, cap)
+                assert product_side(f"littlewood-{f.value}", n, 0, cap).terms == expect, (f, n)
+                cases += 1
+    assert cases == 396
+
+
 def test_count_syt():
     assert count_syt((2, 1)) == 2
     assert count_syt((7,)) == 1
@@ -170,6 +227,32 @@ def test_verify_identities_small(identity, kwargs):
     report = verify_identity(identity, **kwargs)
     assert report.equal, report
     assert report.checked_terms > 1
+
+
+@pytest.mark.parametrize("identity,lam", [
+    ("skew-littlewood-even-rows", (1, 1)),
+    ("skew-littlewood-asym+1", (2,)),
+])
+def test_skew_littlewood_empty_inner_sum(identity, lam):
+    # no family member under the inner shape reaches it with one variable, so
+    # the inner sum is empty and both sides are zero
+    report = verify_identity(identity, n=1, cap=6, lam=lam)
+    assert report.equal, report
+    assert report.checked_terms == 0
+
+
+@pytest.mark.parametrize("identity,field,shape", [
+    ("skew-littlewood-all", "lam", (1, 2)),
+    ("skew-littlewood-all", "lam", (2, 0)),
+    ("skew-littlewood-all", "lam", (-1,)),
+    ("skew-littlewood-all", "lam", (1.5,)),
+    ("pieri", "lam", (1, 3)),
+    ("skew-cauchy", "rho", (0, 1)),
+])
+def test_verify_rejects_non_partitions(identity, field, shape):
+    with pytest.raises(ValueError) as info:
+        verify_identity(identity, n=2, cap=4, **{field: shape})
+    assert str(info.value) == f"{field}: expected a partition, got {shape}"
 
 
 def test_verify_squarefree():
