@@ -27,6 +27,7 @@ from .jsonio import (
     trigrid_to_json,
 )
 from .partitions import EMPTY, Family, enumerate_partitions
+from .projections import StarVariant
 from .rules import Rule
 from .series import IDENTITIES, _check_non_negative, verify_identity
 from .tableaux import TableauChain
@@ -72,9 +73,16 @@ def _family(name: str) -> Family:
         raise FormatError(f"variant: unknown variant {name!r}") from None
 
 
-def _variant(name: str, rule_name: str | None):
-    base = _rule(rule_name) if rule_name else None
-    return littlewood_variant(_family(name), base)
+def _variant(args: argparse.Namespace):
+    base = _rule(args.rule) if args.rule else None
+    family, star = _family(args.variant), None
+    if args.star is not None:
+        if family is not Family.ASYM_MINUS:
+            raise FormatError(f"star: variant {family.value!r} takes no star")
+        if args.star not in ("row", "col"):
+            raise FormatError(f"star: unknown star {args.star!r}")
+        star = StarVariant(f"{args.star}*")
+    return littlewood_variant(family, base, star)
 
 
 def cmd_rsk(args: argparse.Namespace) -> int:
@@ -105,7 +113,7 @@ def cmd_unrsk(args: argparse.Namespace) -> int:
 
 
 def cmd_littlewood_encode(args: argparse.Namespace) -> int:
-    variant = _variant(args.variant, args.rule)
+    variant = _variant(args)
     arr = triarray_from_json(loads(_read(args.array), "array"))
     border = (
         tableau_from_json(loads(_read(args.border), "border"), "border")
@@ -121,7 +129,7 @@ def cmd_littlewood_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_littlewood_decode(args: argparse.Namespace) -> int:
-    variant = _variant(args.variant, args.rule)
+    variant = _variant(args)
     p = tableau_from_json(loads(_read(args.tableau), "tableau"), "tableau")
     arr, border = littlewood_inverse(variant, p)
     sys.stdout.write(
@@ -238,13 +246,15 @@ def render_grid_ascii(vertices, matrix) -> str:
 
 def cmd_render(args: argparse.Namespace) -> int:
     if args.matrix:
+        if args.star is not None:
+            raise FormatError("star: render --matrix takes no star")
         rule = _rule(args.rule or "row")
         matrix = matrix_from_json(loads(_read(args.matrix), "matrix"))
         grid = build_growth(rule, matrix)
         sys.stdout.write(render_grid_ascii(grid.vertices, grid.matrix))
         return 0
     if args.array:
-        variant = _variant(args.variant, args.rule)
+        variant = _variant(args)
         arr = triarray_from_json(loads(_read(args.array), "array"))
         grid = build_triangular(variant, arr)
         rows = [list(r) for r in grid.rows]
@@ -280,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--rule")
     p_enc.add_argument("--array", required=True)
     p_enc.add_argument("--border")
+    p_enc.add_argument("--star", help="asym-1 projection: row (default) or col")
     p_enc.add_argument("--grid", action="store_true", help="include the full diagram")
     p_enc.set_defaults(fn=cmd_littlewood_encode)
 
@@ -287,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--variant", required=True)
     p_dec.add_argument("--rule")
     p_dec.add_argument("--tableau", required=True)
+    p_dec.add_argument("--star", help="asym-1 projection: row (default) or col")
     p_dec.set_defaults(fn=cmd_littlewood_decode)
 
     p_ver = sub.add_parser("verify", help="check an identity by truncated expansion")
@@ -314,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ren.add_argument("--variant", default="all")
     p_ren.add_argument("--matrix")
     p_ren.add_argument("--array")
+    p_ren.add_argument("--star", help="asym-1 projection: row (default) or col")
     p_ren.set_defaults(fn=cmd_render)
 
     return parser

@@ -10,6 +10,9 @@ the lam side (up) is vertical instead of horizontal.  By interlacing, each
 row of a member lies between rows of lam and rho, so each set is an interval
 of Young's lattice cut to one size (``partitions_between``); the structured
 encodings below identify their elements with multisets of ribbon positions.
+The local rules in ``rules.py`` do not call these encodings or the ribbon row
+helpers: they are the paper's statement of the rules, which the tests check
+the rules against, and nothing here is cached.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .partitions import (
     Partition,
@@ -101,7 +103,6 @@ def profile(lam: Partition, rho: Partition, kind: ProfileKind) -> RibbonProfile:
     return RibbonProfile(kind, entries)
 
 
-@lru_cache(maxsize=1 << 17)
 def _removable_rows(lam: Partition, rho: Partition) -> tuple[tuple[int, int], ...]:
     """(row, capacity) of the maximal removable ribbons of lam ^ rho, bottom-up."""
     base = meet(lam, rho)
@@ -114,7 +115,6 @@ def _removable_rows(lam: Partition, rho: Partition) -> tuple[tuple[int, int], ..
     return tuple(out)
 
 
-@lru_cache(maxsize=1 << 17)
 def _dual_removable_rows(lam: Partition, rho: Partition) -> tuple[int, ...]:
     """Rows of the inner corners of lam ^ rho that are dual removable: the rows
     r with lam_{r+1} < rho_r <= lam_r, so (lam ^ rho)_r = rho_r is a corner."""
@@ -123,7 +123,6 @@ def _dual_removable_rows(lam: Partition, rho: Partition) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=1 << 17)
 def _dual_addable_rows(lam: Partition, rho: Partition) -> tuple[int, ...]:
     """Rows of the outer corners of lam v rho that are dual addable: the rows r
     with rho_r <= lam_r < rho_{r-1} (rho_0 = +inf), so (lam v rho)_r = lam_r."""

@@ -217,6 +217,7 @@ _LITTLEWOOD = {
     Family.ASYM_PLUS: (True, 0, Family.ASYM_MINUS),
     Family.ASYM_MINUS: (True, 2, Family.ASYM_PLUS),
 }
+_LITTLEWOOD_KINDS = {f"littlewood-{family.value}": family for family in _LITTLEWOOD}
 
 
 def _factors(family: Family | None, n: int, m: int) -> list[Exponents]:
@@ -252,8 +253,8 @@ def product_side(kind: str, n: int, m: int, cap: int) -> TruncatedPolynomial:
     the Cauchy kinds and x_1..x_n for the Littlewood kinds."""
     if kind in ("cauchy", "dual-cauchy"):
         nv, family, dual = n + m, None, kind == "dual-cauchy"
-    elif kind.startswith("littlewood-"):
-        family = Family(kind.removeprefix("littlewood-"))
+    elif kind in _LITTLEWOOD_KINDS:
+        family = _LITTLEWOOD_KINDS[kind]
         nv, dual = n, _LITTLEWOOD[family][0]
     else:
         raise ValueError(f"unknown product {kind!r}")
@@ -384,16 +385,18 @@ IDENTITIES: dict[str, Identity] = {
 
 
 def _check_non_negative(**fields: int | None) -> None:
-    """Field-named ValueError for the first negative count; None is not given."""
+    """Field-named ValueError for the first count that is not a non-negative
+    int (bools included); None is not given."""
     for field, value in fields.items():
-        if value is not None and value < 0:
+        if value is not None and (type(value) is not int or value < 0):
             raise ValueError(f"{field}: expected a non-negative integer, got {value}")
 
 
 def _check_partitions(**shapes: Partition) -> None:
     """Field-named ValueError for the first shape that is not a partition."""
     for field, lam in shapes.items():
-        if any(type(p) is not int or p < 1 for p in lam) or any(map(lt, lam, lam[1:])):
+        if (not isinstance(lam, (tuple, list)) or any(type(p) is not int or p < 1 for p in lam)
+                or any(map(lt, lam, lam[1:]))):
             raise ValueError(f"{field}: expected a partition, got {lam}")
 
 
@@ -418,9 +421,10 @@ def verify_identity(
     _check_non_negative(n=n, m=m, degree=cap, k=k)
     m = n if m is None else m
     k = 0 if k is None else k
-    lam = tuple(lam) if "lam" in entry.params else EMPTY
-    rho = tuple(rho) if "rho" in entry.params else EMPTY
+    lam = lam if "lam" in entry.params else EMPTY
+    rho = rho if "rho" in entry.params else EMPTY
     _check_partitions(lam=lam, rho=rho)
+    lam, rho = tuple(lam), tuple(rho)
     values = {"n": n, "degree": cap, "m": m, "k": k, "lam": list(lam), "rho": list(rho)}
     params = {name: values[name] for name in entry.params}
     lhs, rhs = entry.sides(entry, n, m, cap, lam, rho, k)

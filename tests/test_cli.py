@@ -282,5 +282,55 @@ def test_render_array_honours_rule(capsys, tmp_path):
     ]
 
 
+def test_star_reaches_the_asym_minus_col_projection(capsys, tmp_path):
+    rows = [[2, 0, 1], [0, 1], [0]]
+    path = tmp_path / "C.json"
+    path.write_text(json.dumps({"n": 3, "rows": rows}))
+    encoded = {}
+    for star in ("row", "col", None):
+        extra = ["--star", star] if star else []
+        code, out, err = run_cli(
+            capsys, "littlewood-encode", "--variant", "asym-1", *extra, "--array", str(path)
+        )
+        assert code == 0 and err == ""
+        encoded[star] = json.loads(out)["P"]
+    assert encoded["row"]["chain"] == [[], [3], [3, 1], [3, 3]]
+    assert encoded["col"]["chain"] == [[], [3], [3, 1], [4, 1, 1]]
+    assert encoded[None] == encoded["row"]  # row* stays the default
+    for star in ("row", "col"):
+        p_path = tmp_path / f"P_{star}.json"
+        p_path.write_text(json.dumps(encoded[star]))
+        code, out, _ = run_cli(
+            capsys, "littlewood-decode", "--variant", "asym-1", "--star", star,
+            "--tableau", str(p_path),
+        )
+        assert code == 0 and json.loads(out)["array"]["rows"] == rows
+    renders = {}
+    for star in ("row", "col"):
+        code, renders[star], _ = run_cli(
+            capsys, "render", "--variant", "asym-1", "--star", star, "--array", str(path)
+        )
+        assert code == 0
+    assert "4,1,1" in renders["col"] and "4,1,1" not in renders["row"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["littlewood-encode", "--variant", "asym+1", "--star", "row", "--array"],
+         "star: variant 'asym+1' takes no star"),
+        (["littlewood-decode", "--variant", "all", "--star", "col", "--tableau"],
+         "star: variant 'all' takes no star"),
+        (["render", "--variant", "asym-1", "--star", "diag", "--array"],
+         "star: unknown star 'diag'"),
+        (["render", "--star", "col", "--matrix"], "star: render --matrix takes no star"),
+    ],
+    ids=["encode-asym+1", "decode-all", "render-unknown", "render-matrix"],
+)
+def test_star_rejected_outside_asym_minus(capsys, demo_matrix, argv, message):
+    code, out, err = run_cli(capsys, *argv, demo_matrix)
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
 def test_dumps_deterministic():
     assert dumps({"b": 1, "a": [2]}) == '{"a":[2],"b":1}\n'

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growthdiagrams import (
     DomainError,
@@ -21,7 +22,7 @@ from growthdiagrams.interlacing import (
     profile,
     up_sets_through,
 )
-from growthdiagrams.partitions import enumerate_partitions
+from growthdiagrams.partitions import enumerate_partitions, join, meet
 
 # the worked insertion table for lam = rho = (3,2), k = 2
 TABLE_ROW = {
@@ -235,3 +236,43 @@ def test_rules_match_position_multiset_reference():
                     )
                     cases += 1
     assert cases == 272_000
+
+
+# Past the 3x3 box: partitions with up to 8 rows, where dual corners and slots
+# sit high up and the row scans run long.  Inputs are drawn near the down and
+# up sets, so about half are valid and the rest sit one cell outside.
+
+@st.composite
+def _nudged(draw, p, times):
+    """p with up to ``times`` single cells added or removed, kept a partition."""
+    v = [*p, 0]
+    for _ in range(draw(st.integers(0, times))):
+        r, d = draw(st.integers(0, len(v) - 1)), draw(st.sampled_from((-1, 1)))
+        v[r] += d
+        if v[r] < 0 or any(a < b for a, b in zip(v, v[1:])):
+            v[r] -= d
+        if v[-1]:
+            v.append(0)
+    return tuple(x for x in v if x)
+
+
+_tall = st.lists(st.integers(1, 8), max_size=8).map(lambda v: tuple(sorted(v, reverse=True)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_rules_match_reference_on_tall_partitions(data):
+    rule = data.draw(st.sampled_from(list(Rule)))
+    lam = data.draw(_tall)
+    rho = data.draw(st.one_of(_tall, _nudged(lam, 6)))
+    downs = [mu for d in down_sets_through(lam, rho, 4, rule.dual) for mu in d] or [meet(lam, rho)]
+    mu = data.draw(st.sampled_from(downs).flatmap(lambda m: _nudged(m, 1)))
+    k = size(meet(lam, rho)) - size(mu) + data.draw(st.integers(-1, 2))
+    assert _outcome(apply_rule, rule, lam, rho, k, mu) == _outcome(
+        _reference_apply, rule, lam, rho, k, mu
+    )
+    ups = [nu for u in up_sets_through(lam, rho, 4, rule.dual) for nu in u] or [join(lam, rho)]
+    nu = data.draw(st.sampled_from(ups).flatmap(lambda n: _nudged(n, 1)))
+    assert _outcome(unapply_rule, rule, lam, rho, nu) == _outcome(
+        _reference_unapply, rule, lam, rho, nu
+    )

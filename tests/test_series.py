@@ -255,6 +255,28 @@ def test_verify_rejects_non_partitions(identity, field, shape):
     assert str(info.value) == f"{field}: expected a partition, got {shape}"
 
 
+@pytest.mark.parametrize("identity,kwargs,message", [
+    ("cauchy", dict(n=1.5, cap=4), "n: expected a non-negative integer, got 1.5"),
+    ("cauchy", dict(n=True, cap=4), "n: expected a non-negative integer, got True"),
+    ("cauchy", dict(n=2, cap=4, m=1.0), "m: expected a non-negative integer, got 1.0"),
+    ("littlewood-all", dict(n=2, cap=4.5), "degree: expected a non-negative integer, got 4.5"),
+    ("pieri", dict(n=2, cap=4, lam=(1,), k=1.5), "k: expected a non-negative integer, got 1.5"),
+    ("pieri", dict(n=2, cap=4, lam=5, k=1), "lam: expected a partition, got 5"),
+    ("skew-cauchy", dict(n=2, cap=4, rho=None), "rho: expected a partition, got None"),
+])
+def test_verify_rejects_counts_and_shapes_of_the_wrong_type(identity, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        verify_identity(identity, **kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", ["littlewood-bogus", "littlewood-", "littlewood-ALL"])
+def test_product_side_rejects_unknown_kinds(kind):
+    with pytest.raises(ValueError) as info:
+        product_side(kind, 2, 0, 4)
+    assert str(info.value) == f"unknown product {kind!r}"
+
+
 def test_verify_squarefree():
     report = verify_identity("squarefree", n=5, cap=0)
     assert report.equal and report.lhs_value == report.rhs_value == 120
