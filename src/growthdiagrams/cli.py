@@ -75,7 +75,8 @@ def _family(name: str) -> Family:
 
 def _variant(args: argparse.Namespace):
     base = _rule(args.rule) if args.rule else None
-    family, star = _family(args.variant), None
+    family = _family("all" if args.variant is None else args.variant)  # render --array's default
+    star = None
     if args.star is not None:
         if family is not Family.ASYM_MINUS:
             raise FormatError(f"star: variant {family.value!r} takes no star")
@@ -248,6 +249,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.matrix:
         if args.star is not None:
             raise FormatError("star: render --matrix takes no star")
+        if args.variant is not None:
+            raise FormatError("variant: render --matrix takes no variant")
         rule = _rule(args.rule or "row")
         matrix = matrix_from_json(loads(_read(args.matrix), "matrix"))
         grid = build_growth(rule, matrix)
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ren = sub.add_parser("render", help="ASCII growth diagram")
     p_ren.add_argument("--rule")
-    p_ren.add_argument("--variant", default="all")
+    p_ren.add_argument("--variant", help="triangular variant for --array (default all)")
     p_ren.add_argument("--matrix")
     p_ren.add_argument("--array")
     p_ren.add_argument("--star", help="asym-1 projection: row (default) or col")

@@ -5,14 +5,18 @@ a total-degree cap; products silently drop terms beyond the cap.  Schur and
 skew Schur polynomials are weighted sums over strip chains, which one sweep
 enumerates for every shape at once.  Each identity in ``IDENTITIES`` is
 verified by computing both sides independently and comparing coefficients.
+Both sides are symmetric in each group of variables (x, and y for Cauchy),
+so a verification computes and compares only their dominant terms, whose
+exponents weakly decrease within each group (the m_lambda basis).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
-from operator import add, lt
+from math import factorial, prod
+from operator import add, ge, lt
 from typing import Callable, Iterable, NamedTuple
 
 from .partitions import (
@@ -135,7 +139,7 @@ _STRIPS = {StepKind.HORIZONTAL: horizontal_strips_over, StepKind.VERTICAL: verti
 
 
 def _sweep(start: States, n: int, max_size: int, steps: StepKind = StepKind.HORIZONTAL,
-           bound: Partition | None = None) -> States:
+           bound: Partition | None = None, dominant: bool = False) -> States:
     """All strip chains out of the start shapes at once (the branching rule).
 
     ``start`` maps shapes to exponent dicts.  Each of the n steps adds a strip
@@ -143,17 +147,25 @@ def _sweep(start: States, n: int, max_size: int, steps: StepKind = StepKind.HORI
     cells, and appends the strip's size to every exponent tuple.  Shape nu
     ends with the sum over start shapes mu of start[mu] times
     s_{nu/mu}(x_1..x_n), or s_{nu'/mu'} for vertical strips.
+
+    With ``dominant`` only chains whose strips weakly shrink are kept, so a
+    start of exponent-free terms ends with the weakly decreasing terms alone:
+    a step adds no strip larger than the previous step's strip of that term.
     """
     strips = _STRIPS[steps]
     states = start
-    for _ in range(n):
+    for step in range(n):
+        prune = dominant and step > 0
         nxt: States = {}
         for sig, terms in states.items():
             s = size(sig)
-            for tau in strips(sig, max_size - s, bound):
+            room = min(max_size - s, max(e[-1] for e in terms)) if prune else max_size - s
+            for tau in strips(sig, room, bound):
                 d = size(tau) - s
                 acc = nxt.setdefault(tau, {})
                 for exps, coeff in terms.items():
+                    if prune and exps[-1] < d:
+                        continue
                     key = exps + (d,)
                     acc[key] = acc.get(key, 0) + coeff
         states = nxt
@@ -220,31 +232,49 @@ _LITTLEWOOD = {
 _LITTLEWOOD_KINDS = {f"littlewood-{family.value}": family for family in _LITTLEWOOD}
 
 
-def _factors(family: Family | None, n: int, m: int) -> list[Exponents]:
-    """The monomials of a product's factors: x_i y_j for Cauchy (no family),
-    or x_i x_j for i < j and then x_i^p for a Littlewood family."""
-    if family is None:
-        nv, p, pairs = n + m, 0, [(i, n + j) for i in range(n) for j in range(m)]
-    else:
-        nv, p = n, _LITTLEWOOD[family][1]
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    singles = [tuple(p * (t == i) for t in range(nv)) for i in range(n)] if p else []
-    return [tuple(int(t in pair) for t in range(nv)) for pair in pairs] + singles
+def _factors(family: Family | None, n: int, m: int) -> list[list[Exponents]]:
+    """The monomials of a product's factors in rows, one per x_i: for Cauchy
+    (no family) x_i y_j for every j, for a Littlewood family x_i^p and then
+    x_i x_j for j > i.  No later row touches x_i."""
+    nv, p = (n + m, 0) if family is None else (n, _LITTLEWOOD[family][1])
+    rows = []
+    for i in range(n):
+        row = [tuple(p * (t == i) for t in range(nv))] if p else []
+        first = n if family is None else i + 1
+        rows.append(row + [tuple(int(t in (i, j)) for t in range(nv)) for j in range(first, nv)])
+    return rows
 
 
-def _times(terms: Terms, monomials: list[Exponents], dual: bool, cap: int) -> Terms:
+def _decreasing(exps: Exponents) -> bool:
+    """Whether the exponents weakly decrease, as a dominant key's do."""
+    return all(map(ge, exps, exps[1:]))
+
+
+def _times(terms: Terms, rows: list[list[Exponents]], dual: bool, cap: int,
+           dominant: bool = False) -> Terms:
     """terms times the product over the monomials x^e of 1 + x^e when dual,
     else of 1/(1 - x^e), truncated at the cap.  Each factor shifts the terms:
-    1 + x^e adds one copy by e, and 1/(1 - x^e) one copy per multiple of e."""
-    for e in monomials:
-        d = sum(e)
-        out = dict(terms)
-        for exps, coeff in terms.items():
-            copies = (cap - sum(exps)) // d
-            for _ in range(min(copies, 1) if dual else copies):
-                exps = tuple(map(add, exps, e))
-                out[exps] = out.get(exps, 0) + coeff
-        terms = out
+    1 + x^e adds one copy by e, and 1/(1 - x^e) one copy per multiple of e.
+
+    ``rows`` are the factors of ``_factors``, so after row i the exponent of
+    x_i is final and those of the later x_j only grow.  With ``dominant`` the
+    terms that can no longer weakly decrease in x_1..x_n are dropped there:
+    e_i > e_{i-1}, or e_j > e_i for some later j.
+    """
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for e in row:
+            d = sum(e)
+            out = dict(terms)
+            for exps, coeff in terms.items():
+                copies = (cap - sum(exps)) // d
+                for _ in range(min(copies, 1) if dual else copies):
+                    exps = tuple(map(add, exps, e))
+                    out[exps] = out.get(exps, 0) + coeff
+            terms = out
+        if dominant:
+            terms = {exps: coeff for exps, coeff in terms.items()
+                     if (i == 0 or exps[i] <= exps[i - 1]) and max(exps[i:n]) == exps[i]}
     return terms
 
 
@@ -289,16 +319,34 @@ class Report:
         return out
 
 
+def _rearrangements(exps: Exponents) -> int:
+    """The number of distinct rearrangements of an exponent tuple."""
+    return factorial(len(exps)) // prod(map(factorial, Counter(exps).values()))
+
+
 def _compare(identity: str, params: dict, lhs: TruncatedPolynomial,
-             rhs: TruncatedPolynomial) -> Report:
+             rhs: TruncatedPolynomial, n: int | None = None) -> Report:
+    """Compare the sides on every key of either and report the first mismatch
+    in (degree, lex) order.
+
+    Given ``n``, the sides are symmetric in x_1..x_n and in the variables after
+    them, and hold only their dominant terms.  Each key then stands for its
+    distinct rearrangements within the two groups, all counted as checked, and
+    the first of them sorts each group ascending.
+    """
     keys = set(lhs.terms) | set(rhs.terms)
+    wrong = [e for e in keys if lhs.terms.get(e, 0) != rhs.terms.get(e, 0)]
+    if n is None:
+        checked, first = len(keys), {e: e for e in wrong}
+    else:
+        checked = sum(_rearrangements(e[:n]) * _rearrangements(e[n:]) for e in keys)
+        first = {e: tuple(sorted(e[:n])) + tuple(sorted(e[n:])) for e in wrong}
     mismatch = None
-    for exps in sorted(keys, key=lambda e: (sum(e), e)):
-        a, b = lhs.terms.get(exps, 0), rhs.terms.get(exps, 0)
-        if a != b:
-            mismatch = {"exponents": list(exps), "lhs": a, "rhs": b}
-            break
-    return Report(identity, mismatch is None, len(keys), params, mismatch)
+    if wrong:
+        e = min(wrong, key=lambda e: (sum(e), first[e]))
+        mismatch = {"exponents": list(first[e]), "lhs": lhs.terms.get(e, 0),
+                    "rhs": rhs.terms.get(e, 0)}
+    return Report(identity, mismatch is None, checked, params, mismatch)
 
 
 def _pair(xs: States, ys: States) -> Terms:
@@ -317,10 +365,12 @@ def _cauchy(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partitio
     times sum_mu s_{lam/mu}(x) s_{rho/mu}(y).  The dual identity has vertical
     strips on the y side and the product of 1 + x_i y_j."""
     top = (cap + size(lam) + size(rho)) // 2
-    lhs = _pair(_sweep({rho: {(): 1}}, n, top), _sweep({lam: {(): 1}}, m, top, e.steps))
+    lhs = _pair(_sweep({rho: {(): 1}}, n, top, dominant=True),
+                _sweep({lam: {(): 1}}, m, top, e.steps, dominant=True))
     start = {mu: schur(lam, n, cap, mu=mu).terms for mu in sub_partitions(meet(lam, rho))}
     inner = _sweep(start, m, size(rho), e.steps, rho).get(rho, {})
-    rhs = _times(inner, _factors(None, n, m), e.steps is StepKind.VERTICAL, cap)
+    rhs = _times(inner, _factors(None, n, m), e.steps is StepKind.VERTICAL, cap, dominant=True)
+    rhs = {exps: coeff for exps, coeff in rhs.items() if _decreasing(exps[n:])}
     return TruncatedPolynomial(n + m, cap, lhs), TruncatedPolynomial(n + m, cap, rhs)
 
 
@@ -330,10 +380,11 @@ def _littlewood(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Part
     inner sum is of s_{lam'/mu}(x) over mu in the opposite family."""
     dual, _, family = _LITTLEWOOD[e.family]
     shape = conjugate(lam) if dual else lam
-    lhs = _total(_sweep({lam: {(): 1}}, n, size(lam) + cap), lambda nu: member(nu, e.family))
+    lhs = _total(_sweep({lam: {(): 1}}, n, size(lam) + cap, dominant=True),
+                 lambda nu: member(nu, e.family))
     start = {mu: {(): 1} for mu in sub_partitions(shape) if member(mu, family)}
     inner = _sweep(start, n, size(shape), bound=shape).get(shape, {})
-    rhs = _times(inner, _factors(e.family, n, 0), dual, cap)
+    rhs = _times(inner, _factors(e.family, n, 0), dual, cap, dominant=True)
     return TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs)
 
 
@@ -344,8 +395,9 @@ def _pieri(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition
     cap = max(cap, top)
     shapes = {nu for nu in _STRIPS[e.steps](lam, k) if size(nu) == top}
     lhs = schur((k,) if k else EMPTY, n, cap, e.steps) * schur(lam, n, cap)
-    rhs = _total(_sweep({EMPTY: {(): 1}}, n, top), shapes.__contains__)
-    return lhs, TruncatedPolynomial(n, cap, rhs)
+    lhs = {exps: coeff for exps, coeff in lhs.terms.items() if _decreasing(exps)}
+    rhs = _total(_sweep({EMPTY: {(): 1}}, n, top, dominant=True), shapes.__contains__)
+    return TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs)
 
 
 def _squarefree(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, k: int):
@@ -413,7 +465,9 @@ def verify_identity(
 
     The sum sides sweep every shape that can contribute a term of total
     degree at most the cap; this is a finite set because a (skew) Schur
-    polynomial is homogeneous of the skew-shape size.
+    polynomial is homogeneous of the skew-shape size.  Both sides are
+    symmetric, so only their dominant terms are computed and compared;
+    ``checked_terms`` still counts every monomial of either side.
     """
     entry = IDENTITIES.get(identity)
     if entry is None:
@@ -430,4 +484,4 @@ def verify_identity(
     lhs, rhs = entry.sides(entry, n, m, cap, lam, rho, k)
     if isinstance(lhs, int):
         return Report(identity, lhs == rhs, 1, params, None, lhs, rhs)
-    return _compare(identity, params, lhs, rhs)
+    return _compare(identity, params, lhs, rhs, n)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +334,30 @@ def test_star_reaches_the_asym_minus_col_projection(capsys, tmp_path):
 def test_star_rejected_outside_asym_minus(capsys, demo_matrix, argv, message):
     code, out, err = run_cli(capsys, *argv, demo_matrix)
     assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("variant", ["asym-1", "all", "bogus"])
+def test_render_matrix_rejects_variant(capsys, demo_matrix, variant):
+    code, out, err = run_cli(capsys, "render", "--matrix", demo_matrix, "--variant", variant)
+    assert code == 1 and out == "" and err == "error: variant: render --matrix takes no variant\n"
+
+
+def test_render_array_variant_defaults_to_all(capsys, tmp_path):
+    path = tmp_path / "C.json"
+    path.write_text(json.dumps({"n": 3, "rows": [[2, 0, 1], [0, 1], [1]]}))
+    code, default, _ = run_cli(capsys, "render", "--array", str(path))
+    assert code == 0
+    assert run_cli(capsys, "render", "--variant", "all", "--array", str(path)) == (0, default, "")
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-m", "growthdiagrams", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: growthdiagrams")
 
 
 def test_dumps_deterministic():

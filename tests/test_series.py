@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 from math import factorial
 
@@ -10,14 +11,17 @@ from growthdiagrams import (
     StepKind,
     TruncatedPolynomial,
     conjugate,
+    contains,
     count_syt,
     enumerate_partitions,
+    member,
     product_side,
     schur,
     size,
     verify_identity,
 )
 from growthdiagrams.partitions import sub_partitions
+from growthdiagrams.series import IDENTITIES, _compare
 
 
 from hypothesis import given, strategies as st
@@ -285,8 +289,6 @@ def test_verify_squarefree():
 
 def test_verify_mismatch_reporting():
     """A deliberately unequal comparison reports the first differing exponent."""
-    from growthdiagrams.series import _compare
-
     a = TruncatedPolynomial(2, 4, {(1, 0): 1, (0, 2): 3})
     b = TruncatedPolynomial(2, 4, {(1, 0): 1, (0, 2): 4})
     rep = _compare("test", {}, a, b)
@@ -297,3 +299,162 @@ def test_verify_mismatch_reporting():
 def test_unknown_identity():
     with pytest.raises(ValueError):
         verify_identity("nope", n=1, cap=1)
+
+
+# ---------------------------------------------------------------------------
+# verify_identity computes only the dominant terms of both sides.  The
+# reference below builds every monomial of both sides from schur and
+# product_side, and _compare without a group split compares them all.
+
+
+def _embedded(poly, nvars, offset, cap):
+    """poly's variables as variables offset.. of nvars."""
+    pad = (0,) * (nvars - offset - poly.nvars)
+    terms = {(0,) * offset + e + pad: c for e, c in poly.terms.items()}
+    return TruncatedPolynomial(nvars, cap, terms)
+
+
+def _schur_sum(pairs, n, cap, steps=StepKind.HORIZONTAL):
+    """The sum of s_{outer/inner}(x_1..x_n) over the (outer, inner) pairs."""
+    total = TruncatedPolynomial.zero(n, cap)
+    for outer, inner in pairs:
+        total = total + schur(outer, n, cap, steps, inner)
+    return total
+
+
+#: The inner-sum family of the asymmetric families, whose inner sums run over lam'.
+_INNER = {Family.ASYM_PLUS: Family.ASYM_MINUS, Family.ASYM_MINUS: Family.ASYM_PLUS}
+
+
+def full_sides(name, n, cap, m=None, lam=EMPTY, rho=EMPTY, k=0):
+    """Both sides of a polynomial identity with every monomial."""
+    entry = IDENTITIES[name]
+    if name.endswith("cauchy"):
+        nv, top = n + m, (cap + size(lam) + size(rho)) // 2
+
+        def pair_sum(pairs):
+            total = TruncatedPolynomial.zero(nv, cap)
+            for x_outer, x_inner, y_outer, y_inner in pairs:
+                x = _embedded(schur(x_outer, n, cap, mu=x_inner), nv, 0, cap)
+                y = _embedded(schur(y_outer, m, cap, entry.steps, y_inner), nv, n, cap)
+                total = total + x * y
+            return total
+
+        lhs = pair_sum((nu, rho, nu, lam) for nu in enumerate_partitions(top)
+                       if contains(lam, nu) and contains(rho, nu))
+        inner = pair_sum((lam, mu, rho, mu) for mu in sub_partitions(lam) if contains(mu, rho))
+        kind = "dual-cauchy" if entry.steps is StepKind.VERTICAL else "cauchy"
+        return lhs, product_side(kind, n, m, cap) * inner
+    if entry.family is not None:
+        family = _INNER.get(entry.family, entry.family)
+        shape = conjugate(lam) if entry.family in _INNER else lam
+        lhs = _schur_sum(((nu, lam) for nu in enumerate_partitions(size(lam) + cap)
+                          if member(nu, entry.family) and contains(lam, nu)), n, cap)
+        inner = _schur_sum(((shape, mu) for mu in sub_partitions(shape) if member(mu, family)),
+                           n, cap)
+        return lhs, product_side(f"littlewood-{entry.family.value}", n, 0, cap) * inner
+    top = size(lam) + k
+    cap = max(cap, top)
+    strip = oracle.vert_strip if entry.steps is StepKind.VERTICAL else oracle.horiz_strip
+    lhs = schur((k,) if k else EMPTY, n, cap, entry.steps) * schur(lam, n, cap)
+    rhs = _schur_sum(((nu, EMPTY) for nu in enumerate_partitions(top)
+                      if size(nu) == top and strip(lam, nu)), n, cap)
+    return lhs, rhs
+
+
+def _full_report(name, **kwargs):
+    report = verify_identity(name, **kwargs)
+    lhs, rhs = full_sides(name, **kwargs)
+    return report, _compare(name, report.params, lhs, rhs)
+
+
+def _reference_cases():
+    shapes = [EMPTY, (1,), (2,), (1, 1), (2, 1), (3, 1)]
+    for name, entry in IDENTITIES.items():
+        params = set(entry.params)
+        if "m" in params:
+            for n, m, cap in ((0, 2, 4), (2, 0, 4), (1, 2, 5), (2, 2, 6), (3, 2, 5)):
+                for lam, rho in ([(EMPTY, EMPTY)] if "lam" not in params
+                                 else [(a, b) for a in shapes[:5] for b in shapes[:5]]):
+                    yield name, dict(n=n, m=m, cap=cap, lam=lam, rho=rho)
+        elif "k" in params:
+            for lam in shapes:
+                for n, k in ((1, 2), (2, 0), (2, 3), (3, 2)):
+                    yield name, dict(n=n, cap=5, lam=lam, k=k)
+        elif "lam" in params:
+            for lam in shapes:
+                for n in (1, 2, 3):
+                    yield name, dict(n=n, cap=5, lam=lam)
+        elif entry.family is not None:
+            for n in range(5):
+                yield name, dict(n=n, cap=7)
+
+
+def test_dominant_verification_matches_full_reference():
+    """verify_identity's report equals the comparison of every monomial of
+    both sides, for every polynomial identity in the table."""
+    cases = 0
+    for name, kwargs in _reference_cases():
+        report, full = _full_report(name, **kwargs)
+        assert full.equal, (name, kwargs)
+        assert report.to_dict() == full.to_dict(), (name, kwargs)
+        cases += 1
+    assert {name for name, _ in _reference_cases()} == set(IDENTITIES) - {"squarefree"}
+    assert cases == 423
+    # squarefree compares two integers, not polynomials
+    assert verify_identity("squarefree", n=4, cap=0).to_dict() == {
+        "identity": "squarefree", "equal": True, "checked_terms": 1,
+        "params": {"n": 4}, "lhs": 24, "rhs": 24,
+    }
+
+
+def _dominant(poly, n):
+    """The terms of poly that weakly decrease in x_1..x_n and in the rest."""
+    down = lambda g: list(g) == sorted(g, reverse=True)
+    terms = {e: c for e, c in poly.terms.items() if down(e[:n]) and down(e[n:])}
+    return TruncatedPolynomial(poly.nvars, poly.cap, terms)
+
+
+def _inject(poly, n, key):
+    """poly plus every rearrangement of key within x_1..x_n and the rest."""
+    terms = dict(poly.terms)
+    for x in set(permutations(key[:n])):
+        for y in set(permutations(key[n:])):
+            terms[x + y] = terms.get(x + y, 0) + 1
+    return TruncatedPolynomial(poly.nvars, poly.cap, terms)
+
+
+@pytest.mark.parametrize("name,kwargs,keys,first", [
+    # (2, 1, 0) sorts before (3, 0, 0), but its rearrangement (0, 1, 2) comes
+    # after (0, 0, 3)
+    ("littlewood-all", dict(n=3, cap=6), [(2, 1, 0), (3, 0, 0)], [0, 0, 3]),
+    ("littlewood-asym-1", dict(n=3, cap=6), [(2, 2, 2)], [2, 2, 2]),
+    ("littlewood-even-cols", dict(n=3, cap=6), [(1, 0, 0)], [0, 0, 1]),  # a key neither side has
+    # each group is sorted on its own
+    ("cauchy", dict(n=2, m=2, cap=6), [(1, 1, 2, 0), (2, 0, 1, 1)], [0, 2, 1, 1]),
+    ("skew-dual-cauchy", dict(n=2, m=3, cap=5, lam=(1,), rho=(2, 1)), [(3, 0, 1, 1, 0)],
+     [0, 3, 0, 1, 1]),
+])
+def test_dominant_mismatch_matches_full_reference(name, kwargs, keys, first):
+    """A symmetric error on one side is reported the same way on dominant
+    terms as on every monomial: the same checked terms and the same first
+    mismatch."""
+    n = kwargs["n"]
+    lhs, rhs = full_sides(name, **kwargs)
+    for key in keys:
+        lhs = _inject(lhs, n, key)
+    full = _compare(name, {}, lhs, rhs)
+    dominant = _compare(name, {}, _dominant(lhs, n), _dominant(rhs, n), n)
+    assert not full.equal and full.mismatch["exponents"] == first
+    assert dominant.to_dict() == full.to_dict()
+
+
+@pytest.mark.parametrize("family,checked", [
+    ("all", 74613), ("even-rows", 43065), ("even-cols", 32769), ("asym+1", 4558), ("asym-1", 19221),
+])
+def test_littlewood_n6_degree16_within_bound(family, checked):
+    t0 = time.perf_counter()
+    report = verify_identity(f"littlewood-{family}", n=6, cap=16)
+    elapsed = time.perf_counter() - t0
+    assert report.equal and report.checked_terms == checked
+    assert elapsed < 2, f"littlewood-{family} n=6 degree 16 took {elapsed:.2f}s"
