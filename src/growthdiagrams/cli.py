@@ -27,7 +27,7 @@ from .jsonio import (
     trigrid_to_json,
 )
 from .partitions import EMPTY, Family, enumerate_partitions
-from .projections import StarVariant
+from .projections import LITTLEWOOD, StarVariant
 from .rules import Rule
 from .series import IDENTITIES, _check_non_negative, verify_identity
 from .tableaux import TableauChain
@@ -78,7 +78,7 @@ def _variant(args: argparse.Namespace):
     family = _family("all" if args.variant is None else args.variant)  # render --array's default
     star = None
     if args.star is not None:
-        if family is not Family.ASYM_MINUS:
+        if len(LITTLEWOOD[family].stars) < 2:
             raise FormatError(f"star: variant {family.value!r} takes no star")
         if args.star not in ("row", "col"):
             raise FormatError(f"star: unknown star {args.star!r}")

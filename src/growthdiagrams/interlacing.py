@@ -193,6 +193,14 @@ def down_set(lam: Partition, rho: Partition, k: int, dual: bool = False) -> list
 
 PositionMultiset = dict[int, int]
 
+#: The ribbon profile whose positions encode each (direction, dual) set.
+_PROFILE_KINDS = {
+    (Direction.DOWN, False): ProfileKind.REMOVABLE,
+    (Direction.DOWN, True): ProfileKind.DUAL_REMOVABLE,
+    (Direction.UP, False): ProfileKind.ADDABLE,
+    (Direction.UP, True): ProfileKind.DUAL_ADDABLE,
+}
+
 
 def multiset_size(counts: PositionMultiset) -> int:
     return sum(counts.values())
@@ -217,17 +225,10 @@ def encode(
             raise DomainError(f"{target} not contained in {base}")
         if not is_horizontal_strip(target, lam):
             raise DomainError(f"{lam}/{target} is not a horizontal strip")
-        if dual:
-            if not is_vertical_strip(target, rho):
-                raise DomainError(f"{rho}/{target} is not a vertical strip")
-            rows = {row: i + 1 for i, row in enumerate(_dual_removable_rows(lam, rho))}
-            caps = {i + 1: 1 for i in range(len(rows))}
-        else:
-            if not is_horizontal_strip(target, rho):
-                raise DomainError(f"{rho}/{target} is not a horizontal strip")
-            rr = _removable_rows(lam, rho)
-            rows = {row: i + 1 for i, (row, _) in enumerate(rr)}
-            caps = {i + 1: cap for i, (_, cap) in enumerate(rr)}
+        if dual and not is_vertical_strip(target, rho):
+            raise DomainError(f"{rho}/{target} is not a vertical strip")
+        if not dual and not is_horizontal_strip(target, rho):
+            raise DomainError(f"{rho}/{target} is not a horizontal strip")
     else:
         base = join(lam, rho)
         if not contains(base, target):
@@ -237,17 +238,11 @@ def encode(
                 raise DomainError(f"{target}/{lam} is not a vertical strip")
             if not is_horizontal_strip(rho, target):
                 raise DomainError(f"{target}/{rho} is not a horizontal strip")
-            ar = _dual_addable_rows(lam, rho)
-            rows = {row: i for i, row in enumerate(ar)}
-            caps = {i: 1 for i in range(len(ar))}
-        else:
-            if not (is_horizontal_strip(lam, target) and is_horizontal_strip(rho, target)):
-                raise DomainError(f"{target} is not above both {lam} and {rho}")
-            rows = {1: 0}
-            caps = {0: INFINITE}
-            for i, (row, cap) in enumerate(_removable_rows(lam, rho)):
-                rows[row + 1] = i + 1
-                caps[i + 1] = cap
+        elif not (is_horizontal_strip(lam, target) and is_horizontal_strip(rho, target)):
+            raise DomainError(f"{target} is not above both {lam} and {rho}")
+    entries = profile(lam, rho, _PROFILE_KINDS[direction, dual]).entries
+    rows = {e.row: e.position for e in entries}
+    caps = {e.position: e.capacity for e in entries}
 
     counts: PositionMultiset = {}
     nrows = max(len(base), len(target))
@@ -272,13 +267,7 @@ def decode(
     dual: bool = False,
 ) -> Partition:
     """Inverse of :func:`encode`; validates capacities and strip membership."""
-    kind = {
-        (Direction.DOWN, False): ProfileKind.REMOVABLE,
-        (Direction.DOWN, True): ProfileKind.DUAL_REMOVABLE,
-        (Direction.UP, False): ProfileKind.ADDABLE,
-        (Direction.UP, True): ProfileKind.DUAL_ADDABLE,
-    }[(direction, dual)]
-    prof = profile(lam, rho, kind).by_position()
+    prof = profile(lam, rho, _PROFILE_KINDS[direction, dual]).by_position()
     base = meet(lam, rho) if direction is Direction.DOWN else join(lam, rho)
     rows = list(base) + [0]
     for pos, cnt in counts.items():

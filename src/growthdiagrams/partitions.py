@@ -35,8 +35,10 @@ class FrobeniusCoords(NamedTuple):
 
 
 def partition(parts: Iterable[int]) -> Partition:
-    """Normalize an iterable of parts: drop trailing zeros, validate monotonicity."""
-    p = tuple(int(x) for x in parts)
+    """Normalize an iterable of int parts: drop trailing zeros, validate monotonicity."""
+    p = tuple(parts)
+    if any(type(x) is not int for x in p):
+        raise ValueError(f"non-integer part in {p!r}")
     while p and p[-1] == 0:
         p = p[:-1]
     if p and p[-1] < 0:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .interlacing import DomainError
 from .partitions import (
@@ -53,41 +54,79 @@ class StarVariant(str, Enum):
     COL_STAR = "col*"
 
 
+class Littlewood(NamedTuple):
+    """A family X's Littlewood identity: the sum of s_lam over lam in X is a
+    product with a factor 1/(1 - x_i x_j) per i < j, or 1 + x_i x_j when
+    ``dual``, and per i one of the same kind in x_i^power (none for power 0).
+    The factors fix the entries of the arrays the triangular bijection takes.
+    ``base`` is its canonical base rule, ``stars`` lists its projection
+    variants, default first, and ``inner`` is the family of the skew
+    identity's inner sum, which runs over lam' when dual.
+    """
+
+    dual: bool
+    power: int
+    base: Rule
+    stars: tuple[StarVariant | None, ...]
+    inner: Family
+
+    @property
+    def diagonal(self) -> tuple[int, ...] | None:
+        """The allowed diagonal entries: the multiples of power (None), only 0
+        and power when dual, only 0 for power 0."""
+        if not self.power:
+            return (0,)
+        return (0, self.power) if self.dual else None
+
+    @property
+    def inherits(self) -> bool:
+        """Whether the projection is the base rule: when the diagonal is unbounded."""
+        return self.diagonal is None
+
+
+#: Each family's identity; every other per-family fact is derived from it.
+LITTLEWOOD = {
+    Family.ALL: Littlewood(False, 1, Rule.ROW, (None,), Family.ALL),
+    Family.EVEN_ROWS: Littlewood(False, 2, Rule.COL, (None,), Family.EVEN_ROWS),
+    Family.EVEN_COLS: Littlewood(False, 0, Rule.ROW, (None,), Family.EVEN_COLS),
+    Family.ASYM_PLUS: Littlewood(True, 0, Rule.DUAL_ROW, (StarVariant.ROW_STAR,),
+                                 Family.ASYM_MINUS),
+    Family.ASYM_MINUS: Littlewood(True, 2, Rule.DUAL_COL,
+                                  (StarVariant.ROW_STAR, StarVariant.COL_STAR), Family.ASYM_PLUS),
+}
+
+
 @dataclass(frozen=True)
 class ProjRule:
-    """A concrete projection bijection: family plus rule variant."""
+    """A concrete projection bijection: family plus rule variant, by name or member."""
 
     family: Family
     base: Rule | None = None  # inherited base rule (all / even-rows)
     star: StarVariant | None = None  # asym families
 
     def __post_init__(self) -> None:
-        if self.family in (Family.ALL, Family.EVEN_ROWS):
-            if self.base is None or self.base.dual or self.star is not None:
-                raise ValueError(f"{self.family.value} projections inherit a non-dual rule")
-        elif self.family is Family.EVEN_COLS:
-            if self.base is not None or self.star is not None:
-                raise ValueError("the even-column projection is unique, no variant applies")
-        elif self.family is Family.ASYM_PLUS:
-            if self.base is not None or self.star is not StarVariant.ROW_STAR:
-                raise ValueError("asym+1 admits only the row* projection")
-        else:
-            if self.base is not None or self.star is None:
-                raise ValueError("asym-1 projections are row* or col*")
+        for field, kind in (("family", Family), ("base", Rule), ("star", StarVariant)):
+            value = getattr(self, field)
+            if value is not None:
+                object.__setattr__(self, field, kind(value))
+        row = LITTLEWOOD[self.family]
+        if self.star not in row.stars:
+            allowed = " or ".join(s.value for s in row.stars if s) or "no star"
+            star = self.star and self.star.value
+            raise ValueError(f"{self.family.value} projections take {allowed}, not {star}")
+        if row.inherits != (self.base is not None) or self.base and self.base.dual:
+            rule = "a non-dual" if row.inherits else "no base"
+            raise ValueError(f"{self.family.value} projections inherit {rule} rule")
 
 
 def proj_rule(
     family: Family, base: Rule | None = None, star: StarVariant | None = None
 ) -> ProjRule:
-    """Projection rule with canonical defaults: all -> row, even-rows -> col,
-    asym -> row*."""
-    if family is Family.ALL and base is None:
-        base = Rule.ROW
-    if family is Family.EVEN_ROWS and base is None:
-        base = Rule.COL
-    if family in (Family.ASYM_PLUS, Family.ASYM_MINUS) and star is None:
-        star = StarVariant.ROW_STAR
-    return ProjRule(family, base, star)
+    """Projection rule with the family's canonical base rule and default star."""
+    row = LITTLEWOOD[Family(family)]
+    if base is None and row.inherits:
+        base = row.base
+    return ProjRule(family, base, row.stars[0] if star is None else star)
 
 
 @dataclass(frozen=True)
@@ -229,31 +268,19 @@ def family_up_set(family: Family, lam: Partition, k: int) -> list[Partition]:
 
 def family_down_set(family: Family, lam: Partition, k: int) -> list[Partition]:
     """D_X(lam, k), using vertical strips for the asymmetric families."""
-    gen = (
-        vertical_strips_under(lam, k)
-        if family in (Family.ASYM_PLUS, Family.ASYM_MINUS)
-        else horizontal_strips_under(lam, k)
-    )
-    out = [mu for mu in gen if size(lam) - size(mu) == k and member(mu, family)]
+    strips = vertical_strips_under if LITTLEWOOD[family].dual else horizontal_strips_under
+    out = [mu for mu in strips(lam, k) if size(lam) - size(mu) == k and member(mu, family)]
     return sorted(out)
 
 
 def proj_domain(family: Family, lam: Partition, k: int) -> list[Partition]:
-    """The exact down-side domain of proj_apply for the given target size k."""
-    if family is Family.ALL:
-        sizes = range(k + 1)
-    elif family is Family.EVEN_ROWS:
-        sizes = range(k % 2, k + 1, 2)
-    elif family is Family.EVEN_COLS:
-        sizes = [k] if k == odd_part_count(conjugate(lam)) else []
-    elif family is Family.ASYM_PLUS:
-        sizes = [k]
-    else:
-        sizes = [k, k - 2] if k >= 2 else [k]
+    """The exact down-side domain of proj_apply for the given target size k:
+    the members mu with |lam/mu| = k - c for each allowed diagonal entry c."""
+    row = LITTLEWOOD[family]
     out: list[Partition] = []
-    for s in sizes:
-        if s >= 0:
-            out.extend(family_down_set(family, lam, s))
+    for c in row.diagonal or range(0, k + 1, row.power):
+        if c <= k:
+            out.extend(family_down_set(family, lam, k - c))
     return sorted(out)
 
 

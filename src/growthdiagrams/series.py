@@ -33,6 +33,7 @@ from .partitions import (
     sub_partitions,
     vertical_strips_over,
 )
+from .projections import LITTLEWOOD
 from .tableaux import StepKind
 
 Exponents = tuple[int, ...]
@@ -196,6 +197,8 @@ def schur(
     s_{lam'/mu'}.  The result is homogeneous of degree |lam/mu|, so it is zero
     beyond the cap.
     """
+    _check_non_negative(n=n, cap=cap)
+    _check_partitions(lam=lam, mu=mu)
     if not contains(mu, lam):
         raise ValueError(f"{mu} is not contained in {lam}")
     states = _sweep({mu: {(): 1}}, n, min(size(lam), size(mu) + cap), steps, lam)
@@ -219,24 +222,15 @@ def count_syt(lam: Partition) -> int:
 # ---------------------------------------------------------------------------
 # Product sides.
 
-#: Per Littlewood family: whether it is dual, with factors 1 + x^e rather than
-#: 1/(1 - x^e); the power p of its single-variable factors in x_i^p (0 for
-#: none); and the family its skew inner sum runs over, on lam' when dual.
-_LITTLEWOOD = {
-    Family.ALL: (False, 1, Family.ALL),
-    Family.EVEN_ROWS: (False, 2, Family.EVEN_ROWS),
-    Family.EVEN_COLS: (False, 0, Family.EVEN_COLS),
-    Family.ASYM_PLUS: (True, 0, Family.ASYM_MINUS),
-    Family.ASYM_MINUS: (True, 2, Family.ASYM_PLUS),
-}
-_LITTLEWOOD_KINDS = {f"littlewood-{family.value}": family for family in _LITTLEWOOD}
+#: The Littlewood products by name; their factors are read from ``LITTLEWOOD``.
+_LITTLEWOOD_KINDS = {f"littlewood-{family.value}": family for family in Family}
 
 
 def _factors(family: Family | None, n: int, m: int) -> list[list[Exponents]]:
     """The monomials of a product's factors in rows, one per x_i: for Cauchy
     (no family) x_i y_j for every j, for a Littlewood family x_i^p and then
     x_i x_j for j > i.  No later row touches x_i."""
-    nv, p = (n + m, 0) if family is None else (n, _LITTLEWOOD[family][1])
+    nv, p = (n + m, 0) if family is None else (n, LITTLEWOOD[family].power)
     rows = []
     for i in range(n):
         row = [tuple(p * (t == i) for t in range(nv))] if p else []
@@ -285,9 +279,10 @@ def product_side(kind: str, n: int, m: int, cap: int) -> TruncatedPolynomial:
         nv, family, dual = n + m, None, kind == "dual-cauchy"
     elif kind in _LITTLEWOOD_KINDS:
         family = _LITTLEWOOD_KINDS[kind]
-        nv, dual = n, _LITTLEWOOD[family][0]
+        nv, dual = n, LITTLEWOOD[family].dual
     else:
         raise ValueError(f"unknown product {kind!r}")
+    _check_non_negative(n=n, m=m, cap=cap)
     return TruncatedPolynomial(nv, cap, _times({(0,) * nv: 1}, _factors(family, n, m), dual, cap))
 
 
@@ -378,13 +373,13 @@ def _littlewood(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Part
     """The sum of s_{nu/lam}(x) over nu in the family is the product times the
     sum of s_{lam/mu}(x) over mu in the family; for the asymmetric families the
     inner sum is of s_{lam'/mu}(x) over mu in the opposite family."""
-    dual, _, family = _LITTLEWOOD[e.family]
-    shape = conjugate(lam) if dual else lam
+    row = LITTLEWOOD[e.family]
+    shape = conjugate(lam) if row.dual else lam
     lhs = _total(_sweep({lam: {(): 1}}, n, size(lam) + cap, dominant=True),
                  lambda nu: member(nu, e.family))
-    start = {mu: {(): 1} for mu in sub_partitions(shape) if member(mu, family)}
+    start = {mu: {(): 1} for mu in sub_partitions(shape) if member(mu, row.inner)}
     inner = _sweep(start, n, size(shape), bound=shape).get(shape, {})
-    rhs = _times(inner, _factors(e.family, n, 0), dual, cap, dominant=True)
+    rhs = _times(inner, _factors(e.family, n, 0), row.dual, cap, dominant=True)
     return TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs)
 
 

@@ -27,28 +27,13 @@ from typing import Sequence
 from .growth import _enumerate, _grow, _ungrow, insert
 from .interlacing import DomainError
 from .partitions import EMPTY, Family, Partition, member, size
-from .projections import ProjRule, proj_apply, proj_rule
+from .projections import LITTLEWOOD, ProjRule, proj_apply, proj_rule
 from .rules import Rule
 from .tableaux import StepKind, TableauChain
 
-#: canonical base rule per variant (the pairings of the classical insertion
-#: algorithms for these identities)
-CANONICAL_BASE = {
-    Family.EVEN_COLS: Rule.ROW,
-    Family.ALL: Rule.ROW,
-    Family.EVEN_ROWS: Rule.COL,
-    Family.ASYM_PLUS: Rule.DUAL_ROW,
-    Family.ASYM_MINUS: Rule.DUAL_COL,
-}
-
-#: allowed diagonal entries per variant; None means any non-negative integer
-DIAGONAL_DOMAIN = {
-    Family.EVEN_COLS: (0,),
-    Family.ALL: None,
-    Family.EVEN_ROWS: None,  # any even value
-    Family.ASYM_PLUS: (0,),
-    Family.ASYM_MINUS: (0, 2),
-}
+#: allowed diagonal entries per variant; None means every multiple of the
+#: family's diagonal power
+DIAGONAL_DOMAIN = {family: row.diagonal for family, row in LITTLEWOOD.items()}
 
 
 @dataclass(frozen=True)
@@ -64,14 +49,14 @@ class LittlewoodVariant:
 
 def littlewood_variant(family: Family, base_rule: Rule | None = None,
                        star=None) -> LittlewoodVariant:
-    """A variant with canonical defaults; base rule duality must match the family."""
+    """A variant with the family's canonical defaults; names are accepted, and
+    the base rule must be dual exactly when the family's identity is."""
     family = Family(family)
-    base = base_rule if base_rule is not None else CANONICAL_BASE[family]
-    needs_dual = family in (Family.ASYM_PLUS, Family.ASYM_MINUS)
-    if base.dual != needs_dual:
-        raise ValueError(f"{family.value} requires a {'dual' if needs_dual else 'non-dual'} rule")
-    pbase = base if family in (Family.ALL, Family.EVEN_ROWS) else None
-    return LittlewoodVariant(family, base, proj_rule(family, pbase, star))
+    row = LITTLEWOOD[family]
+    base = row.base if base_rule is None else Rule(base_rule)
+    if base.dual != row.dual:
+        raise ValueError(f"{family.value} requires a {'dual' if row.dual else 'non-dual'} rule")
+    return LittlewoodVariant(family, base, proj_rule(family, base if row.inherits else None, star))
 
 
 @dataclass(frozen=True)
@@ -82,12 +67,12 @@ class TriangularArray:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.rows) != self.n:
+        if type(self.n) is not int or len(self.rows) != self.n:
             raise ValueError(f"need {self.n} rows, got {len(self.rows)}")
         for i, row in enumerate(self.rows, start=1):
             if len(row) != self.n - i + 1:
                 raise ValueError(f"row {i} must have {self.n - i + 1} entries")
-            if any(not isinstance(v, int) or v < 0 for v in row):
+            if any(type(v) is not int or v < 0 for v in row):
                 raise ValueError(f"row {i} has a negative or non-integer entry")
 
     def entry(self, i: int, j: int) -> int:
@@ -101,7 +86,7 @@ class TriangularArray:
 
 
 def triangular_array(rows: Sequence[Sequence[int]]) -> TriangularArray:
-    return TriangularArray(len(rows), tuple(tuple(int(v) for v in row) for row in rows))
+    return TriangularArray(len(rows), tuple(map(tuple, rows)))
 
 
 def _symmetric(array: TriangularArray) -> list[list[int]]:
@@ -112,17 +97,17 @@ def _symmetric(array: TriangularArray) -> list[list[int]]:
 
 def validate_entries(variant: LittlewoodVariant, array: TriangularArray) -> None:
     """Check the entry domains the variant's identity imposes."""
-    diag = DIAGONAL_DOMAIN[variant.family]
-    for i, row in enumerate(array.rows, start=1):
-        for j, v in enumerate(row, start=i):
+    row = LITTLEWOOD[variant.family]
+    diag = row.diagonal
+    allowed = diag or f"the multiples of {row.power}"
+    for i, entries in enumerate(array.rows, start=1):
+        for j, v in enumerate(entries, start=i):
             if i == j:
-                if diag is not None and v not in diag:
+                if (v not in diag) if diag else v % row.power:
                     raise ValueError(
-                        f"diagonal entry c[{i}][{i}] = {v} outside {diag} "
+                        f"diagonal entry c[{i}][{i}] = {v} outside {allowed} "
                         f"for {variant.family.value}"
                     )
-                if variant.family is Family.EVEN_ROWS and v % 2:
-                    raise ValueError(f"diagonal entry c[{i}][{i}] = {v} must be even")
             elif variant.dual and v > 1:
                 raise ValueError(f"entry c[{i}][{j}] = {v} must be 0 or 1 for dual variants")
 

@@ -43,6 +43,9 @@ def test_partition_normalization():
         partition([1, 2])
     with pytest.raises(ValueError):
         partition([2, -1])
+    for parts in ([2.7, 1], [True], ["2"]):
+        with pytest.raises(ValueError, match="non-integer part"):
+            partition(parts)
 
 
 def test_conjugate_examples():

@@ -274,6 +274,22 @@ def test_verify_rejects_counts_and_shapes_of_the_wrong_type(identity, kwargs, me
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("fn,args,kwargs,message", [
+    (schur, ((1, 2), 2, 4), {}, "lam: expected a partition, got (1, 2)"),
+    (schur, ((2,), 2, 4), {"mu": (0, 1)}, "mu: expected a partition, got (0, 1)"),
+    (schur, ((1,), -1, 4), {}, "n: expected a non-negative integer, got -1"),
+    (schur, ((1,), 2, True), {}, "cap: expected a non-negative integer, got True"),
+    (product_side, ("cauchy", -1, 2, 4), {}, "n: expected a non-negative integer, got -1"),
+    (product_side, ("dual-cauchy", 2, 1.0, 4), {}, "m: expected a non-negative integer, got 1.0"),
+    (product_side, ("littlewood-all", 2, 0, -3), {},
+     "cap: expected a non-negative integer, got -3"),
+])
+def test_schur_and_product_side_reject_bad_input(fn, args, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        fn(*args, **kwargs)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("kind", ["littlewood-bogus", "littlewood-", "littlewood-ALL"])
 def test_product_side_rejects_unknown_kinds(kind):
     with pytest.raises(ValueError) as info:

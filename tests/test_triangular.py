@@ -22,8 +22,13 @@ from growthdiagrams import (
     triangular_insert,
 )
 from growthdiagrams.partitions import member
-from growthdiagrams.projections import StarVariant
-from growthdiagrams.triangular import DIAGONAL_DOMAIN, triangular_size, validate_entries
+from growthdiagrams.projections import StarVariant, proj_rule
+from growthdiagrams.triangular import (
+    DIAGONAL_DOMAIN,
+    TriangularArray,
+    triangular_size,
+    validate_entries,
+)
 
 C_EXAMPLE = triangular_array([[0, 0, 1], [1, 0], [0]])
 
@@ -101,6 +106,36 @@ def test_entry_domain_validation():
         littlewood_variant(Family.ASYM_PLUS, Rule.ROW)  # needs a dual rule
     with pytest.raises(ValueError):
         littlewood_variant(Family.ALL, Rule.DUAL_COL)
+
+
+def test_variants_take_names_and_name_the_wrong_star():
+    array = triangular_array([[2, 1, 0, 1, 0], [0, 0, 1, 0], [2, 1, 1], [2, 1], [2]])
+    row = littlewood_variant("asym-1", star="row*")
+    assert row == littlewood_variant(Family.ASYM_MINUS, star=StarVariant.ROW_STAR)
+    assert littlewood_map(row, array).chain[3:5] == ((5, 3, 2), (6, 5, 3, 2))
+    col = littlewood_variant(Family.ASYM_MINUS, star=StarVariant.COL_STAR)
+    assert littlewood_map(col, array).chain[3:5] == ((4, 4, 2), (6, 4, 4, 2))
+    assert littlewood_variant(Family.ALL, "col") == littlewood_variant(Family.ALL, Rule.COL)
+    assert proj_rule("even-rows", "row") == proj_rule(Family.EVEN_ROWS, Rule.ROW)
+    with pytest.raises(ValueError, match="'bogus' is not a valid StarVariant"):
+        littlewood_variant(Family.ASYM_MINUS, star="bogus")
+    with pytest.raises(ValueError, match=r"^all projections take no star, not col\*$"):
+        littlewood_variant(Family.ALL, star=StarVariant.COL_STAR)
+    with pytest.raises(ValueError, match=r"^asym\+1 projections take row\*, not col\*$"):
+        proj_rule("asym+1", star="col*")
+
+
+@pytest.mark.parametrize("rows", [[[1.5, 0], [0]], [["2"]], [[True]]])
+def test_arrays_take_only_int_entries(rows):
+    with pytest.raises(ValueError, match="negative or non-integer entry"):
+        triangular_array(rows)
+    with pytest.raises(ValueError, match="negative or non-integer entry"):
+        TriangularArray(len(rows), tuple(map(tuple, rows)))
+
+
+def test_array_size_must_be_an_int():
+    with pytest.raises(ValueError, match="need True rows, got 1"):
+        TriangularArray(True, ((0,),))
 
 
 @pytest.mark.parametrize("family", list(Family))
