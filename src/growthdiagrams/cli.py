@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on domain/format errors, 2 when a verification
-reports a mismatch.  All structured input is JSON, from a file or '-' (stdin);
-all output is deterministic (sorted keys, stable orders).
+Exit codes: 0 on success and for --help, 1 on usage, domain or format errors,
+2 only when a verification reports a mismatch.  All structured input is JSON,
+from a file or '-' (stdin); all output is deterministic (sorted keys, stable
+orders).  The parser is built once per process; ``main`` may run repeatedly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -271,8 +273,16 @@ def cmd_render(args: argparse.Namespace) -> int:
     raise FormatError("render: pass --matrix FILE or --array FILE")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise FormatError, so that ``main`` returns 1 for them."""
+
+    def error(self, message: str):
+        raise FormatError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="growthdiagrams")
+    parser = _Parser(prog="growthdiagrams")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rsk = sub.add_parser("rsk", help="matrix -> (P, Q) via a growth diagram")
@@ -336,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (FormatError, DomainError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -42,6 +42,13 @@ class LittlewoodVariant:
     base_rule: Rule
     proj: ProjRule
 
+    def __post_init__(self) -> None:
+        dual = LITTLEWOOD[self.family].dual
+        if self.base_rule.dual != dual:
+            raise ValueError(f"{self.family.value} requires a {'dual' if dual else 'non-dual'} rule")
+        if self.proj.family != self.family:
+            raise ValueError(f"{self.family.value} takes its own projection, not {self.proj.family.value}")
+
     @property
     def dual(self) -> bool:
         return self.base_rule.dual
@@ -49,14 +56,13 @@ class LittlewoodVariant:
 
 def littlewood_variant(family: Family, base_rule: Rule | None = None,
                        star=None) -> LittlewoodVariant:
-    """A variant with the family's canonical defaults; names are accepted, and
-    the base rule must be dual exactly when the family's identity is."""
+    """A variant with the family's canonical defaults; names are accepted."""
     family = Family(family)
     row = LITTLEWOOD[family]
     base = row.base if base_rule is None else Rule(base_rule)
-    if base.dual != row.dual:
-        raise ValueError(f"{family.value} requires a {'dual' if row.dual else 'non-dual'} rule")
-    return LittlewoodVariant(family, base, proj_rule(family, base if row.inherits else None, star))
+    # A dual base under an inheriting family is refused by the variant itself.
+    inherited = base if row.inherits and not base.dual else None
+    return LittlewoodVariant(family, base, proj_rule(family, inherited, star))
 
 
 @dataclass(frozen=True)

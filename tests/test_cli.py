@@ -360,5 +360,72 @@ def test_python_m_runs_the_cli():
     assert done.stdout.startswith("usage: growthdiagrams")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--identity", "cauchy", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        (["verify", "--identity", "bogus", "--n", "2"], "argument --identity: invalid choice: 'bogus'"),
+        (["rsk"], "the following arguments are required: --matrix"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["verify-n-abc", "verify-identity-bogus", "rsk-no-matrix", "unknown-command"],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_help_exits_0_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rsk", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: growthdiagrams rsk")
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "from growthdiagrams import cli; print(cli.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+
+def _fresh(capsys, argv):
+    """The request's result from a parser built for it alone."""
+    cli.build_parser.cache_clear()
+    return run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        (["littlewood-encode", "--variant", "asym-1", "--array", "{C}", "--grid"],
+         ["littlewood-encode", "--variant", "asym-1", "--array", "{C}"]),
+        (["enumerate", "--growths", "{B}", "--dual"], ["enumerate", "--growths", "{B}"]),
+        (["littlewood-encode", "--variant", "asym-1", "--star", "col", "--array", "{C}"],
+         ["littlewood-encode", "--variant", "asym-1", "--array", "{C}"]),
+    ],
+    ids=["grid", "dual", "star"],
+)
+def test_shared_parser_carries_nothing_between_calls(capsys, tmp_path, first, second):
+    b, c = tmp_path / "B.json", tmp_path / "C.json"
+    b.write_text("[[0,1],[1,0],[1,1]]")
+    c.write_text(json.dumps({"n": 3, "rows": [[2, 0, 1], [0, 1], [0]]}))
+    files = {"B": str(b), "C": str(c)}
+    first, second = ([arg.format(**files) for arg in argv] for argv in (first, second))
+    expected = _fresh(capsys, second)
+    assert _fresh(capsys, first)[0] == 0
+    assert run_cli(capsys, *second) == expected
+    assert expected[0] == 0 and expected[1] != run_cli(capsys, *first)[1]
+    assert "grid" not in json.loads(expected[1])
+
+
 def test_dumps_deterministic():
     assert dumps({"b": 1, "a": [2]}) == '{"a":[2],"b":1}\n'

@@ -25,6 +25,7 @@ from growthdiagrams.partitions import member
 from growthdiagrams.projections import StarVariant, proj_rule
 from growthdiagrams.triangular import (
     DIAGONAL_DOMAIN,
+    LittlewoodVariant,
     TriangularArray,
     triangular_size,
     validate_entries,
@@ -106,6 +107,16 @@ def test_entry_domain_validation():
         littlewood_variant(Family.ASYM_PLUS, Rule.ROW)  # needs a dual rule
     with pytest.raises(ValueError):
         littlewood_variant(Family.ALL, Rule.DUAL_COL)
+
+
+def test_variant_built_directly_checks_its_base_rule():
+    with pytest.raises(ValueError, match=r"^all requires a non-dual rule$"):
+        LittlewoodVariant(Family.ALL, Rule.DUAL_ROW, proj_rule(Family.ALL))
+
+
+def test_variant_built_directly_checks_its_projection_family():
+    with pytest.raises(ValueError, match=r"^even-cols takes its own projection, not asym\+1$"):
+        LittlewoodVariant(Family.EVEN_COLS, Rule.ROW, proj_rule(Family.ASYM_PLUS))
 
 
 def test_variants_take_names_and_name_the_wrong_star():
