@@ -42,12 +42,10 @@ from .rules import Rule, apply_rule, unapply_rule
 from .tableaux import StepKind, TableauChain
 from .growth import (
     GrowthGrid,
-    biword,
     build_growth,
     check_traceable,
     enumerate_growths,
     extract_PQ,
-    grid_size_law,
     insert,
     pieri,
     pieri_inverse,
@@ -55,19 +53,13 @@ from .growth import (
     rsk_inverse,
 )
 from .projections import (
-    AsymIndexSets,
     ProjRule,
     StarVariant,
-    asym_indices,
-    family_down_set,
-    family_up_set,
     halves,
     phi_double,
     phi_halve,
     proj_apply,
-    proj_domain,
     proj_rule,
-    proj_sets,
     proj_unapply,
 )
 from .triangular import (

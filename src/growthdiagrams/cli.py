@@ -203,6 +203,9 @@ def _insertion_agreement(n: int, m: int, seed: int) -> dict:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.growths:
+        for flag in ("partitions", "rows", "cols"):
+            if getattr(args, flag) is not None:
+                raise FormatError(f"{flag}: enumerate --growths takes no {flag}")
         matrix = matrix_from_json(loads(_read(args.growths), "matrix"))
         grids = enumerate_growths(matrix, dual=args.dual)
         sys.stdout.write(
@@ -210,6 +213,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
         return 0
     if args.partitions is not None:
+        if args.dual:
+            raise FormatError("dual: enumerate --partitions takes no dual")
         _check_non_negative(partitions=args.partitions, rows=args.rows, cols=args.cols)
         box = None
         if args.rows is not None or args.cols is not None:

@@ -117,17 +117,6 @@ class GrowthGrid:
         return len(self.vertices[0]) - 1
 
 
-def biword(matrix: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Two-line array of a matrix: columns left to right, each top to bottom."""
-    n, m = matrix_dims(matrix)
-    top, bottom = [], []
-    for j in range(m):
-        for i in range(n):
-            top.extend([j + 1] * matrix[i][j])
-            bottom.extend([i + 1] * matrix[i][j])
-    return tuple(top), tuple(bottom)
-
-
 def _default_borders(
     rule: Rule, n: int, m: int, S: TableauChain | None, T: TableauChain | None
 ) -> tuple[TableauChain, TableauChain]:
@@ -154,6 +143,7 @@ def build_growth(
     T: TableauChain | None = None,
 ) -> GrowthGrid:
     """The unique rule-built (dual) growth over ``matrix`` with the given borders."""
+    rule = Rule(rule)
     n, m = matrix_dims(matrix, binary=rule.dual)
     S, T = _default_borders(rule, n, m, S, T)
     grid = [[p] + [EMPTY] * m for p in S.chain]
@@ -185,6 +175,7 @@ def rsk_inverse(
     The matrix format is fixed by the chain lengths (n = entries of P,
     m = entries of Q); trailing zero rows and columns are preserved.
     """
+    rule = Rule(rule)
     qsteps = StepKind.VERTICAL if rule.dual else StepKind.HORIZONTAL
     if P.steps is not StepKind.HORIZONTAL or Q.steps is not qsteps:
         raise ValueError("P must be a horizontal chain and Q must match the rule")
@@ -211,6 +202,7 @@ def insert(
     applied with k = (current multiplicity of i), bumped larger entries are
     re-inserted, and the chain of the updated tableau is returned.
     """
+    rule = Rule(rule)
     work = Counter(dict(values)) if isinstance(values, Mapping) else Counter(values)
     n = tableau.entries
     for v, c in list(work.items()):
@@ -265,6 +257,7 @@ def check_traceable(
 
 def pieri(rule: Rule, tableau: TableauChain, counts: Sequence[int]) -> TableauChain:
     """Insert {1^(a_1), ..., n^(a_n)}: the Pieri (dual Pieri) bijection."""
+    rule = Rule(rule)
     n = tableau.entries
     if len(counts) != n:
         raise ValueError(f"need {n} multiplicities, got {len(counts)}")
@@ -279,6 +272,7 @@ def pieri_inverse(
     rule: Rule, hat: TableauChain, shape: Partition
 ) -> tuple[TableauChain, tuple[int, ...]]:
     """Recover (tableau, counts) from the Pieri image and the source shape."""
+    rule = Rule(rule)
     grid = [[EMPTY, p] for p in hat.chain]
     grid[-1][0] = shape
     counts = [[0] for _ in range(hat.entries)]
@@ -340,16 +334,3 @@ def enumerate_growths(matrix: Matrix, dual: bool = False) -> list[GrowthGrid]:
     n, _ = matrix_dims(matrix, binary=dual)
     frozen = _frozen(matrix)
     return [GrowthGrid(rows, frozen, dual) for rows in _enumerate(matrix, [0] * (n + 1), dual)]
-
-
-def grid_size_law(grid: GrowthGrid) -> bool:
-    """Check |vertex(i,j)| = |S^(i)| + |T^(j)| - |S^(0)| + sum of matrix entries
-    north-west of (i,j), where S and T are the border chains of the grid."""
-    pre = _prefix(grid.matrix)
-    left = [size(row[0]) for row in grid.vertices]
-    top = [size(p) for p in grid.vertices[0]]
-    return all(
-        size(p) == left[i] + top[j] - left[0] + pre[i][j]
-        for i, row in enumerate(grid.vertices)
-        for j, p in enumerate(row)
-    )

@@ -18,7 +18,7 @@ asym+1 and (c+1 | c) for asym-1.  One option table per Frobenius index i of
 lam = (a | b) lists the values c_i may take below lam (vertical strip) and
 above it (horizontal strip), the smaller strip first; the sentinels are
 a_0 = +inf, b_{l+1} = -1 and, for asym-1, a virtual index l+1 above lam (see
-:func:`asym_indices`).  The indices with two values are the free sets R and S,
+:func:`_asym_options`).  The indices with two values are the free sets R and S,
 and both maps match the free choices below lam to those above it by rank.
 """
 
@@ -37,14 +37,11 @@ from .partitions import (
     frobenius,
     from_frobenius,
     FrobeniusCoords,
-    horizontal_strips_over,
-    horizontal_strips_under,
     is_horizontal_strip,
     member,
     odd_part_count,
     partition,
     size,
-    vertical_strips_under,
 )
 from .rules import Rule, apply_rule, unapply_rule
 
@@ -129,41 +126,6 @@ def proj_rule(
     return ProjRule(family, base, row.stars[0] if star is None else star)
 
 
-@dataclass(frozen=True)
-class AsymIndexSets:
-    r_indices: tuple[int, ...]
-    s_indices: tuple[int, ...]
-    exists: bool  # whether lam admits any partner at all
-
-
-def asym_indices(lam: Partition, sign: int) -> AsymIndexSets:
-    """The free-choice index sets R and S of the +-1-asymmetric bijections.
-
-    A family member is (c | c+1) for sign +1 and (c+1 | c) for sign -1; with
-    t = 0 for +1 and t = 1 for -1 its index i has arm c_i + t and leg
-    c_i + 1 - t.  For each Frobenius index i of lam = (a | b), the members
-    below lam by a vertical strip take c_i from (a_i - t, a_i - 1 - t) and
-    those above lam by a horizontal strip from (b_i - 1 + t, b_i + t), the
-    smaller strip first.  Below, a value c >= 0 is allowed when its leg lies in
-    [b_{i+1} + 1, b_i], and c = -1 (index absent) only when a_i = 0.  Above, a
-    value is allowed when c >= 0 and its arm lies in [a_i, a_{i-1} - 1].  The
-    sentinels are a_0 = +inf and b_{l+1} = -1; for sign -1 a virtual index l+1
-    takes (-1, 0) above lam when l = 0 or a_l > 1, and (-1,) otherwise.
-
-    R (below) and S (above) are the indices with two allowed values.  When
-    some index has none, lam has no partner: both sets are empty and
-    ``exists`` is False.
-    """
-    down, up = _asym_options(frobenius(lam), sign)
-    if not (all(down) and all(up)):
-        return AsymIndexSets((), (), False)
-    return AsymIndexSets(
-        tuple(i for i, opts in enumerate(down, 1) if len(opts) == 2),
-        tuple(i for i, opts in enumerate(up, 1) if len(opts) == 2),
-        True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Asymmetric members below and above lam: one option table per index.
 
@@ -172,8 +134,22 @@ _Options = list[tuple[int, ...]]
 
 def _asym_options(coords: FrobeniusCoords, sign: int) -> tuple[_Options, _Options]:
     """(down, up): per Frobenius index of lam, the allowed values of c for the
-    members below and above lam, the smaller strip first (the rule is in
-    :func:`asym_indices`)."""
+    members below and above lam, the smaller strip first.
+
+    A family member is (c | c+1) for sign +1 and (c+1 | c) for sign -1; with
+    t = 0 for +1 and t = 1 for -1 its index i has arm c_i + t and leg
+    c_i + 1 - t.  For each Frobenius index i of lam = (a | b), the members
+    below lam by a vertical strip take c_i from (a_i - t, a_i - 1 - t) and
+    those above lam by a horizontal strip from (b_i - 1 + t, b_i + t).  Below,
+    a value c >= 0 is allowed when its leg lies in [b_{i+1} + 1, b_i], and
+    c = -1 (index absent) only when a_i = 0.  Above, a value is allowed when
+    c >= 0 and its arm lies in [a_i, a_{i-1} - 1].  The sentinels are
+    a_0 = +inf and b_{l+1} = -1; for sign -1 a virtual index l+1 takes (-1, 0)
+    above lam when l = 0 or a_l > 1, and (-1,) otherwise.
+
+    The indices with two allowed values are the free sets R (below) and S
+    (above).  When some index has none, lam has no partner.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     t = (1 - sign) // 2
@@ -251,42 +227,6 @@ def _asym_tables(pf: ProjRule, lam: Partition) -> tuple[int, _Options, _Options,
     if sign == -1 and pf.star is StarVariant.ROW_STAR:
         return sign, down, up, 0
     return sign, down, up, sum(len(opts) == 2 for opts in down)
-
-
-# ---------------------------------------------------------------------------
-# Family set oracles.
-
-def family_up_set(family: Family, lam: Partition, k: int) -> list[Partition]:
-    """U_X(lam, k): brute force over horizontal strips above lam."""
-    out = [
-        nu
-        for nu in horizontal_strips_over(lam, k)
-        if size(nu) - size(lam) == k and member(nu, family)
-    ]
-    return sorted(out)
-
-
-def family_down_set(family: Family, lam: Partition, k: int) -> list[Partition]:
-    """D_X(lam, k), using vertical strips for the asymmetric families."""
-    strips = vertical_strips_under if LITTLEWOOD[family].dual else horizontal_strips_under
-    out = [mu for mu in strips(lam, k) if size(lam) - size(mu) == k and member(mu, family)]
-    return sorted(out)
-
-
-def proj_domain(family: Family, lam: Partition, k: int) -> list[Partition]:
-    """The exact down-side domain of proj_apply for the given target size k:
-    the members mu with |lam/mu| = k - c for each allowed diagonal entry c."""
-    row = LITTLEWOOD[family]
-    out: list[Partition] = []
-    for c in row.diagonal or range(0, k + 1, row.power):
-        if c <= k:
-            out.extend(family_down_set(family, lam, k - c))
-    return sorted(out)
-
-
-def proj_sets(family: Family, lam: Partition, k: int) -> tuple[list[Partition], list[Partition]]:
-    """(down-side domain, up set) for the family at target size k."""
-    return proj_domain(family, lam, k), family_up_set(family, lam, k)
 
 
 # ---------------------------------------------------------------------------

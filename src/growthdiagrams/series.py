@@ -1,4 +1,4 @@
-"""Exact truncated polynomial arithmetic and identity verification.
+"""Exact truncated polynomials and identity verification.
 
 Polynomials are sparse maps from exponent vectors to exact ints, truncated at
 a total-degree cap; products silently drop terms beyond the cap.  Schur and
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 from operator import add, ge, lt
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .partitions import (
     EMPTY,
@@ -41,8 +41,9 @@ Exponents = tuple[int, ...]
 
 class TruncatedPolynomial:
     """Multivariate polynomial with integer coefficients, truncated at a total
-    degree cap.  Immutable by convention; arithmetic returns new values, and
-    the constructor drops zero coefficients and terms beyond the cap."""
+    degree cap.  Immutable by convention; a product is a new value, and the
+    constructor drops zero coefficients and terms beyond the cap.  The result
+    type of ``schur`` and ``product_side``; the only arithmetic is ``*``."""
 
     __slots__ = ("nvars", "cap", "terms")
 
@@ -55,37 +56,9 @@ class TruncatedPolynomial:
                 if coeff and sum(exps) <= cap:
                     self.terms[exps] = coeff
 
-    @classmethod
-    def zero(cls, nvars: int, cap: int) -> "TruncatedPolynomial":
-        return cls(nvars, cap)
-
-    @classmethod
-    def one(cls, nvars: int, cap: int) -> "TruncatedPolynomial":
-        return cls(nvars, cap, {(0,) * nvars: 1})
-
-    @classmethod
-    def monomial(cls, nvars: int, cap: int, exps: Exponents, coeff: int = 1
-                 ) -> "TruncatedPolynomial":
-        return cls(nvars, cap, {tuple(exps): coeff})
-
     def _compatible(self, other: "TruncatedPolynomial") -> None:
         if self.nvars != other.nvars or self.cap != other.cap:
             raise ValueError("operands live in different truncated rings")
-
-    def __add__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        self._compatible(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, 0) + coeff
-        return TruncatedPolynomial(self.nvars, self.cap, out)
-
-    def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        return self + other.scaled(-1)
-
-    def scaled(self, c: int) -> "TruncatedPolynomial":
-        return TruncatedPolynomial(
-            self.nvars, self.cap, {e: c * v for e, v in self.terms.items()}
-        )
 
     def __mul__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
         self._compatible(other)
@@ -120,14 +93,6 @@ class TruncatedPolynomial:
 
     def coefficient(self, exps: Exponents) -> int:
         return self.terms.get(tuple(exps), 0)
-
-    def permuted(self, perm: Iterable[int]) -> "TruncatedPolynomial":
-        """Apply a variable permutation: new exponent i comes from perm[i]."""
-        p = tuple(perm)
-        return TruncatedPolynomial(
-            self.nvars, self.cap,
-            {tuple(e[p[i]] for i in range(self.nvars)): c for e, c in self.terms.items()},
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -227,19 +227,6 @@ def littlewood_insert(
 # ---------------------------------------------------------------------------
 # Brute-force enumeration of all triangular (dual) growths of an array.
 
-def triangular_size(array: TriangularArray, i: int, j: int) -> int:
-    """|vertex(i, j)| for trivial borders: sum of c[k][l] for k < l <= i plus
-    sum for k <= i, k <= l <= j."""
-    total = 0
-    for k in range(1, i + 1):
-        for l in range(k, array.n + 1):
-            if l <= i and l > k:
-                total += array.entry(k, l)
-            if l <= j:
-                total += array.entry(k, l)
-    return total
-
-
 def enumerate_triangular_growths(
     array: TriangularArray, dual: bool = False
 ) -> list[tuple[tuple[Partition, ...], ...]]:

@@ -1,14 +1,27 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here works on explicit cell sets or fillings, deliberately avoiding
-the interlacing shortcuts the package uses, so the two routes only agree if
-both are right.
+The cell, strip, up/down-set and filling oracles work on explicit cell sets
+or fillings, deliberately avoiding the interlacing shortcuts the package
+uses, so the two routes only agree if both are right.  The size laws sum the
+matrix or array entries themselves.  Two groups read package code: the family
+sets (``family_up_set``, ``family_down_set``, ``proj_domain``) filter the
+package's strip enumerators through its ``member``, and ``asym_indices``
+reads the option tables of ``projections._asym_options``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+
+from growthdiagrams import frobenius, member, size
+from growthdiagrams.partitions import (
+    horizontal_strips_over,
+    horizontal_strips_under,
+    vertical_strips_under,
+)
+from growthdiagrams.projections import LITTLEWOOD, _asym_options
 
 
 def cells(p):
@@ -158,3 +171,89 @@ def hook_count_syt(lam):
         for c in range(1, length + 1):
             prod *= (length - c) + (conj[c - 1] - r) + 1
     return factorial(sum(lam)) // prod
+
+
+# ---------------------------------------------------------------------------
+# Size laws of growth diagrams.
+
+def grid_size_law(grid):
+    """Check |vertex(i,j)| = |S^(i)| + |T^(j)| - |S^(0)| + sum of matrix entries
+    north-west of (i,j), where S and T are the border chains of the grid."""
+    pre = [[0] * len(grid.vertices[0])]
+    for row in grid.matrix:
+        run = [0]
+        for v in row:
+            run.append(run[-1] + v)
+        pre.append([p + r for p, r in zip(pre[-1], run)])
+    left = [size(row[0]) for row in grid.vertices]
+    top = [size(p) for p in grid.vertices[0]]
+    return all(
+        size(p) == left[i] + top[j] - left[0] + pre[i][j]
+        for i, row in enumerate(grid.vertices)
+        for j, p in enumerate(row)
+    )
+
+
+def triangular_size(array, i, j):
+    """|vertex(i, j)| for trivial borders: sum of c[k][l] for k < l <= i plus
+    sum for k <= i, k <= l <= j."""
+    total = 0
+    for k in range(1, i + 1):
+        for l in range(k, array.n + 1):
+            if l <= i and l > k:
+                total += array.entry(k, l)
+            if l <= j:
+                total += array.entry(k, l)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Family sets and the asymmetric index sets.
+
+def family_up_set(family, lam, k):
+    """U_X(lam, k): brute force over horizontal strips above lam."""
+    out = [
+        nu
+        for nu in horizontal_strips_over(lam, k)
+        if size(nu) - size(lam) == k and member(nu, family)
+    ]
+    return sorted(out)
+
+
+def family_down_set(family, lam, k):
+    """D_X(lam, k), using vertical strips for the asymmetric families."""
+    strips = vertical_strips_under if LITTLEWOOD[family].dual else horizontal_strips_under
+    out = [mu for mu in strips(lam, k) if size(lam) - size(mu) == k and member(mu, family)]
+    return sorted(out)
+
+
+def proj_domain(family, lam, k):
+    """The exact down-side domain of proj_apply for the given target size k:
+    the members mu with |lam/mu| = k - c for each allowed diagonal entry c."""
+    row = LITTLEWOOD[family]
+    out = []
+    for c in row.diagonal or range(0, k + 1, row.power):
+        if c <= k:
+            out.extend(family_down_set(family, lam, k - c))
+    return sorted(out)
+
+
+@dataclass(frozen=True)
+class AsymIndexSets:
+    r_indices: tuple
+    s_indices: tuple
+    exists: bool  # whether lam admits any partner at all
+
+
+def asym_indices(lam, sign):
+    """The free-choice index sets R and S of the +-1-asymmetric bijections,
+    read from the option tables of ``projections._asym_options``: both empty
+    and ``exists`` False when lam has no partner."""
+    down, up = _asym_options(frobenius(lam), sign)
+    if not (all(down) and all(up)):
+        return AsymIndexSets((), (), False)
+    return AsymIndexSets(
+        tuple(i for i, opts in enumerate(down, 1) if len(opts) == 2),
+        tuple(i for i, opts in enumerate(up, 1) if len(opts) == 2),
+        True,
+    )

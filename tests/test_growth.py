@@ -9,13 +9,11 @@ from growthdiagrams import (
     Rule,
     StepKind,
     TableauChain,
-    biword,
     build_growth,
     check_traceable,
     count_syt,
     enumerate_growths,
     extract_PQ,
-    grid_size_law,
     insert,
     pieri,
     pieri_inverse,
@@ -25,12 +23,6 @@ from growthdiagrams import (
 
 REF_A = [[0, 2, 1], [1, 1, 0], [2, 0, 0]]
 SMALL_A = [[0, 1], [1, 0], [1, 1]]
-
-
-def test_biword():
-    assert biword(REF_A) == ((1, 1, 1, 2, 2, 2, 3), (2, 3, 3, 1, 1, 2, 1))
-    assert biword([[0, 0], [0, 0]]) == ((), ())
-    assert biword([[1, 0], [0, 1]]) == ((1, 2), (1, 2))
 
 
 def test_reference_rsk_example():
@@ -50,7 +42,7 @@ def test_reference_growth_grid():
         (EMPTY, (1,), (3, 1), (3, 2)),
         (EMPTY, (3,), (3, 3), (3, 3, 1)),
     )
-    assert grid_size_law(grid)
+    assert oracle.grid_size_law(grid)
 
 
 def test_enumerate_growths_example():
@@ -65,7 +57,7 @@ def test_enumerate_growths_example():
         g = build_growth(rule, SMALL_A)
         assert any(g.vertices == h.vertices for h in duals)
     for g in growths + duals:
-        assert grid_size_law(g)
+        assert oracle.grid_size_law(g)
 
 
 def test_third_growth_tableaux():
@@ -124,14 +116,14 @@ def test_rsk_roundtrip_corpus():
     for matrix in twos:
         for rule in (Rule.ROW, Rule.COL):
             grid = build_growth(rule, matrix)
-            assert grid_size_law(grid)
+            assert oracle.grid_size_law(grid)
             p, q = extract_PQ(grid)
             back, _, _ = rsk_inverse(rule, p, q)
             assert [list(r) for r in back] == matrix
     for matrix in bins:
         for rule in Rule:
             grid = build_growth(rule, matrix)
-            assert grid_size_law(grid)
+            assert oracle.grid_size_law(grid)
             p, q = extract_PQ(grid)
             back, _, _ = rsk_inverse(rule, p, q)
             assert [list(r) for r in back] == matrix
@@ -150,7 +142,7 @@ def rule_and_matrix(draw):
 def test_rsk_roundtrip_property(case):
     rule, matrix = case
     grid = build_growth(rule, matrix)
-    assert grid_size_law(grid)
+    assert oracle.grid_size_law(grid)
     back, s, t = rsk_inverse(rule, *extract_PQ(grid))
     assert [list(r) for r in back] == matrix
     assert set(s.chain) == set(t.chain) == {EMPTY}
@@ -198,7 +190,7 @@ def test_skew_growth_example():
         ((3, 1), (4, 2), (4, 2, 1), (6, 2, 2)),
         ((3, 2), (4, 2, 1), (5, 2, 1, 1), (6, 3, 2, 1)),
     )
-    assert grid_size_law(grid)
+    assert oracle.grid_size_law(grid)
     p, q = extract_PQ(grid)
     assert grid.vertices[3][3] == (6, 3, 2, 1)
     matrix, s2, t2 = rsk_inverse(Rule.ROW, p, q)
@@ -230,7 +222,7 @@ def test_skew_roundtrip_randomized(rule):
         hi = 1 if rule.dual else 2
         matrix = [[rng.randint(0, hi) for _ in range(3)] for _ in range(3)]
         grid = build_growth(rule, matrix, S, T)
-        assert grid_size_law(grid)
+        assert oracle.grid_size_law(grid)
         p, q = extract_PQ(grid)
         back, s2, t2 = rsk_inverse(rule, p, q)
         assert [list(r) for r in back] == matrix
@@ -364,6 +356,37 @@ def test_pieri_examples():
     assert len(set(images)) == 4
     assert sorted(im.shape for im in images) == [(1, 1), (2,), (2,), (2,)]
     assert len(oracle.ssyt_fillings((2,), 2)) + len(oracle.ssyt_fillings((1, 1), 2)) == 4
+
+
+@pytest.mark.parametrize("rule", list(Rule))
+def test_entry_points_accept_rule_names(rule):
+    matrix = [[1, 0, 1], [0, 1, 1]] if rule.dual else REF_A
+    P, Q = rsk(rule, matrix)
+    assert build_growth(rule.value, matrix) == build_growth(rule, matrix)
+    assert rsk(rule.value, matrix) == (P, Q)
+    assert rsk_inverse(rule.value, P, Q) == rsk_inverse(rule, P, Q)
+    t = TableauChain.from_rows([[1]], 2)
+    assert insert(rule.value, t, [1, 2]) == insert(rule, t, [1, 2])
+    assert check_traceable(rule.value, t, [1, 2]) == check_traceable(rule, t, [1, 2])
+    hat = pieri(rule, t, (1, 1))
+    assert pieri(rule.value, t, (1, 1)) == hat
+    assert pieri_inverse(rule.value, hat, t.shape) == pieri_inverse(rule, hat, t.shape) == (t, (1, 1))
+
+
+def test_entry_points_reject_unknown_rule_names():
+    t = TableauChain.from_rows([[1]], 2)
+    P, Q = rsk(Rule.ROW, REF_A)
+    calls = [
+        lambda name: build_growth(name, REF_A),
+        lambda name: rsk(name, REF_A),
+        lambda name: rsk_inverse(name, P, Q),
+        lambda name: insert(name, t, [1]),
+        lambda name: pieri(name, t, (1, 0)),
+        lambda name: pieri_inverse(name, t, EMPTY),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="'bogus' is not a valid Rule"):
+            call("bogus")
 
 
 def test_dual_pieri_example():

