@@ -202,7 +202,7 @@ def _insertion_agreement(n: int, m: int, seed: int) -> dict:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.growths:
+    if args.growths is not None:
         for flag in ("partitions", "rows", "cols"):
             if getattr(args, flag) is not None:
                 raise FormatError(f"{flag}: enumerate --growths takes no {flag}")

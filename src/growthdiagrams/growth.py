@@ -7,7 +7,7 @@ horizontal strips for growths and vertical strips for dual growths.  Each
 square is resolved by a local rule applied in the orientation
 
         mu ---- rho
-        |        |          nu = F(rule, lam, rho, |(lam ^ rho)/mu| + A[i][j], mu)
+        |        |          nu = F(rule, lam, rho, |R(mu)| + A[i][j], mu)
         lam ---- nu
 
 with mu the top-left and nu the bottom-right vertex.  Coordinates are matrix
@@ -32,7 +32,6 @@ from .partitions import (
     Partition,
     is_horizontal_strip,
     is_vertical_strip,
-    meet,
     part,
     partitions_of_size,
     size,
@@ -62,9 +61,7 @@ def _grow(v: list[list[Partition]], a: Matrix, starts: Sequence[int], rule: Rule
             row[first] = proj_apply(proj, lam, size(lam) - size(mu) + entries[first - 1], mu)
             first += 1
         for j in range(first, end):
-            mu, lam, rho = up[j - 1], row[j - 1], up[j]
-            k = size(meet(lam, rho)) - size(mu) + entries[j - 1]
-            row[j] = apply_rule(rule, lam, rho, k, mu)
+            row[j] = apply_rule(rule, row[j - 1], up[j], None, up[j - 1], entry=entries[j - 1])
 
 
 def _ungrow(v: list[list[Partition]], a: list[list[int]], starts: Sequence[int],
@@ -206,6 +203,8 @@ def insert(
     work = Counter(dict(values)) if isinstance(values, Mapping) else Counter(values)
     n = tableau.entries
     for v, c in list(work.items()):
+        if type(c) is not int:
+            raise ValueError(f"multiplicity of {v} must be an int, got {c!r}")
         if c < 0:
             raise ValueError("multiplicities must be >= 0")
         if c == 0:
@@ -257,15 +256,10 @@ def check_traceable(
 
 def pieri(rule: Rule, tableau: TableauChain, counts: Sequence[int]) -> TableauChain:
     """Insert {1^(a_1), ..., n^(a_n)}: the Pieri (dual Pieri) bijection."""
-    rule = Rule(rule)
     n = tableau.entries
     if len(counts) != n:
         raise ValueError(f"need {n} multiplicities, got {len(counts)}")
-    if any(c < 0 for c in counts):
-        raise ValueError("multiplicities must be >= 0")
-    if rule.dual and any(c > 1 for c in counts):
-        raise ValueError("dual Pieri multiplicities must be 0 or 1")
-    return insert(rule, tableau, {i + 1: c for i, c in enumerate(counts) if c})
+    return insert(rule, tableau, dict(enumerate(counts, start=1)))
 
 
 def pieri_inverse(

@@ -10,9 +10,11 @@ to lam v rho; with j = |R|
     dual-row  R |-> R, or R + {0} when |R| = k-1
     dual-col  R |-> {x-1 : x in R}, plus {d} when |R| = k-1
 
-Here they act on part vectors in one pass over the rows, and each row's input
-check is the bound the rule's arithmetic needs anyway.  Write base = lam ^ rho
-and top = lam v rho.  Row and col: mu is in the domain iff
+Here they act on part vectors in one pass over the rows that only compares
+(no builtin min/max; neither lam ^ rho nor lam v rho is built), and each row's
+input check is the bound the rule's arithmetic needs anyway.  The pass counts
+j, so the growth engine hands over a square's entry and k = j + entry.  Write
+base = lam ^ rho and top = lam v rho.  Row and col: mu is in the domain iff
 top_{r+1} <= mu_r <= base_r in every row; row r removes base_r - mu_r cells,
 and its addable slot (row r+1) has mu_r - top_{r+1} cells left over, which is
 zero unless row r carries a removable ribbon.  So the row rule is Fomin's
@@ -32,10 +34,10 @@ from __future__ import annotations
 
 from enum import Enum
 from math import inf
-from operator import add, ge, le, sub
+from operator import add, sub
 
 from .interlacing import DomainError
-from .partitions import Partition, join, meet
+from .partitions import Partition
 
 
 class Rule(str, Enum):
@@ -44,60 +46,77 @@ class Rule(str, Enum):
     DUAL_ROW = "dual-row"
     DUAL_COL = "dual-col"
 
-    @property
-    def dual(self) -> bool:
-        return self in (Rule.DUAL_ROW, Rule.DUAL_COL)
+    def __init__(self, value: str) -> None:
+        self.dual = value.startswith("dual-")  # a plain attribute, read on every square
 
 
 def apply_rule(
-    rule: Rule, lam: Partition, rho: Partition, k: int, mu: Partition
+    rule: Rule, lam: Partition, rho: Partition, k: int | None, mu: Partition,
+    *, entry: int | None = None,
 ) -> Partition:
-    """F_{lam,rho,k}(mu); raises DomainError when mu is outside the domain."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
+    """F_{lam,rho,k}(mu); raises DomainError when mu is outside the domain.
+    With k = None and ``entry`` given, k = |R(mu)| + entry."""
+    if entry is None:
+        if k < 0:
+            raise DomainError("k must be >= 0")
+    elif k is not None:
+        raise TypeError("pass k or entry, not both")
     if rule.dual:
-        rows = max(len(lam), len(rho)) + 1
+        rows = (len(lam) if len(lam) > len(rho) else len(rho)) + 1
         lam_ = lam + (0,) * (rows + 1 - len(lam))
-        j = sum(map(min, lam, rho)) - sum(mu)
-        # dual-row: a removed corner's cell (or the extra cell) waits for the
-        # next s-row; dual-col: it goes to the last slot at or below it
-        nu, carry, slot, below = [], k - j, 0, inf
+        # dual-row: a removed corner's cell waits for the next s-row, the extra
+        # cell goes to the first; dual-col: each goes to the last slot at or below
+        dual_row = rule is Rule.DUAL_ROW
+        nu, j, carry, slot, below = [], 0, 0, -1, inf
         for l, l1, p, m in zip(lam_, lam_[1:], rho + (0,) * (rows - len(rho)),
                                mu + (0,) * (rows - len(mu))):
             if not (l1 <= m <= l and p - 1 <= m <= p):
                 raise DomainError(f"{mu} is not below both {lam} and {rho}")
             if p > l:
                 nu.append(p)
-            elif rule is Rule.DUAL_ROW:
+            elif dual_row:
+                if slot < 0:
+                    slot = len(nu)
                 nu.append(l + carry)
                 carry = p - m
+                j += carry
             else:
                 if l < below:
                     slot = len(nu)
                 nu.append(l)
                 nu[slot] += p - m
+                j += p - m
             below = p
-        if rule is Rule.DUAL_COL:
-            nu[slot] += k - j
+        k = k if entry is None else j + entry
+        nu[slot] += k - j
         if j not in (k, k - 1):
             raise DomainError(f"|R(mu)| = {j} not in {{k, k-1}} for k = {k}")
         return tuple(filter(None, nu))
-    base, top = meet(lam, rho), join(lam, rho)
-    if not (len(top) - 1 <= len(mu) <= len(base) and all(map(le, mu, base))
-            and all(map(ge, mu, top[1:]))):
+    n = len(lam) if len(lam) < len(rho) else len(rho)  # base has n rows, top n or n+1
+    if len(mu) > n or len(lam) + len(rho) > 2 * n + 1:
         raise DomainError(f"{mu} is not below both {lam} and {rho}")
-    mu = mu + (0,) * (len(base) - len(mu))
-    j = sum(base) - sum(mu)
+    mu_ = mu + (0,) * (n + 1 - len(mu))
+    tops, cut, last = [], [], inf
+    for l, p, m in zip(lam + (0,), rho + (0,), mu_):
+        t = l if l > p else p
+        b = l + p - t
+        if last < t or m > b:
+            raise DomainError(f"{mu} is not below both {lam} and {rho}")
+        tops.append(t)
+        cut.append(b - m)
+        last = m
+    j = sum(cut)
+    k = k if entry is None else j + entry
     if j > k:
         raise DomainError(f"|R(mu)| = {j} exceeds k = {k}")
-    top += (0,)
     if rule is Rule.ROW:
-        used = [*map(sub, base, mu)]  # row r's removed cells fill the slot above it
+        used = cut  # row r's removed cells fill the slot above it
     else:
         # greedy: drivers R + {inf^(k-j)} ascending each take the highest row
         # below them whose addable slot has cells left, else row 0 (nu_1)
-        used = _match([*map(sub, base, mu), k - j], [*map(sub, mu, top[1:])])
-    return tuple(filter(None, [top[0] + k - sum(used), *map(add, top[1:], used)]))
+        cut[-1] = k - j
+        used = _match(cut, [*map(sub, mu_, tops[1:])])  # cells left in row r's slot
+    return tuple(filter(None, [tops[0] + k - sum(used), *map(add, tops[1:], used)]))
 
 
 def unapply_rule(
@@ -105,22 +124,26 @@ def unapply_rule(
 ) -> tuple[Partition, int]:
     """Invert F: returns (mu, a) with a = |nu| + |mu| - |lam| - |rho|."""
     if rule.dual:
-        rows = max(len(lam), len(rho)) + 1
+        rows = (len(lam) if len(lam) > len(rho) else len(rho)) + 1
         lam_ = lam + (0,) * (rows + 1 - len(lam))
         nu_ = nu + (0,) * (rows + 1 - len(nu))
         # dual-row: a slot's cell came from the s-row before it (a corner),
         # or is the extra cell at the first slot; dual-col: it came from the
         # next corner at or above it, or is the extra cell at the last slot
-        mu, carry, last = [], 0, None
+        dual_row = rule is Rule.DUAL_ROW
+        mu, carry, last = [], 0, -1
         for l, l1, p, v, v1 in zip(lam_, lam_[1:], rho + (0,) * (rows - len(rho)),
                                    nu_, nu_[1:]):
             if not (v1 <= p <= v and l <= v <= l + 1):
                 raise DomainError(f"{nu} is not above both {lam} and {rho}")
             if p > l:
                 mu.append(l)
-            elif rule is Rule.DUAL_ROW:
-                if v > l and last is not None:
-                    mu[last] -= 1
+            elif dual_row:
+                if v > l:
+                    if last < 0:
+                        carry = 1  # the extra cell
+                    else:
+                        mu[last] -= 1
                 last = len(mu)
                 mu.append(p)
             else:
@@ -130,24 +153,28 @@ def unapply_rule(
                     carry = 0
                 else:
                     mu.append(p)
-    else:
-        base, top = meet(lam, rho), join(lam, rho)
-        if not (len(top) <= len(nu) <= len(base) + 1 and all(map(ge, nu, top))
-                and all(map(le, nu[1:], base))):
+        return tuple(filter(None, mu)), carry  # the extra cell: a
+    n = len(lam) if len(lam) < len(rho) else len(rho)
+    if len(nu) > n + 1 or len(lam) + len(rho) > 2 * n + 1:
+        raise DomainError(f"{nu} is not above both {lam} and {rho}")
+    nu_ = nu + (0,) * (n + 1 - len(nu))
+    base, added, last = [], [], inf
+    for l, p, v in zip(lam + (0,), rho + (0,), nu_):
+        t = l if l > p else p
+        b = l + p - t
+        if v < t or v > last:
             raise DomainError(f"{nu} is not above both {lam} and {rho}")
-        nu_ = nu + (0,) * (len(base) + 1 - len(nu))
-        top += (0,)
-        if rule is Rule.ROW:
-            used = map(sub, nu_[1:], top[1:])
-        else:
-            # mirror greedy: S descending, each cell takes the lowest row at
-            # or above it whose addable slot has cells left; unmatched cells
-            # came from infinite drivers
-            added = [*map(sub, nu_, top)]
-            used = _match(added[::-1], [*map(sub, base, nu_[1:])][::-1])[::-1]
-        mu = map(sub, base, used)
-    out = tuple(filter(None, mu))
-    return out, sum(nu) + sum(out) - sum(lam) - sum(rho)
+        base.append(b)
+        added.append(v - t)
+        last = b
+    if rule is Rule.ROW:
+        used = added[1:]  # row r+1's added cells were removed from row r
+    else:
+        # mirror greedy: S descending, each cell takes the lowest row at
+        # or above it whose addable slot has cells left; unmatched cells
+        # came from infinite drivers
+        used = _match(added[::-1], [*map(sub, base, nu_[1:])][::-1])[::-1]
+    return tuple(filter(None, map(sub, base, used))), sum(added) - sum(used)
 
 
 def _match(takes: list[int], offers: list[int]) -> list[int]:

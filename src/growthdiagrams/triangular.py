@@ -65,6 +65,11 @@ def littlewood_variant(family: Family, base_rule: Rule | None = None,
     return LittlewoodVariant(family, base, proj_rule(family, inherited, star))
 
 
+def _as_variant(variant: LittlewoodVariant | str) -> LittlewoodVariant:
+    """A variant as given, or a family name with its canonical defaults."""
+    return variant if isinstance(variant, LittlewoodVariant) else littlewood_variant(variant)
+
+
 @dataclass(frozen=True)
 class TriangularArray:
     """Entries c[i][j] for 1 <= i <= j <= n, stored as rows[i-1][j-i]."""
@@ -149,12 +154,13 @@ def _default_border(variant: LittlewoodVariant, n: int,
 
 
 def build_triangular(
-    variant: LittlewoodVariant,
+    variant: LittlewoodVariant | str,
     array: TriangularArray,
     S: TableauChain | None = None,
 ) -> TriGrid:
     """The unique triangular (dual) growth over the array with border
     vertices(0, j) = S^(j); rows are swept top down, each diagonal square first."""
+    variant = _as_variant(variant)
     n = array.n
     validate_entries(variant, array)
     S = _default_border(variant, n, S)
@@ -169,7 +175,7 @@ def extract_P(grid: TriGrid) -> TableauChain:
 
 
 def littlewood_map(
-    variant: LittlewoodVariant,
+    variant: LittlewoodVariant | str,
     array: TriangularArray,
     S: TableauChain | None = None,
 ) -> TableauChain:
@@ -177,9 +183,10 @@ def littlewood_map(
 
 
 def littlewood_inverse(
-    variant: LittlewoodVariant, P: TableauChain
+    variant: LittlewoodVariant | str, P: TableauChain
 ) -> tuple[TriangularArray, TableauChain]:
     """Invert littlewood_map: recover the array and the border chain from P."""
+    variant = _as_variant(variant)
     if P.steps is not StepKind.HORIZONTAL:
         raise ValueError("P must be a horizontal-strip chain")
     n = P.entries
@@ -194,7 +201,7 @@ def littlewood_inverse(
 
 
 def triangular_insert(
-    variant: LittlewoodVariant, tableau: TableauChain, column: Sequence[int]
+    variant: LittlewoodVariant | str, tableau: TableauChain, column: Sequence[int]
 ) -> TableauChain:
     """Insert one triangular column: bump-insert the off-diagonal entries, then
     place the next entry on the cells the projection image adds.
@@ -202,6 +209,7 @@ def triangular_insert(
     This is the insertion view of build_triangular for straight borders;
     skew diagrams go through build_triangular directly.
     """
+    variant = _as_variant(variant)
     i = tableau.entries + 1
     if len(column) != i:
         raise ValueError(f"column {i} needs {i} entries, got {len(column)}")
@@ -215,7 +223,7 @@ def triangular_insert(
 
 
 def littlewood_insert(
-    variant: LittlewoodVariant, array: TriangularArray
+    variant: LittlewoodVariant | str, array: TriangularArray
 ) -> TableauChain:
     """littlewood_map computed column by column through triangular_insert."""
     tab = TableauChain((EMPTY,))

@@ -233,8 +233,11 @@ def test_enumerate_rejects_negative_sizes(capsys, argv, field):
         (["--growths", "{A}", "--cols", "1"], "cols: enumerate --growths takes no cols"),
         (["--growths", "{A}", "--partitions", "1"],
          "partitions: enumerate --growths takes no partitions"),
+        (["--growths", "", "--partitions", "1"],
+         "partitions: enumerate --growths takes no partitions"),
     ],
-    ids=["partitions-dual", "growths-rows", "growths-cols", "growths-partitions"],
+    ids=["partitions-dual", "growths-rows", "growths-cols", "growths-partitions",
+         "empty-growths-partitions"],
 )
 def test_enumerate_rejects_the_other_modes_flags(capsys, demo_matrix, argv, message):
     argv = [demo_matrix if arg == "{A}" else arg for arg in argv]

@@ -389,6 +389,15 @@ def test_entry_points_reject_unknown_rule_names():
             call("bogus")
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_multiplicities_refuse_bools(flag):
+    t = TableauChain.trivial(EMPTY, 2)
+    with pytest.raises(ValueError, match=f"^multiplicity of 1 must be an int, got {flag}$"):
+        insert(Rule.ROW, t, {1: flag})
+    with pytest.raises(ValueError, match=f"^multiplicity of 1 must be an int, got {flag}$"):
+        pieri(Rule.ROW, t, (flag, 0))
+
+
 def test_dual_pieri_example():
     # dual rule, lam=(1), n=2, k=2: shape forced to (2,1) or (1,1,1)
     images = set()

@@ -5,7 +5,9 @@ from growthdiagrams import (
     DomainError,
     Rule,
     apply_rule,
+    build_growth,
     down_set,
+    growth,
     size,
     unapply_rule,
     up_set,
@@ -22,7 +24,7 @@ from growthdiagrams.interlacing import (
     profile,
     up_sets_through,
 )
-from growthdiagrams.partitions import enumerate_partitions, join, meet
+from growthdiagrams.partitions import contains, enumerate_partitions, join, meet
 
 # the worked insertion table for lam = rho = (3,2), k = 2
 TABLE_ROW = {
@@ -61,14 +63,54 @@ def test_unapply_examples():
 
 def test_domain_errors():
     lam = (3, 2)
-    with pytest.raises(DomainError):
-        apply_rule(Rule.ROW, lam, lam, 1, (2, 1))  # |R(mu)| = 2 > k
-    with pytest.raises(DomainError):
-        apply_rule(Rule.DUAL_ROW, lam, lam, 3, (3, 2))  # |R| = 0 not in {3, 2}
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^\|R\(mu\)\| = 2 exceeds k = 1$"):
+        apply_rule(Rule.ROW, lam, lam, 1, (2, 1))
+    with pytest.raises(DomainError, match=r"^\|R\(mu\)\| = 0 not in \{k, k-1\} for k = 3$"):
+        apply_rule(Rule.DUAL_ROW, lam, lam, 3, (3, 2))
+    with pytest.raises(DomainError, match=r"^k must be >= 0$"):
         apply_rule(Rule.ROW, lam, lam, -1, (3, 2))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^\(3, 2, 2, 1\) is not above both \(3, 2\) and"):
         unapply_rule(Rule.ROW, lam, lam, (3, 2, 2, 1))  # not in any up set
+
+
+def _message(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as e:
+        return str(e)
+
+
+def test_entry_keyword_equals_k_from_the_removed_cells():
+    """apply_rule(..., None, mu, entry=e) is the call with k = |R(mu)| + e,
+    over every mu inside lam ^ rho in the 3x3 box (value or message)."""
+    box = enumerate_partitions(9, (3, 3))
+    for rule in Rule:
+        for lam in box:
+            for rho in box:
+                base = meet(lam, rho)
+                for mu in box:
+                    if not contains(mu, base):
+                        continue
+                    for e in range(3):
+                        k = size(base) - size(mu) + e
+                        assert _message(apply_rule, rule, lam, rho, None, mu, entry=e) == (
+                            _message(apply_rule, rule, lam, rho, k, mu)
+                        ), (rule, lam, rho, mu, e)
+    with pytest.raises(TypeError, match="pass k or entry, not both"):
+        apply_rule(Rule.ROW, (1,), (1,), 1, (1,), entry=0)
+
+
+def test_growth_engine_looks_up_apply_rule_once_per_square(monkeypatch):
+    """The benchmark's tracer counts squares by wrapping growth.apply_rule."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return apply_rule(*args, **kwargs)
+
+    monkeypatch.setattr(growth, "apply_rule", counted)
+    build_growth(Rule.COL, [[(i + j) % 3 for j in range(5)] for i in range(4)])
+    assert len(calls) == 20
 
 
 def test_bijectivity_box():

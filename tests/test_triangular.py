@@ -136,6 +136,28 @@ def test_variants_take_names_and_name_the_wrong_star():
         proj_rule("asym+1", star="col*")
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v, a, p: build_triangular(v, a),
+        lambda v, a, p: littlewood_map(v, a),
+        lambda v, a, p: littlewood_inverse(v, p),
+        lambda v, a, p: triangular_insert(v, TableauChain((EMPTY,)), a.column(1)),
+        lambda v, a, p: littlewood_insert(v, a),
+    ],
+    ids=["build_triangular", "littlewood_map", "littlewood_inverse",
+         "triangular_insert", "littlewood_insert"],
+)
+def test_entry_points_take_a_family_name(call, family):
+    variant = littlewood_variant(family)
+    array = triangular_array([[DIAGONALS[family][-1], 1], [0]])
+    P = littlewood_map(variant, array)
+    assert call(family.value, array, P) == call(variant, array, P)
+    with pytest.raises(ValueError, match="'bogus' is not a valid Family"):
+        call("bogus", array, P)
+
+
 @pytest.mark.parametrize("rows", [[[1.5, 0], [0]], [["2"]], [[True]]])
 def test_arrays_take_only_int_entries(rows):
     with pytest.raises(ValueError, match="negative or non-integer entry"):
