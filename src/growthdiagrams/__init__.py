@@ -53,17 +53,16 @@ from .growth import (
     rsk_inverse,
 )
 from .projections import (
-    ProjRule,
+    LittlewoodVariant,
     StarVariant,
     halves,
+    littlewood_variant,
     phi_double,
     phi_halve,
     proj_apply,
-    proj_rule,
     proj_unapply,
 )
 from .triangular import (
-    LittlewoodVariant,
     TriangularArray,
     TriGrid,
     build_triangular,
@@ -72,7 +71,6 @@ from .triangular import (
     littlewood_insert,
     littlewood_inverse,
     littlewood_map,
-    littlewood_variant,
     triangular_array,
     triangular_insert,
 )

@@ -29,16 +29,11 @@ from .jsonio import (
     trigrid_to_json,
 )
 from .partitions import EMPTY, Family, enumerate_partitions
-from .projections import LITTLEWOOD, StarVariant
+from .projections import LITTLEWOOD, StarVariant, littlewood_variant
 from .rules import Rule
 from .series import IDENTITIES, _check_non_negative, verify_identity
 from .tableaux import TableauChain
-from .triangular import (
-    build_triangular,
-    extract_P,
-    littlewood_inverse,
-    littlewood_variant,
-)
+from .triangular import build_triangular, extract_P, littlewood_inverse
 
 
 def _cli_name(identity: str) -> str:

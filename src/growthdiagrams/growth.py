@@ -15,8 +15,8 @@ coordinates: i downwards, j rightwards.
 
 Every diagram runs one engine, ``_grow`` and its inverse ``_ungrow``: square
 (i, j) exists for starts[i] <= j <= the last column, row by row.  Rectangles
-have starts[i] = 1, the triangular diagrams starts[i] = i; with a projection,
-the first square of each row is a half square (see ``triangular.py``).
+have starts[i] = 1, the triangular diagrams starts[i] = i; with a Littlewood
+variant, the first square of each row is a half square (see ``triangular.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .partitions import (
     partitions_of_size,
     size,
 )
-from .projections import ProjRule, proj_apply, proj_unapply
+from .projections import LittlewoodVariant, proj_apply, proj_unapply
 from .rules import Rule, apply_rule, unapply_rule
 from .tableaux import StepKind, TableauChain
 
@@ -48,34 +48,35 @@ Matrix = Sequence[Sequence[int]]
 # square, so a wrapper installed on this module's names sees each call.
 
 def _grow(v: list[list[Partition]], a: Matrix, starts: Sequence[int], rule: Rule,
-          proj: ProjRule | None = None) -> None:
+          variant: LittlewoodVariant | None = None) -> None:
     """Fill v[i][j] for every square (i, j), row by row, from v[i-1][j-1],
-    v[i][j-1], v[i-1][j] and a[i-1][j-1].  With ``proj`` the first square of
-    each row is the half square: it reads only v[i-1][j-1] and v[i-1][j]."""
+    v[i][j-1], v[i-1][j] and a[i-1][j-1].  With a Littlewood ``variant`` the first
+    square of each row is the half square that runs its projection: it reads
+    only v[i-1][j-1] and v[i-1][j]."""
     end = len(v[0])
     for i in range(1, len(v)):
         up, row, entries = v[i - 1], v[i], a[i - 1]
         first = starts[i]
-        if proj is not None:
+        if variant is not None:
             mu, lam = up[first - 1], up[first]
-            row[first] = proj_apply(proj, lam, size(lam) - size(mu) + entries[first - 1], mu)
+            row[first] = proj_apply(variant, lam, size(lam) - size(mu) + entries[first - 1], mu)
             first += 1
         for j in range(first, end):
             row[j] = apply_rule(rule, row[j - 1], up[j], None, up[j - 1], entry=entries[j - 1])
 
 
 def _ungrow(v: list[list[Partition]], a: list[list[int]], starts: Sequence[int],
-            rule: Rule, proj: ProjRule | None = None) -> None:
+            rule: Rule, variant: LittlewoodVariant | None = None) -> None:
     """Invert _grow: walk its squares in reverse, recover v[i-1][j-1] from
     v[i][j-1], v[i-1][j] and v[i][j], and write the entry into a[i-1][j-1]."""
     last = len(v[0]) - 1
     for i in range(len(v) - 1, 0, -1):
         up, row, entries = v[i - 1], v[i], a[i - 1]
         first = starts[i]
-        for j in range(last, first - (proj is None), -1):
+        for j in range(last, first - (variant is None), -1):
             up[j - 1], entries[j - 1] = unapply_rule(rule, row[j - 1], up[j], row[j])
-        if proj is not None:
-            up[first - 1], entries[first - 1] = proj_unapply(proj, up[first], row[first])
+        if variant is not None:
+            up[first - 1], entries[first - 1] = proj_unapply(variant, up[first], row[first])
 
 
 def matrix_dims(matrix: Matrix, binary: bool = False) -> tuple[int, int]:
@@ -203,6 +204,8 @@ def insert(
     work = Counter(dict(values)) if isinstance(values, Mapping) else Counter(values)
     n = tableau.entries
     for v, c in list(work.items()):
+        if type(v) is not int:
+            raise ValueError(f"value {v!r} must be an int")
         if type(c) is not int:
             raise ValueError(f"multiplicity of {v} must be an int, got {c!r}")
         if c < 0:

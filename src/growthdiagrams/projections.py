@@ -2,12 +2,12 @@
 
 For a family X these are bijections
 
-    proj_apply(pf, lam, k, .) : (down-side domain)  ->  U_X(lam, k)
+    proj_apply(v, lam, k, .) : (down-side domain)  ->  U_X(lam, k)
 
 where U_X(lam, k) = {nu in X : nu > lam, |nu/lam| = k} and the down side uses
 vertical strips for the asymmetric families and horizontal strips otherwise.
 
-  all        mu |-> F_{lam,lam,k}(mu) for an inherited base rule
+  all        mu |-> F_{lam,lam,k}(mu) for the variant's base rule
   even-rows  conjugated through the part-halving bijection phi
   even-cols  the unique map (add/remove one cell in every odd column)
   asym+1     index-set transport in Frobenius coordinates
@@ -38,7 +38,6 @@ from .partitions import (
     from_frobenius,
     FrobeniusCoords,
     is_horizontal_strip,
-    member,
     odd_part_count,
     partition,
     size,
@@ -75,11 +74,6 @@ class Littlewood(NamedTuple):
             return (0,)
         return (0, self.power) if self.dual else None
 
-    @property
-    def inherits(self) -> bool:
-        """Whether the projection is the base rule: when the diagonal is unbounded."""
-        return self.diagonal is None
-
 
 #: Each family's identity; every other per-family fact is derived from it.
 LITTLEWOOD = {
@@ -94,36 +88,40 @@ LITTLEWOOD = {
 
 
 @dataclass(frozen=True)
-class ProjRule:
-    """A concrete projection bijection: family plus rule variant, by name or member."""
+class LittlewoodVariant:
+    """One Littlewood bijection: a family, the base rule of its full squares
+    and, for the asymmetric families, the projection's star.  The all and
+    even-rows projections run the base rule.  Names are accepted."""
 
     family: Family
-    base: Rule | None = None  # inherited base rule (all / even-rows)
-    star: StarVariant | None = None  # asym families
+    base_rule: Rule
+    star: StarVariant | None = None
 
     def __post_init__(self) -> None:
-        for field, kind in (("family", Family), ("base", Rule), ("star", StarVariant)):
-            value = getattr(self, field)
-            if value is not None:
-                object.__setattr__(self, field, kind(value))
+        object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "base_rule", Rule(self.base_rule))
+        if self.star is not None:
+            object.__setattr__(self, "star", StarVariant(self.star))
         row = LITTLEWOOD[self.family]
         if self.star not in row.stars:
             allowed = " or ".join(s.value for s in row.stars if s) or "no star"
             star = self.star and self.star.value
             raise ValueError(f"{self.family.value} projections take {allowed}, not {star}")
-        if row.inherits != (self.base is not None) or self.base and self.base.dual:
-            rule = "a non-dual" if row.inherits else "no base"
-            raise ValueError(f"{self.family.value} projections inherit {rule} rule")
+        if self.base_rule.dual != row.dual:
+            kind = "dual" if row.dual else "non-dual"
+            raise ValueError(f"{self.family.value} requires a {kind} rule")
+
+    @property
+    def dual(self) -> bool:
+        return self.base_rule.dual
 
 
-def proj_rule(
-    family: Family, base: Rule | None = None, star: StarVariant | None = None
-) -> ProjRule:
-    """Projection rule with the family's canonical base rule and default star."""
+def littlewood_variant(family: Family, base_rule: Rule | None = None,
+                       star: StarVariant | None = None) -> LittlewoodVariant:
+    """A variant with the family's canonical base rule and default star."""
     row = LITTLEWOOD[Family(family)]
-    if base is None and row.inherits:
-        base = row.base
-    return ProjRule(family, base, row.stars[0] if star is None else star)
+    return LittlewoodVariant(family, row.base if base_rule is None else base_rule,
+                             row.stars[0] if star is None else star)
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +213,16 @@ def _asym_build(options: _Options, sign: int, ranks: list[int]) -> Partition:
     return from_frobenius(FrobeniusCoords(arms, tuple(c + 1 - t for c in cs)))
 
 
-def _asym_tables(pf: ProjRule, lam: Partition) -> tuple[int, _Options, _Options, int]:
+def _asym_tables(v: LittlewoodVariant, lam: Partition) -> tuple[int, _Options, _Options, int]:
     """(sign, down, up, pad) for lam, where pad is the rank above lam that takes
     the two extra cells of an asym-1 partner: the first (row*) or the last
     (col*) index with two values.  The other ranks keep their order.  For
     asym+1, which has no extra cells, pad = |R| lies past every rank."""
-    sign = 1 if pf.family is Family.ASYM_PLUS else -1
+    sign = 1 if v.family is Family.ASYM_PLUS else -1
     down, up = _asym_options(frobenius(lam), sign)
     if not (all(down) and all(up)):
         raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partners")
-    if sign == -1 and pf.star is StarVariant.ROW_STAR:
+    if sign == -1 and v.star is StarVariant.ROW_STAR:
         return sign, down, up, 0
     return sign, down, up, sum(len(opts) == 2 for opts in down)
 
@@ -253,13 +251,13 @@ def phi_halve(mu: Partition) -> Partition:
 # ---------------------------------------------------------------------------
 # The five projection maps.
 
-def proj_apply(pf: ProjRule, lam: Partition, k: int, mu: Partition) -> Partition:
+def proj_apply(v: LittlewoodVariant, lam: Partition, k: int, mu: Partition) -> Partition:
     """Apply the projection bijection; k is the target strip size |nu/lam|."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    fam = pf.family
+    fam = v.family
     if fam is Family.ALL:
-        return apply_rule(pf.base, lam, lam, k, mu)
+        return apply_rule(v.base_rule, lam, lam, k, mu)
     if fam is Family.EVEN_ROWS:
         odd = odd_part_count(lam)
         drop = size(lam) - size(mu)
@@ -268,7 +266,7 @@ def proj_apply(pf: ProjRule, lam: Partition, k: int, mu: Partition) -> Partition
         if (drop - odd) % 2 or drop > k:
             raise DomainError(f"{mu} is outside the even-row domain at k = {k}")
         lo, hi = halves(lam)
-        nu_half = apply_rule(pf.base, lo, hi, (k - odd) // 2, phi_halve(mu))
+        nu_half = apply_rule(v.base_rule, lo, hi, (k - odd) // 2, phi_halve(mu))
         return phi_double(nu_half)
     if fam is Family.EVEN_COLS:
         conj = conjugate(lam)
@@ -279,7 +277,7 @@ def proj_apply(pf: ProjRule, lam: Partition, k: int, mu: Partition) -> Partition
         if mu != expect_mu:
             raise DomainError(f"{mu} is not the even-column partner of {lam}")
         return conjugate(partition(c + (c % 2) for c in conj))
-    sign, down, up, pad = _asym_tables(pf, lam)
+    sign, down, up, pad = _asym_tables(v, lam)
     ranks = [r + (r >= pad) for r in _asym_choice(down, sign, mu)]
     drop = size(lam) - size(mu)
     if sign == -1 and k == drop + 2:
@@ -289,20 +287,17 @@ def proj_apply(pf: ProjRule, lam: Partition, k: int, mu: Partition) -> Partition
     return _asym_build(up, sign, ranks)
 
 
-def proj_unapply(pf: ProjRule, lam: Partition, nu: Partition) -> tuple[Partition, int]:
+def proj_unapply(v: LittlewoodVariant, lam: Partition, nu: Partition) -> tuple[Partition, int]:
     """Invert proj_apply: returns (mu, c) with c = |nu/lam| - |lam/mu|."""
     if not is_horizontal_strip(lam, nu):
         raise DomainError(f"{nu}/{lam} is not a horizontal strip")
-    if not member(nu, pf.family):
-        raise DomainError(f"{nu} is not in family {pf.family.value}")
     k = size(nu) - size(lam)
-    fam = pf.family
+    fam = v.family
     if fam is Family.ALL:
-        mu, a = unapply_rule(pf.base, lam, lam, nu)
-        return mu, a
+        return unapply_rule(v.base_rule, lam, lam, nu)
     if fam is Family.EVEN_ROWS:
         lo, hi = halves(lam)
-        mu_half, _ = unapply_rule(pf.base, lo, hi, phi_halve(nu))
+        mu_half, _ = unapply_rule(v.base_rule, lo, hi, phi_halve(nu))
         mu = phi_double(mu_half)
         return mu, k - (size(lam) - size(mu))
     if fam is Family.EVEN_COLS:
@@ -311,7 +306,7 @@ def proj_unapply(pf: ProjRule, lam: Partition, nu: Partition) -> tuple[Partition
         if nu != expect_nu:
             raise DomainError(f"{nu} is not the even-column partner of {lam}")
         return conjugate(partition(c - (c % 2) for c in conj)), 0
-    sign, down, up, pad = _asym_tables(pf, lam)
+    sign, down, up, pad = _asym_tables(v, lam)
     ranks = _asym_choice(up, sign, nu)
     mu = _asym_build(down, sign, [r - (r > pad) for r in ranks if r != pad])
     return mu, 2 if pad in ranks else 0

@@ -433,10 +433,13 @@ def verify_identity(
     if entry is None:
         raise ValueError(f"unknown identity {identity!r}")
     _check_non_negative(n=n, m=m, degree=cap, k=k)
+    given = {"m": m is not None, "k": k is not None,
+             "lam": lam not in ((), []), "rho": rho not in ((), [])}
+    for field, is_given in given.items():
+        if is_given and field not in entry.params:
+            raise ValueError(f"{field}: identity {identity!r} takes no {field}")
     m = n if m is None else m
     k = 0 if k is None else k
-    lam = lam if "lam" in entry.params else EMPTY
-    rho = rho if "rho" in entry.params else EMPTY
     _check_partitions(lam=lam, rho=rho)
     lam, rho = tuple(lam), tuple(rho)
     values = {"n": n, "degree": cap, "m": m, "k": k, "lam": list(lam), "rho": list(rho)}

@@ -5,7 +5,7 @@ vertex set (i, j), 0 <= i <= j <= n.  Full squares follow the variant's base
 rule exactly as in rectangular growths; the diagonal half squares
 
         mu --- lam
-                |        nu = proj_apply(proj, lam, |lam/mu| + c[i][i], mu)
+                |        nu = proj_apply(variant, lam, |lam/mu| + c[i][i], mu)
                nu
 
 use the variant's projection bijection, which keeps the diagonal chain inside
@@ -26,43 +26,13 @@ from typing import Sequence
 
 from .growth import _enumerate, _grow, _ungrow, insert
 from .interlacing import DomainError
-from .partitions import EMPTY, Family, Partition, member, size
-from .projections import LITTLEWOOD, ProjRule, proj_apply, proj_rule
-from .rules import Rule
+from .partitions import EMPTY, Partition, member, size
+from .projections import LITTLEWOOD, LittlewoodVariant, littlewood_variant, proj_apply
 from .tableaux import StepKind, TableauChain
 
 #: allowed diagonal entries per variant; None means every multiple of the
 #: family's diagonal power
 DIAGONAL_DOMAIN = {family: row.diagonal for family, row in LITTLEWOOD.items()}
-
-
-@dataclass(frozen=True)
-class LittlewoodVariant:
-    family: Family
-    base_rule: Rule
-    proj: ProjRule
-
-    def __post_init__(self) -> None:
-        dual = LITTLEWOOD[self.family].dual
-        if self.base_rule.dual != dual:
-            raise ValueError(f"{self.family.value} requires a {'dual' if dual else 'non-dual'} rule")
-        if self.proj.family != self.family:
-            raise ValueError(f"{self.family.value} takes its own projection, not {self.proj.family.value}")
-
-    @property
-    def dual(self) -> bool:
-        return self.base_rule.dual
-
-
-def littlewood_variant(family: Family, base_rule: Rule | None = None,
-                       star=None) -> LittlewoodVariant:
-    """A variant with the family's canonical defaults; names are accepted."""
-    family = Family(family)
-    row = LITTLEWOOD[family]
-    base = row.base if base_rule is None else Rule(base_rule)
-    # A dual base under an inheriting family is refused by the variant itself.
-    inherited = base if row.inherits and not base.dual else None
-    return LittlewoodVariant(family, base, proj_rule(family, inherited, star))
 
 
 def _as_variant(variant: LittlewoodVariant | str) -> LittlewoodVariant:
@@ -165,7 +135,7 @@ def build_triangular(
     validate_entries(variant, array)
     S = _default_border(variant, n, S)
     grid = [list(S.chain)] + [[EMPTY] * (n + 1) for _ in range(n)]
-    _grow(grid, _symmetric(array), range(n + 1), variant.base_rule, variant.proj)
+    _grow(grid, _symmetric(array), range(n + 1), variant.base_rule, variant)
     return TriGrid(tuple(tuple(row[i:]) for i, row in enumerate(grid)), array, variant)
 
 
@@ -194,7 +164,7 @@ def littlewood_inverse(
         raise DomainError(f"{P.shape} is not in family {variant.family.value}")
     grid = [[EMPTY] * n + [p] for p in P.chain]
     entries = [[0] * n for _ in range(n)]
-    _ungrow(grid, entries, range(n + 1), variant.base_rule, variant.proj)
+    _ungrow(grid, entries, range(n + 1), variant.base_rule, variant)
     steps = StepKind.VERTICAL if variant.dual else StepKind.HORIZONTAL
     rows = tuple(tuple(row[i:]) for i, row in enumerate(entries))
     return TriangularArray(n, rows), TableauChain(tuple(grid[0]), steps)
@@ -218,7 +188,7 @@ def triangular_insert(
     lam = hat.shape
     mu = tableau.shape
     k = size(lam) - size(mu) + diag
-    nu = proj_apply(variant.proj, lam, k, mu)
+    nu = proj_apply(variant, lam, k, mu)
     return TableauChain(hat.chain + (nu,), tableau.steps)
 
 

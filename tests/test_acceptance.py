@@ -32,7 +32,6 @@ from growthdiagrams import (
     littlewood_map,
     littlewood_variant,
     proj_apply,
-    proj_rule,
     proj_unapply,
     rsk,
     rsk_inverse,
@@ -138,11 +137,11 @@ def test_criterion_5_projection_laws():
     t0 = time.time()
     shapes = enumerate_partitions(10)
     variants = {
-        Family.ALL: proj_rule(Family.ALL),
-        Family.EVEN_ROWS: proj_rule(Family.EVEN_ROWS),
-        Family.EVEN_COLS: proj_rule(Family.EVEN_COLS),
-        Family.ASYM_PLUS: proj_rule(Family.ASYM_PLUS),
-        Family.ASYM_MINUS: proj_rule(Family.ASYM_MINUS),
+        Family.ALL: littlewood_variant(Family.ALL),
+        Family.EVEN_ROWS: littlewood_variant(Family.EVEN_ROWS),
+        Family.EVEN_COLS: littlewood_variant(Family.EVEN_COLS),
+        Family.ASYM_PLUS: littlewood_variant(Family.ASYM_PLUS),
+        Family.ASYM_MINUS: littlewood_variant(Family.ASYM_MINUS),
     }
     for lam in shapes:
         plus, minus = oracle.asym_indices(lam, 1), oracle.asym_indices(lam, -1)

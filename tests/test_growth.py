@@ -432,3 +432,11 @@ def test_pieri_exhaustive_counts():
             assert is_horizontal_strip(lam, hat.shape)
             images.add(hat.chain)
     assert len(images) == len(sources) * len(weights)
+
+
+@pytest.mark.parametrize("values", [[True], [1.0], {True: 1}, {1.5: 0}],
+                         ids=["bool", "float", "bool-key", "zero-count"])
+def test_insert_refuses_values_that_are_not_ints(values):
+    value = next(iter(values))
+    with pytest.raises(ValueError, match=rf"^value {value!r} must be an int$"):
+        insert(Rule.ROW, TableauChain.trivial(EMPTY, 2), values)

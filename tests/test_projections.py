@@ -12,16 +12,17 @@ from growthdiagrams import (
     from_frobenius,
     halves,
     is_horizontal_strip,
+    littlewood_variant,
     member,
     phi_double,
     phi_halve,
     proj_apply,
-    proj_rule,
     proj_unapply,
     size,
     up_set,
     down_set,
 )
+from growthdiagrams.projections import LITTLEWOOD
 
 
 def test_proj_sets_examples():
@@ -99,9 +100,9 @@ def test_zigzag_counts():
 
 
 def test_proj_apply_examples():
-    assert proj_apply(proj_rule(Family.ALL, Rule.ROW), (3, 2), 2, (2, 1)) == (3, 3, 1)
+    assert proj_apply(littlewood_variant(Family.ALL, Rule.ROW), (3, 2), 2, (2, 1)) == (3, 3, 1)
     # even columns: (2,2,1,1)' = (4,2) has no odd column, the map is forced
-    pf = proj_rule(Family.EVEN_COLS)
+    pf = littlewood_variant(Family.EVEN_COLS)
     assert proj_apply(pf, (2, 2, 1, 1), 0, (2, 2, 1, 1)) == (2, 2, 1, 1)
     assert proj_unapply(pf, (2, 2, 1, 1), (2, 2, 1, 1)) == ((2, 2, 1, 1), 0)
     # (3,1)' = (2,1,1): columns 2 and 3 are odd, so two cells move
@@ -112,27 +113,28 @@ def test_proj_apply_examples():
 
 def test_proj_errors():
     with pytest.raises(DomainError):
-        proj_apply(proj_rule(Family.EVEN_COLS), (3, 1), 1, (2,))
+        proj_apply(littlewood_variant(Family.EVEN_COLS), (3, 1), 1, (2,))
     with pytest.raises(DomainError):
-        proj_apply(proj_rule(Family.EVEN_ROWS), (2, 2), 1, (2, 2))
+        proj_apply(littlewood_variant(Family.EVEN_ROWS), (2, 2), 1, (2, 2))
     with pytest.raises(DomainError):
-        proj_apply(proj_rule(Family.ASYM_MINUS), (3, 3, 3), 0, (3, 3, 3))
+        proj_apply(littlewood_variant(Family.ASYM_MINUS), (3, 3, 3), 0, (3, 3, 3))
     with pytest.raises(ValueError):
-        proj_rule(Family.ASYM_PLUS, star=StarVariant.COL_STAR)
+        littlewood_variant(Family.ASYM_PLUS, star=StarVariant.COL_STAR)
     with pytest.raises(ValueError):
-        proj_rule(Family.ALL, Rule.DUAL_ROW)
+        littlewood_variant(Family.ALL, Rule.DUAL_ROW)
 
 
 @pytest.mark.parametrize(
     "family,variants",
     [
-        (Family.ALL, [proj_rule(Family.ALL, Rule.ROW), proj_rule(Family.ALL, Rule.COL)]),
-        (Family.EVEN_ROWS, [proj_rule(Family.EVEN_ROWS, Rule.COL),
-                            proj_rule(Family.EVEN_ROWS, Rule.ROW)]),
-        (Family.EVEN_COLS, [proj_rule(Family.EVEN_COLS)]),
-        (Family.ASYM_PLUS, [proj_rule(Family.ASYM_PLUS)]),
-        (Family.ASYM_MINUS, [proj_rule(Family.ASYM_MINUS),
-                             proj_rule(Family.ASYM_MINUS, star=StarVariant.COL_STAR)]),
+        (Family.ALL, [littlewood_variant(Family.ALL, Rule.ROW),
+                      littlewood_variant(Family.ALL, Rule.COL)]),
+        (Family.EVEN_ROWS, [littlewood_variant(Family.EVEN_ROWS, Rule.COL),
+                            littlewood_variant(Family.EVEN_ROWS, Rule.ROW)]),
+        (Family.EVEN_COLS, [littlewood_variant(Family.EVEN_COLS)]),
+        (Family.ASYM_PLUS, [littlewood_variant(Family.ASYM_PLUS)]),
+        (Family.ASYM_MINUS, [littlewood_variant(Family.ASYM_MINUS),
+                             littlewood_variant(Family.ASYM_MINUS, star=StarVariant.COL_STAR)]),
     ],
 )
 def test_proj_bijectivity(family, variants):
@@ -149,6 +151,33 @@ def test_proj_bijectivity(family, variants):
                     assert back == mu
                     assert c == k - (size(lam) - size(mu))
                 assert sorted(image) == up, (family, lam, k)
+
+
+ALL_VARIANTS = [
+    littlewood_variant(family, rule, star)
+    for family, row in LITTLEWOOD.items()
+    for rule in Rule if rule.dual == row.dual
+    for star in row.stars
+]
+
+
+def _variant_id(v):
+    return "-".join(x.value for x in (v.family, v.base_rule, v.star) if x)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=_variant_id)
+def test_unapply_refuses_every_non_member(variant):
+    """Each family's own branch refuses a nu outside the family: the asym
+    option tables, even-rows' halving, even-cols' forced partner."""
+    shapes = enumerate_partitions(9)
+    refused = 0
+    for lam in shapes:
+        for nu in shapes:
+            if is_horizontal_strip(lam, nu) and not member(nu, variant.family):
+                with pytest.raises(DomainError):
+                    proj_unapply(variant, lam, nu)
+                refused += 1
+    assert refused or variant.family is Family.ALL
 
 
 def test_projection_cardinality_laws():
@@ -175,14 +204,14 @@ def test_projection_cardinality_laws():
 
 def test_asym_size_relations():
     """+1 transports preserve size; -1 transports change it by 0 or 2."""
-    pf_plus = proj_rule(Family.ASYM_PLUS)
+    pf_plus = littlewood_variant(Family.ASYM_PLUS)
     for lam in enumerate_partitions(8):
         for k in range(5):
             for mu in proj_domain(Family.ASYM_PLUS, lam, k):
                 nu = proj_apply(pf_plus, lam, k, mu)
                 assert size(nu) - size(lam) == size(lam) - size(mu)
             for mu in proj_domain(Family.ASYM_MINUS, lam, k):
-                nu = proj_apply(proj_rule(Family.ASYM_MINUS), lam, k, mu)
+                nu = proj_apply(littlewood_variant(Family.ASYM_MINUS), lam, k, mu)
                 assert (size(nu) - size(lam)) - (size(lam) - size(mu)) in (0, 2)
 
 
@@ -436,9 +465,9 @@ def test_asym_projections_match_index_set_reference():
         for sign in (1, -1):
             assert asym_indices(lam, sign) == _ref_index_sets(frobenius(lam), sign), (lam, sign)
     rules = [
-        proj_rule(Family.ASYM_PLUS),
-        proj_rule(Family.ASYM_MINUS),
-        proj_rule(Family.ASYM_MINUS, star=StarVariant.COL_STAR),
+        littlewood_variant(Family.ASYM_PLUS),
+        littlewood_variant(Family.ASYM_MINUS),
+        littlewood_variant(Family.ASYM_MINUS, star=StarVariant.COL_STAR),
     ]
     # size 8 is the first with two free indices for asym+1: (3,2,2,1) = (2,0 | 3,1);
     # mu runs over the partitions no larger than lam, nu over those no smaller

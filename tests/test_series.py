@@ -284,6 +284,28 @@ def test_verify_rejects_counts_and_shapes_of_the_wrong_type(identity, kwargs, me
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("identity,kwargs,field", [
+    ("cauchy", dict(lam=(1,)), "lam"),
+    ("dual-cauchy", dict(rho=[1]), "rho"),
+    ("cauchy", dict(k=0), "k"),
+    ("littlewood-all", dict(rho=(1,), k=3, m=5), "m"),
+    ("littlewood-all", dict(k=3), "k"),
+    ("skew-littlewood-even-rows", dict(rho=(2,)), "rho"),
+    ("pieri", dict(lam=(1,), k=1, m=2), "m"),
+    ("squarefree", dict(lam=(1,)), "lam"),
+])
+def test_verify_refuses_parameters_its_identity_does_not_take(identity, kwargs, field):
+    with pytest.raises(ValueError) as info:
+        verify_identity(identity, n=2, cap=4, **kwargs)
+    assert str(info.value) == f"{field}: identity {identity!r} takes no {field}"
+
+
+def test_verify_takes_empty_shapes_and_none_counts_as_not_given():
+    for identity in ("cauchy", "littlewood-all", "squarefree"):
+        assert verify_identity(identity, n=2, cap=4, lam=(), rho=[], m=None, k=None) == \
+            verify_identity(identity, n=2, cap=4)
+
+
 @pytest.mark.parametrize("fn,args,kwargs,message", [
     (schur, ((1, 2), 2, 4), {}, "lam: expected a partition, got (1, 2)"),
     (schur, ((2,), 2, 4), {"mu": (0, 1)}, "mu: expected a partition, got (0, 1)"),

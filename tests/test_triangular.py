@@ -23,7 +23,7 @@ from growthdiagrams import (
     triangular_insert,
 )
 from growthdiagrams.partitions import member
-from growthdiagrams.projections import StarVariant, proj_rule
+from growthdiagrams.projections import StarVariant
 from growthdiagrams.triangular import (
     DIAGONAL_DOMAIN,
     LittlewoodVariant,
@@ -111,12 +111,7 @@ def test_entry_domain_validation():
 
 def test_variant_built_directly_checks_its_base_rule():
     with pytest.raises(ValueError, match=r"^all requires a non-dual rule$"):
-        LittlewoodVariant(Family.ALL, Rule.DUAL_ROW, proj_rule(Family.ALL))
-
-
-def test_variant_built_directly_checks_its_projection_family():
-    with pytest.raises(ValueError, match=r"^even-cols takes its own projection, not asym\+1$"):
-        LittlewoodVariant(Family.EVEN_COLS, Rule.ROW, proj_rule(Family.ASYM_PLUS))
+        LittlewoodVariant(Family.ALL, Rule.DUAL_ROW)
 
 
 def test_variants_take_names_and_name_the_wrong_star():
@@ -127,13 +122,13 @@ def test_variants_take_names_and_name_the_wrong_star():
     col = littlewood_variant(Family.ASYM_MINUS, star=StarVariant.COL_STAR)
     assert littlewood_map(col, array).chain[3:5] == ((4, 4, 2), (6, 4, 4, 2))
     assert littlewood_variant(Family.ALL, "col") == littlewood_variant(Family.ALL, Rule.COL)
-    assert proj_rule("even-rows", "row") == proj_rule(Family.EVEN_ROWS, Rule.ROW)
+    assert littlewood_variant("even-rows", "row") == littlewood_variant(Family.EVEN_ROWS, Rule.ROW)
     with pytest.raises(ValueError, match="'bogus' is not a valid StarVariant"):
         littlewood_variant(Family.ASYM_MINUS, star="bogus")
     with pytest.raises(ValueError, match=r"^all projections take no star, not col\*$"):
         littlewood_variant(Family.ALL, star=StarVariant.COL_STAR)
     with pytest.raises(ValueError, match=r"^asym\+1 projections take row\*, not col\*$"):
-        proj_rule("asym+1", star="col*")
+        littlewood_variant("asym+1", star="col*")
 
 
 @pytest.mark.parametrize("family", list(Family))
