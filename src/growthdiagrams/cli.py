@@ -168,9 +168,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         lam = _parse_partition_arg(args.shape, "shape") if args.shape else EMPTY
         rho = _parse_partition_arg(args.rho, "rho") if args.rho else EMPTY
-        cap = 6 if args.degree is None else args.degree
         report = verify_identity(
-            name, n=args.n, cap=cap, m=args.m, lam=lam, rho=rho, k=args.k
+            name, n=args.n, cap=args.degree, m=args.m, lam=lam, rho=rho, k=args.k
         ).to_dict()
     sys.stdout.write(dumps(report))
     return 0 if report["equal"] else 2

@@ -242,30 +242,19 @@ def partitions_between(
     return out
 
 
-def horizontal_strips_over(
-    mu: Partition, max_add: int, shape: Partition | None = None
-) -> list[Partition]:
+def horizontal_strips_over(mu: Partition, max_add: int) -> list[Partition]:
     """All nu with mu < nu (horizontal strip) and |nu/mu| <= max_add, lex-ascending.
 
     A horizontal strip adds at most one new row, and row r is bounded by the
-    previous row of mu; ``shape`` optionally caps nu cellwise.
+    previous row of mu.
     """
-    return _over(mu + (0,), (part(mu, 1) + max_add,) + mu, max_add, shape)
+    return partitions_between(mu + (0,), (part(mu, 1) + max_add,) + mu, max_add)[::-1]
 
 
-def vertical_strips_over(
-    mu: Partition, max_add: int, shape: Partition | None = None
-) -> list[Partition]:
+def vertical_strips_over(mu: Partition, max_add: int) -> list[Partition]:
     """All nu with mu <' nu (vertical strip) and |nu/mu| <= max_add, lex-ascending."""
     lo = mu + (0,) * max_add
-    return _over(lo, tuple(v + 1 for v in lo), max_add, shape)
-
-
-def _over(lo: Partition, hi: Partition, max_add: int, shape: Partition | None) -> list[Partition]:
-    """The interval [lo, hi], hi capped cellwise by shape, lex-ascending."""
-    if shape is not None:
-        hi = tuple(min(h, part(shape, r)) for r, h in enumerate(hi, start=1))
-    return partitions_between(lo, hi, max_add)[::-1]
+    return partitions_between(lo, tuple(v + 1 for v in lo), max_add)[::-1]
 
 
 def horizontal_strips_under(lam: Partition, max_remove: int | None = None) -> list[Partition]:

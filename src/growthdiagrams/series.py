@@ -3,7 +3,9 @@
 Polynomials are sparse maps from exponent vectors to exact ints, truncated at
 a total-degree cap; products silently drop terms beyond the cap.  Schur and
 skew Schur polynomials are weighted sums over strip chains, which one sweep
-enumerates for every shape at once.  Each identity in ``IDENTITIES`` is
+out of one shape enumerates for every shape it reaches: up sweeps add strips
+for the sum sides, down sweeps remove them for the inner sums and for
+``schur``.  Each identity in ``IDENTITIES`` is
 verified by computing both sides independently and comparing coefficients.
 Both sides are symmetric in each group of variables (x, and y for Cauchy),
 so a verification computes and compares only their dominant terms, whose
@@ -26,12 +28,12 @@ from .partitions import (
     conjugate,
     contains,
     horizontal_strips_over,
-    meet,
+    horizontal_strips_under,
     member,
     partitions_of_size,
     size,
-    sub_partitions,
     vertical_strips_over,
+    vertical_strips_under,
 )
 from .projections import LITTLEWOOD
 from .tableaux import StepKind
@@ -101,33 +103,38 @@ class TruncatedPolynomial:
 Terms = dict[Exponents, int]
 States = dict[Partition, Terms]
 
-_STRIPS = {StepKind.HORIZONTAL: horizontal_strips_over, StepKind.VERTICAL: vertical_strips_over}
+_OVER = {StepKind.HORIZONTAL: horizontal_strips_over, StepKind.VERTICAL: vertical_strips_over}
+_UNDER = {StepKind.HORIZONTAL: horizontal_strips_under, StepKind.VERTICAL: vertical_strips_under}
 
 
-def _sweep(start: States, n: int, max_size: int, steps: StepKind = StepKind.HORIZONTAL,
-           bound: Partition | None = None, dominant: bool = False) -> States:
-    """All strip chains out of the start shapes at once (the branching rule).
+def _sweep(shape: Partition, n: int, budget: int,
+           strips: Callable[[Partition, int], list[Partition]], dominant: bool = False) -> States:
+    """All n-step strip chains out of one shape at once (the branching rule).
 
-    ``start`` maps shapes to exponent dicts.  Each of the n steps adds a strip
-    of the given kind to every shape, inside ``bound`` and within ``max_size``
-    cells, and appends the strip's size to every exponent tuple.  Shape nu
-    ends with the sum over start shapes mu of start[mu] times
-    s_{nu/mu}(x_1..x_n), or s_{nu'/mu'} for vertical strips.
+    ``strips`` enumerates the strips over a shape (an up sweep) or under it (a
+    down sweep).  Each step adds or removes one strip at every shape reached,
+    the chains move at most ``budget`` cells in all, and the strip's size is
+    appended to every exponent tuple.  An up sweep ends at nu with
+    s_{nu/shape}(x_1..x_n), or s_{nu'/shape'} for vertical strips.  A down
+    sweep ends at mu with s_{shape/mu} in x_n..x_1; a skew Schur polynomial is
+    symmetric, so its term dict is the same.
 
-    With ``dominant`` only chains whose strips weakly shrink are kept, so a
-    start of exponent-free terms ends with the weakly decreasing terms alone:
-    a step adds no strip larger than the previous step's strip of that term.
+    With ``dominant`` only chains whose strips weakly shrink are kept, so the
+    weakly decreasing terms alone remain: a step moves no strip larger than
+    the previous step's strip of that term.
     """
-    strips = _STRIPS[steps]
-    states = start
+    top = size(shape)
+    states: States = {shape: {(): 1}}
     for step in range(n):
         prune = dominant and step > 0
         nxt: States = {}
         for sig, terms in states.items():
             s = size(sig)
-            room = min(max_size - s, max(e[-1] for e in terms)) if prune else max_size - s
-            for tau in strips(sig, room, bound):
-                d = size(tau) - s
+            room = budget - abs(s - top)
+            if prune:
+                room = min(room, max(e[-1] for e in terms))
+            for tau in strips(sig, room):
+                d = abs(size(tau) - s)
                 acc = nxt.setdefault(tau, {})
                 for exps, coeff in terms.items():
                     if prune and exps[-1] < d:
@@ -160,14 +167,14 @@ def schur(
     It is the sum over chains mu = c_0 < c_1 < ... < c_n = lam of horizontal
     strips, x_i weighting c_i/c_{i-1}.  Chains of vertical strips give
     s_{lam'/mu'}.  The result is homogeneous of degree |lam/mu|, so it is zero
-    beyond the cap.
+    beyond the cap.  It is read at mu off a down sweep from lam.
     """
     _check_non_negative(n=n, cap=cap)
     _check_partitions(lam=lam, mu=mu)
     if not contains(mu, lam):
         raise ValueError(f"{mu} is not contained in {lam}")
-    states = _sweep({mu: {(): 1}}, n, min(size(lam), size(mu) + cap), steps, lam)
-    return TruncatedPolynomial(n, cap, states.get(lam))
+    states = _sweep(lam, n, min(cap, size(lam) - size(mu)), _UNDER[steps])
+    return TruncatedPolynomial(n, cap, states.get(mu))
 
 
 @lru_cache(maxsize=None)
@@ -285,22 +292,19 @@ def _rearrangements(exps: Exponents) -> int:
 
 
 def _compare(identity: str, params: dict, lhs: TruncatedPolynomial,
-             rhs: TruncatedPolynomial, n: int | None = None) -> Report:
+             rhs: TruncatedPolynomial, n: int) -> Report:
     """Compare the sides on every key of either and report the first mismatch
     in (degree, lex) order.
 
-    Given ``n``, the sides are symmetric in x_1..x_n and in the variables after
-    them, and hold only their dominant terms.  Each key then stands for its
-    distinct rearrangements within the two groups, all counted as checked, and
-    the first of them sorts each group ascending.
+    The sides are symmetric in x_1..x_n and in the variables after them, and
+    hold only their dominant terms.  Each key stands for its distinct
+    rearrangements within the two groups, all counted as checked, and the
+    first of them sorts each group ascending.
     """
     keys = set(lhs.terms) | set(rhs.terms)
     wrong = [e for e in keys if lhs.terms.get(e, 0) != rhs.terms.get(e, 0)]
-    if n is None:
-        checked, first = len(keys), {e: e for e in wrong}
-    else:
-        checked = sum(_rearrangements(e[:n]) * _rearrangements(e[n:]) for e in keys)
-        first = {e: tuple(sorted(e[:n])) + tuple(sorted(e[n:])) for e in wrong}
+    checked = sum(_rearrangements(e[:n]) * _rearrangements(e[n:]) for e in keys)
+    first = {e: tuple(sorted(e[:n])) + tuple(sorted(e[n:])) for e in wrong}
     mismatch = None
     if wrong:
         e = min(wrong, key=lambda e: (sum(e), first[e]))
@@ -325,10 +329,10 @@ def _cauchy(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partitio
     times sum_mu s_{lam/mu}(x) s_{rho/mu}(y).  The dual identity has vertical
     strips on the y side and the product of 1 + x_i y_j."""
     top = (cap + size(lam) + size(rho)) // 2
-    lhs = _pair(_sweep({rho: {(): 1}}, n, top, dominant=True),
-                _sweep({lam: {(): 1}}, m, top, e.steps, dominant=True))
-    start = {mu: schur(lam, n, cap, mu=mu).terms for mu in sub_partitions(meet(lam, rho))}
-    inner = _sweep(start, m, size(rho), e.steps, rho).get(rho, {})
+    lhs = _pair(_sweep(rho, n, top - size(rho), horizontal_strips_over, dominant=True),
+                _sweep(lam, m, top - size(lam), _OVER[e.steps], dominant=True))
+    inner = _pair(_sweep(lam, n, cap, horizontal_strips_under),
+                  _sweep(rho, m, cap, _UNDER[e.steps]))
     rhs = _times(inner, _factors(None, n, m), e.steps is StepKind.VERTICAL, cap, dominant=True)
     rhs = {exps: coeff for exps, coeff in rhs.items() if _decreasing(exps[n:])}
     return TruncatedPolynomial(n + m, cap, lhs), TruncatedPolynomial(n + m, cap, rhs)
@@ -340,10 +344,10 @@ def _littlewood(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Part
     inner sum is of s_{lam'/mu}(x) over mu in the opposite family."""
     row = LITTLEWOOD[e.family]
     shape = conjugate(lam) if row.dual else lam
-    lhs = _total(_sweep({lam: {(): 1}}, n, size(lam) + cap, dominant=True),
+    lhs = _total(_sweep(lam, n, cap, horizontal_strips_over, dominant=True),
                  lambda nu: member(nu, e.family))
-    start = {mu: {(): 1} for mu in sub_partitions(shape) if member(mu, row.inner)}
-    inner = _sweep(start, n, size(shape), bound=shape).get(shape, {})
+    inner = _total(_sweep(shape, n, cap, horizontal_strips_under),
+                   lambda mu: member(mu, row.inner))
     rhs = _times(inner, _factors(e.family, n, 0), row.dual, cap, dominant=True)
     return TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs)
 
@@ -353,10 +357,11 @@ def _pieri(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition
     the dual identity has e_k and vertical strips."""
     top = size(lam) + k
     cap = max(cap, top)
-    shapes = {nu for nu in _STRIPS[e.steps](lam, k) if size(nu) == top}
+    shapes = {nu for nu in _OVER[e.steps](lam, k) if size(nu) == top}
     lhs = schur((k,) if k else EMPTY, n, cap, e.steps) * schur(lam, n, cap)
     lhs = {exps: coeff for exps, coeff in lhs.terms.items() if _decreasing(exps)}
-    rhs = _total(_sweep({EMPTY: {(): 1}}, n, top, dominant=True), shapes.__contains__)
+    rhs = _total(_sweep(EMPTY, n, top, horizontal_strips_over, dominant=True),
+                 shapes.__contains__)
     return TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs)
 
 
@@ -415,7 +420,7 @@ def _check_partitions(**shapes: Partition) -> None:
 def verify_identity(
     identity: str,
     n: int,
-    cap: int,
+    cap: int | None = None,
     m: int | None = None,
     lam: Partition = EMPTY,
     rho: Partition = EMPTY,
@@ -427,17 +432,20 @@ def verify_identity(
     degree at most the cap; this is a finite set because a (skew) Schur
     polynomial is homogeneous of the skew-shape size.  Both sides are
     symmetric, so only their dominant terms are computed and compared;
-    ``checked_terms`` still counts every monomial of either side.
+    ``checked_terms`` still counts every monomial of either side.  The cap
+    (the report's degree) defaults to 6.  A parameter the identity does not
+    take is refused when given, the cap included.
     """
     entry = IDENTITIES.get(identity)
     if entry is None:
         raise ValueError(f"unknown identity {identity!r}")
     _check_non_negative(n=n, m=m, degree=cap, k=k)
     given = {"m": m is not None, "k": k is not None,
-             "lam": lam not in ((), []), "rho": rho not in ((), [])}
+             "lam": lam not in ((), []), "rho": rho not in ((), []), "degree": cap is not None}
     for field, is_given in given.items():
         if is_given and field not in entry.params:
             raise ValueError(f"{field}: identity {identity!r} takes no {field}")
+    cap = 6 if cap is None else cap
     m = n if m is None else m
     k = 0 if k is None else k
     _check_partitions(lam=lam, rho=rho)

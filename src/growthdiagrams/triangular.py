@@ -30,11 +30,6 @@ from .partitions import EMPTY, Partition, member, size
 from .projections import LITTLEWOOD, LittlewoodVariant, littlewood_variant, proj_apply
 from .tableaux import StepKind, TableauChain
 
-#: allowed diagonal entries per variant; None means every multiple of the
-#: family's diagonal power
-DIAGONAL_DOMAIN = {family: row.diagonal for family, row in LITTLEWOOD.items()}
-
-
 def _as_variant(variant: LittlewoodVariant | str) -> LittlewoodVariant:
     """A variant as given, or a family name with its canonical defaults."""
     return variant if isinstance(variant, LittlewoodVariant) else littlewood_variant(variant)

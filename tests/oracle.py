@@ -6,7 +6,9 @@ uses, so the two routes only agree if both are right.  The size laws sum the
 matrix or array entries themselves.  Two groups read package code: the family
 sets (``family_up_set``, ``family_down_set``, ``proj_domain``) filter the
 package's strip enumerators through its ``member``, and ``asym_indices``
-reads the option tables of ``projections._asym_options``.
+reads the option tables of ``projections._asym_options``.  ``compare`` is the
+reference the dominant-key comparison of ``verify_identity`` is checked
+against: it compares every monomial.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from growthdiagrams.partitions import (
     vertical_strips_under,
 )
 from growthdiagrams.projections import LITTLEWOOD, _asym_options
+from growthdiagrams.series import Report
 
 
 def cells(p):
@@ -257,3 +260,20 @@ def asym_indices(lam, sign):
         tuple(i for i, opts in enumerate(up, 1) if len(opts) == 2),
         True,
     )
+
+
+#: allowed diagonal entries per variant; None means every multiple of the
+#: family's diagonal power
+DIAGONAL_DOMAIN = {family: row.diagonal for family, row in LITTLEWOOD.items()}
+
+
+def compare(identity, params, lhs, rhs):
+    """Report of comparing the two sides on every monomial of either: the
+    number of monomials and the first mismatch in (degree, lex) order."""
+    keys = set(lhs.terms) | set(rhs.terms)
+    wrong = [e for e in keys if lhs.terms.get(e, 0) != rhs.terms.get(e, 0)]
+    mismatch = None
+    if wrong:
+        e = min(wrong, key=lambda e: (sum(e), e))
+        mismatch = {"exponents": list(e), "lhs": lhs.terms.get(e, 0), "rhs": rhs.terms.get(e, 0)}
+    return Report(identity, mismatch is None, len(keys), params, mismatch)

@@ -96,15 +96,18 @@ def test_skew_schur_matches_filling_oracle():
 
 
 def test_schur_sweep_matches_filling_oracle_on_box():
-    # every lam inside (4,4,4), every mu inside lam, n <= 3: 1,470 cases
+    # every lam inside (4,4,4), every mu inside lam, n <= 3, horizontal steps
+    # and vertical ones (s_{lam'/mu'}, the conjugates' fillings): 2 x 1,470 cases
     cases = 0
     for lam in enumerate_partitions(12, (3, 4)):
         for mu in sub_partitions(lam):
             for n in (1, 2, 3):
                 expect = oracle.schur_poly(lam, n, mu)
                 assert schur(lam, n, 12, mu=mu).terms == expect, (lam, mu, n)
-                cases += 1
-    assert cases == 1470
+                expect = oracle.schur_poly(conjugate(lam), n, conjugate(mu))
+                assert schur(lam, n, 12, StepKind.VERTICAL, mu).terms == expect, (lam, mu, n)
+                cases += 2
+    assert cases == 2940
 
 
 def test_schur_conjugation():
@@ -293,6 +296,7 @@ def test_verify_rejects_counts_and_shapes_of_the_wrong_type(identity, kwargs, me
     ("skew-littlewood-even-rows", dict(rho=(2,)), "rho"),
     ("pieri", dict(lam=(1,), k=1, m=2), "m"),
     ("squarefree", dict(lam=(1,)), "lam"),
+    ("squarefree", dict(), "degree"),
 ])
 def test_verify_refuses_parameters_its_identity_does_not_take(identity, kwargs, field):
     with pytest.raises(ValueError) as info:
@@ -301,9 +305,14 @@ def test_verify_refuses_parameters_its_identity_does_not_take(identity, kwargs, 
 
 
 def test_verify_takes_empty_shapes_and_none_counts_as_not_given():
-    for identity in ("cauchy", "littlewood-all", "squarefree"):
-        assert verify_identity(identity, n=2, cap=4, lam=(), rho=[], m=None, k=None) == \
-            verify_identity(identity, n=2, cap=4)
+    for identity, cap in (("cauchy", 4), ("littlewood-all", 4), ("squarefree", None)):
+        assert verify_identity(identity, n=2, cap=cap, lam=(), rho=[], m=None, k=None) == \
+            verify_identity(identity, n=2, cap=cap)
+
+
+def test_verify_defaults_the_degree_to_six():
+    report = verify_identity("cauchy", 2)
+    assert report.params["degree"] == 6 and report == verify_identity("cauchy", 2, 6)
 
 
 @pytest.mark.parametrize("fn,args,kwargs,message", [
@@ -330,7 +339,7 @@ def test_product_side_rejects_unknown_kinds(kind):
 
 
 def test_verify_squarefree():
-    report = verify_identity("squarefree", n=5, cap=0)
+    report = verify_identity("squarefree", n=5)
     assert report.equal and report.lhs_value == report.rhs_value == 120
     assert report.to_dict()["lhs"] == 120
 
@@ -339,7 +348,7 @@ def test_verify_mismatch_reporting():
     """A deliberately unequal comparison reports the first differing exponent."""
     a = TruncatedPolynomial(2, 4, {(1, 0): 1, (0, 2): 3})
     b = TruncatedPolynomial(2, 4, {(1, 0): 1, (0, 2): 4})
-    rep = _compare("test", {}, a, b)
+    rep = _compare("test", {}, a, b, 1)  # x_1 and y_1: every key is dominant
     assert not rep.equal
     assert rep.mismatch == {"exponents": [0, 2], "lhs": 3, "rhs": 4}
 
@@ -352,7 +361,7 @@ def test_unknown_identity():
 # ---------------------------------------------------------------------------
 # verify_identity computes only the dominant terms of both sides.  The
 # reference below builds every monomial of both sides from schur and
-# product_side, and _compare without a group split compares them all.
+# product_side, and oracle.compare compares them all.
 
 
 def _embedded(poly, nvars, offset, cap):
@@ -407,7 +416,7 @@ def full_sides(name, n, cap, m=None, lam=EMPTY, rho=EMPTY, k=0):
 def _full_report(name, **kwargs):
     report = verify_identity(name, **kwargs)
     lhs, rhs = full_sides(name, **kwargs)
-    return report, _compare(name, report.params, lhs, rhs)
+    return report, oracle.compare(name, report.params, lhs, rhs)
 
 
 def _reference_cases():
@@ -444,7 +453,7 @@ def test_dominant_verification_matches_full_reference():
     assert {name for name, _ in _reference_cases()} == set(IDENTITIES) - {"squarefree"}
     assert cases == 423
     # squarefree compares two integers, not polynomials
-    assert verify_identity("squarefree", n=4, cap=0).to_dict() == {
+    assert verify_identity("squarefree", n=4).to_dict() == {
         "identity": "squarefree", "equal": True, "checked_terms": 1,
         "params": {"n": 4}, "lhs": 24, "rhs": 24,
     }
@@ -485,7 +494,7 @@ def test_dominant_mismatch_matches_full_reference(name, kwargs, keys, first):
     lhs, rhs = full_sides(name, **kwargs)
     for key in keys:
         lhs = _inject(lhs, n, key)
-    full = _compare(name, {}, lhs, rhs)
+    full = oracle.compare(name, {}, lhs, rhs)
     dominant = _compare(name, {}, _dominant(lhs, n), _dominant(rhs, n), n)
     assert not full.equal and full.mismatch["exponents"] == first
     assert dominant.to_dict() == full.to_dict()

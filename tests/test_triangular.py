@@ -25,7 +25,6 @@ from growthdiagrams import (
 from growthdiagrams.partitions import member
 from growthdiagrams.projections import StarVariant
 from growthdiagrams.triangular import (
-    DIAGONAL_DOMAIN,
     LittlewoodVariant,
     TriangularArray,
     validate_entries,
@@ -202,7 +201,7 @@ VARIANTS = [littlewood_variant(f) for f in Family] + [
 
 
 def diagonal_entries(family):
-    domain = DIAGONAL_DOMAIN[family]
+    domain = oracle.DIAGONAL_DOMAIN[family]
     if domain is not None:
         return st.sampled_from(domain)
     step = 2 if family is Family.EVEN_ROWS else 1
