@@ -1,5 +1,6 @@
 """Rectangular (dual) growth diagrams, the induced RSK-type correspondences,
-and the one square sweep that every growth diagram in the package runs.
+the one square sweep that every growth diagram in the package runs, and the
+enumerator that lists every growth through the up sets of ``interlacing``.
 
 A growth diagram over an n x m matrix labels the (n+1) x (m+1) grid vertices
 with partitions; i-steps (down the rows) are horizontal strips, j-steps are
@@ -26,16 +27,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
-from .interlacing import DomainError
-from .partitions import (
-    EMPTY,
-    Partition,
-    is_horizontal_strip,
-    is_vertical_strip,
-    part,
-    partitions_of_size,
-    size,
-)
+from .interlacing import DomainError, up_set
+from .partitions import EMPTY, Partition, join, part, size
 from .projections import LittlewoodVariant, proj_apply, proj_unapply
 from .rules import Rule, apply_rule, unapply_rule
 from .tableaux import StepKind, TableauChain
@@ -280,8 +273,8 @@ def pieri_inverse(
 
 
 # ---------------------------------------------------------------------------
-# Brute-force enumeration of all (dual) growths with straight borders, over
-# a rectangle or (from triangular.py) a staircase.
+# Enumeration of all (dual) growths with straight borders, over a rectangle
+# or (from triangular.py) a staircase, vertex by vertex through the up sets.
 
 def _prefix(a: Matrix) -> list[list[int]]:
     """pre[i][j] = the sum of a over rows 1..i and columns 1..j."""
@@ -291,16 +284,14 @@ def _prefix(a: Matrix) -> list[list[int]]:
     return pre
 
 
-def _enumerate(
-    a: Matrix, vertex_starts: Sequence[int], dual: bool
-) -> list[tuple[tuple[Partition, ...], ...]]:
-    """Every labelling of the vertices (i, j), vertex_starts[i] <= j, with strip
-    edges and |v[i][j]| = sum of a over [1..i] x [1..j]; rows come back cut to
-    their vertex range."""
+def _enumerate(a: Matrix, vertex_starts: Sequence[int],
+               dual: bool) -> list[tuple[tuple[Partition, ...], ...]]:
+    """Every growth on the vertices (i, j), vertex_starts[i] <= j: v[i][j] runs
+    lex-descending through U(lam, rho, k) (U* when dual) of lam = v[i][j-1] (or
+    rho, non-dual, at the row's start) and rho = v[i-1][j] (or () in row 0), with
+    |v[i][j]| the sum of a over [1..i] x [1..j].  Rows are cut to their range."""
     sizes = _prefix(a)
     cells = [(i, j) for i, s in enumerate(vertex_starts) for j in range(s, len(sizes[0]))]
-    jstrip = is_vertical_strip if dual else is_horizontal_strip
-    by_size: dict[int, list[Partition]] = {}
     v = [[EMPTY] * len(sizes[0]) for _ in vertex_starts]
     found = []
 
@@ -309,14 +300,10 @@ def _enumerate(
             found.append(tuple(tuple(row[s:]) for row, s in zip(v, vertex_starts)))
             return
         i, j = cells[pos]
-        s = sizes[i][j]
-        if s not in by_size:
-            by_size[s] = partitions_of_size(s)
-        for p in by_size[s]:
-            if i > 0 and not is_horizontal_strip(v[i - 1][j], p):
-                continue
-            if j > vertex_starts[i] and not jstrip(v[i][j - 1], p):
-                continue
+        rho = v[i - 1][j] if i else EMPTY
+        lam, jdual = (v[i][j - 1], dual) if j > vertex_starts[i] else (rho, False)
+        k = sizes[i][j] - size(join(lam, rho))
+        for p in reversed(up_set(lam, rho, k, jdual) if k >= 0 else []):
             v[i][j] = p
             rec(pos + 1)
 
@@ -325,9 +312,8 @@ def _enumerate(
 
 
 def enumerate_growths(matrix: Matrix, dual: bool = False) -> list[GrowthGrid]:
-    """All assignments satisfying the growth definition: strip conditions on
-    every edge plus the prefix-sum size law.  Exponential; intended for small
-    matrices."""
+    """All (dual) growths over the matrix with empty borders, vertex by vertex
+    through the up sets.  Exponential; intended for small matrices."""
     n, _ = matrix_dims(matrix, binary=dual)
     frozen = _frozen(matrix)
     return [GrowthGrid(rows, frozen, dual) for rows in _enumerate(matrix, [0] * (n + 1), dual)]

@@ -10,9 +10,9 @@ the lam side (up) is vertical instead of horizontal.  By interlacing, each
 row of a member lies between rows of lam and rho, so each set is an interval
 of Young's lattice cut to one size (``partitions_between``); the structured
 encodings below identify their elements with multisets of ribbon positions.
-The local rules in ``rules.py`` do not call these encodings or the ribbon row
-helpers: they are the paper's statement of the rules, which the tests check
-the rules against, and nothing here is cached.
+The growth enumerator lists each vertex through ``up_set``.  The local rules
+in ``rules.py`` call nothing here: the encodings are the paper's statement of
+the rules, which the tests check the rules against.  Nothing here is cached.
 """
 
 from __future__ import annotations
@@ -134,12 +134,11 @@ def _dual_addable_rows(lam: Partition, rho: Partition) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # The up and down sets: one partitions_between interval per (lam, rho, kmax),
-# split by size.
+# cut to one size or split by size.
 
-def up_sets_through(
-    lam: Partition, rho: Partition, kmax: int, dual: bool = False
-) -> list[list[Partition]]:
-    """[U(lam, rho, k) for k in 0..kmax], each sorted."""
+def _up_interval(lam: Partition, rho: Partition, kmax: int,
+                 dual: bool) -> tuple[Partition, list[int]]:
+    """Row bounds (lo, hi) of U(lam, rho, k) for every k <= kmax; |lo| = |lam v rho|."""
     base = join(lam, rho)
     top = (part(base, 1) + kmax,)  # stands in for row 0 of lam and rho
     rows = range(1, len(base) + 2)
@@ -147,7 +146,14 @@ def up_sets_through(
         hi = [min(part(lam, r) + 1, part(top + rho, r)) for r in rows]
     else:
         hi = [part(top + meet(lam, rho), r) for r in rows]
-    return _by_size(partitions_between(base + (0,), hi, kmax), base, kmax)
+    return base + (0,), hi
+
+
+def up_sets_through(lam: Partition, rho: Partition, kmax: int,
+                    dual: bool = False) -> list[list[Partition]]:
+    """[U(lam, rho, k) for k in 0..kmax], each sorted."""
+    lo, hi = _up_interval(lam, rho, kmax, dual)
+    return _by_size(partitions_between(lo, hi, kmax), lo, kmax)
 
 
 def down_sets_through(
@@ -177,7 +183,8 @@ def up_set(lam: Partition, rho: Partition, k: int, dual: bool = False) -> list[P
     """The set U(lam, rho, k) (U* when dual), sorted for deterministic comparison."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return up_sets_through(lam, rho, k, dual)[k]
+    lo, hi = _up_interval(lam, rho, k, dual)
+    return partitions_between(lo, hi, k, sum(hi) - size(lo) - k)[::-1]
 
 
 def down_set(lam: Partition, rho: Partition, k: int, dual: bool = False) -> list[Partition]:

@@ -13,10 +13,10 @@ the variant's partition family.  Reading the last column yields the tableau of
 the Littlewood correspondence.  In dual grids (asymmetric variants) j-steps
 are vertical strips; i-steps are always horizontal, so the output is an SSYT.
 
-Builds, inverses and the enumerator run the rectangular engine of growth.py
-on the staircase starts[i] = i, with the array read as its symmetric n x n
-matrix: each diagonal square comes first in its row, and |vertex(i, j)| is the
-matrix's sum over [1..i] x [1..j].
+Builds and inverses run the rectangular engine of growth.py, and the enumerator
+its up-set enumerator, on the staircase starts[i] = i, with the array read as
+its symmetric n x n matrix: each diagonal square comes first in its row, and
+|vertex(i, j)| is the matrix's sum over [1..i] x [1..j].
 """
 
 from __future__ import annotations
@@ -76,16 +76,20 @@ def validate_entries(variant: LittlewoodVariant, array: TriangularArray) -> None
     row = LITTLEWOOD[variant.family]
     diag = row.diagonal
     allowed = diag or f"the multiples of {row.power}"
-    for i, entries in enumerate(array.rows, start=1):
-        for j, v in enumerate(entries, start=i):
-            if i == j:
-                if (v not in diag) if diag else v % row.power:
-                    raise ValueError(
-                        f"diagonal entry c[{i}][{i}] = {v} outside {allowed} "
-                        f"for {variant.family.value}"
-                    )
-            elif variant.dual and v > 1:
-                raise ValueError(f"entry c[{i}][{j}] = {v} must be 0 or 1 for dual variants")
+    for i, (v, *off) in enumerate(array.rows, start=1):
+        if (v not in diag) if diag else v % row.power:
+            raise ValueError(
+                f"diagonal entry c[{i}][{i}] = {v} outside {allowed} for {variant.family.value}"
+            )
+        if variant.dual:
+            _check_binary(i, off)
+
+
+def _check_binary(i: int, off: Sequence[int]) -> None:
+    """Refuse an entry > 1 among c[i][i+1], c[i][i+2], ... of a dual array."""
+    for j, v in enumerate(off, start=i + 1):
+        if v > 1:
+            raise ValueError(f"entry c[{i}][{j}] = {v} must be 0 or 1 for dual variants")
 
 
 @dataclass(frozen=True)
@@ -198,11 +202,13 @@ def littlewood_insert(
 
 
 # ---------------------------------------------------------------------------
-# Brute-force enumeration of all triangular (dual) growths of an array.
+# Enumeration of all triangular (dual) growths of an array through the up sets.
 
 def enumerate_triangular_growths(
     array: TriangularArray, dual: bool = False
 ) -> list[tuple[tuple[Partition, ...], ...]]:
-    """All vertex assignments satisfying the strip conditions and the size law
-    (straight border); exponential, for small arrays only."""
+    """All triangular (dual) growths of the array with an empty border; dual
+    ones take 0/1 off the diagonal.  Exponential, for small arrays only."""
+    for i, (_, *off) in enumerate(array.rows if dual else (), start=1):
+        _check_binary(i, off)
     return _enumerate(_symmetric(array), range(array.n + 1), dual)

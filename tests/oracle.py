@@ -1,14 +1,14 @@
 """Independent brute-force oracles used by the tests.
 
-The cell, strip, up/down-set and filling oracles work on explicit cell sets
-or fillings, deliberately avoiding the interlacing shortcuts the package
-uses, so the two routes only agree if both are right.  The size laws sum the
-matrix or array entries themselves.  Two groups read package code: the family
-sets (``family_up_set``, ``family_down_set``, ``proj_domain``) filter the
-package's strip enumerators through its ``member``, and ``asym_indices``
-reads the option tables of ``projections._asym_options``.  ``compare`` is the
-reference the dominant-key comparison of ``verify_identity`` is checked
-against: it compares every monomial.
+The cell, strip, up/down-set, growth and filling oracles work on explicit
+cell sets or fillings, deliberately avoiding the interlacing shortcuts the
+package uses, so the two routes only agree if both are right.  The size laws
+sum the matrix or array entries themselves.  Two groups read package code:
+the family sets (``family_up_set``, ``family_down_set``, ``proj_domain``)
+filter the package's strip enumerators through its ``member``, and
+``asym_indices`` reads the option tables of ``projections._asym_options``.
+``compare`` is the reference the dominant-key comparison of
+``verify_identity`` is checked against: it compares every monomial.
 """
 
 from __future__ import annotations
@@ -277,3 +277,62 @@ def compare(identity, params, lhs, rhs):
         e = min(wrong, key=lambda e: (sum(e), e))
         mismatch = {"exponents": list(e), "lhs": lhs.terms.get(e, 0), "rhs": rhs.terms.get(e, 0)}
     return Report(identity, mismatch is None, len(keys), params, mismatch)
+
+
+# ---------------------------------------------------------------------------
+# Growths by backtracking over every partition of each vertex's size.
+
+@lru_cache(maxsize=None)
+def _partitions_list(n):
+    return tuple(partitions_of(n))
+
+
+def _growths(vertices, size_at, dual):
+    """Every labelling of ``vertices`` (row-major (i, j) pairs) by partitions
+    of size ``size_at(i, j)`` with a horizontal strip down every column edge
+    and a horizontal (vertical when dual) strip along every row edge.  Each
+    vertex runs lex-descending; a labelling comes back as its rows."""
+    present = set(vertices)
+    row_strip = vert_strip if dual else horiz_strip
+    v = {}
+    out = []
+
+    def rec(pos):
+        if pos == len(vertices):
+            rows = {}
+            for i, j in vertices:
+                rows.setdefault(i, []).append(v[i, j])
+            out.append(tuple(tuple(r) for r in rows.values()))
+            return
+        i, j = vertices[pos]
+        for p in _partitions_list(size_at(i, j)):
+            if (i - 1, j) in present and not horiz_strip(v[i - 1, j], p):
+                continue
+            if (i, j - 1) in present and not row_strip(v[i, j - 1], p):
+                continue
+            v[i, j] = p
+            rec(pos + 1)
+
+    rec(0)
+    return out
+
+
+def growths(matrix, dual=False):
+    """All (dual) growths over a matrix with empty borders, as vertex rows."""
+    n, m = len(matrix), len(matrix[0])
+    return _growths(
+        [(i, j) for i in range(n + 1) for j in range(m + 1)],
+        lambda i, j: sum(sum(row[:j]) for row in matrix[:i]),
+        dual,
+    )
+
+
+def triangular_growths(array, dual=False):
+    """All triangular (dual) growths of an array with an empty border, as
+    vertex rows (i, i..n)."""
+    n = array.n
+    return _growths(
+        [(i, j) for i in range(n + 1) for j in range(i, n + 1)],
+        lambda i, j: triangular_size(array, i, j),
+        dual,
+    )

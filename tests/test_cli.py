@@ -256,6 +256,18 @@ def test_enumerate_cli(capsys, tmp_path):
     assert json.loads(out)["partitions"] == [[], [1], [2], [1, 1]]
 
 
+def test_enumerate_growths_huge_entry(capsys, tmp_path):
+    """A 1 x 1 matrix has one growth however large its entry: the vertex's
+    up set is cut to one size, not listed from every partition of it."""
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps([[2**70]]))
+    code, out, err = run_cli(capsys, "enumerate", "--growths", str(path))
+    assert code == 0 and err == ""
+    result = json.loads(out)
+    assert result["count"] == 1
+    assert result["growths"][0]["vertices"][1][1] == [2**70]
+
+
 def test_littlewood_cli_roundtrip(capsys, tmp_path):
     c = tmp_path / "C.json"
     c.write_text(json.dumps({"n": 3, "rows": [[0, 0, 1], [1, 0], [0]]}))

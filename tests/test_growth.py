@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +59,25 @@ def test_enumerate_growths_example():
         assert any(g.vertices == h.vertices for h in duals)
     for g in growths + duals:
         assert oracle.grid_size_law(g)
+
+
+def _matrices(vals, max_cells):
+    """Every matrix up to 3 x 3 with at most ``max_cells`` entries from ``vals``."""
+    for n, m in product(range(1, 4), repeat=2):
+        if n * m <= max_cells:
+            for flat in product(vals, repeat=n * m):
+                yield [list(flat[i * m:(i + 1) * m]) for i in range(n)]
+
+
+def test_enumerate_growths_matches_oracle():
+    """The up-set enumerator lists the same growths in the same order as the
+    oracle's backtracking over every partition of each vertex's size."""
+    cases = [(a, dual) for a in _matrices((0, 1), 9) for dual in (False, True)]
+    cases += [(a, False) for a in _matrices((0, 1, 2), 6) if any(2 in r for r in a)]
+    assert len(cases) == 2808
+    for a, dual in cases:
+        got = [g.vertices for g in enumerate_growths(a, dual)]
+        assert got == oracle.growths(a, dual), (a, dual)
 
 
 def test_third_growth_tableaux():
@@ -235,6 +255,13 @@ def test_skew_roundtrip_randomized(rule):
         for j in range(1, 4):
             border = size(T.chain[j]) - size(T.chain[j - 1])
             assert q.weight().get(j, 0) == sum(r[j - 1] for r in matrix) + border
+
+
+def test_non_strip_chain_is_refused():
+    with pytest.raises(ValueError, match="not a horizontal strip"):
+        TableauChain(((1,), (2, 1, 1)))
+    with pytest.raises(ValueError, match="not a vertical strip"):
+        TableauChain(((1,), (3,)), StepKind.VERTICAL)
 
 
 def test_border_validation():

@@ -63,6 +63,31 @@ def test_enumerate_example():
     assert [[1, 2], [3]] in ps
 
 
+def test_enumerate_matches_oracle():
+    """Every array with n <= 3, diagonal entries up to 2 and 0/1 off the
+    diagonal: the same growths in the same order as the oracle."""
+    count = 0
+    for n in range(4):
+        for arr in arrays(n, (0, 1), (0, 1, 2)):
+            for dual in (False, True):
+                count += 1
+                assert enumerate_triangular_growths(arr, dual) == oracle.triangular_growths(
+                    arr, dual
+                ), (arr.rows, dual)
+    assert count == 476
+
+
+def test_dual_enumeration_refuses_entries_above_one():
+    arr = triangular_array([[0, 1, 0], [0, 2], [0]])
+    assert len(enumerate_triangular_growths(arr)) == 13
+    with pytest.raises(ValueError, match=r"^entry c\[2\]\[3\] = 2 must be 0 or 1 for dual"):
+        enumerate_triangular_growths(arr, dual=True)
+    # the enumerator takes no family, so a diagonal entry 2 stays allowed
+    assert enumerate_triangular_growths(triangular_array([[2]]), dual=True) == [
+        ((EMPTY, EMPTY), ((2,),))
+    ]
+
+
 def test_rule_built_membership():
     growths = enumerate_triangular_growths(C_EXAMPLE)
     for base in (Rule.ROW, Rule.COL):
