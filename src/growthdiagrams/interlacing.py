@@ -156,18 +156,24 @@ def up_sets_through(lam: Partition, rho: Partition, kmax: int,
     return _by_size(partitions_between(lo, hi, kmax), lo, kmax)
 
 
-def down_sets_through(
-    lam: Partition, rho: Partition, kmax: int, dual: bool = False
-) -> list[list[Partition]]:
-    """[D(lam, rho, k) for k in 0..kmax], each sorted."""
+def _down_interval(lam: Partition, rho: Partition,
+                   dual: bool) -> tuple[list[int], list[int]]:
+    """Row bounds (lo, hi) of D(lam, rho, k) for every k; hi is lam ^ rho."""
     base = meet(lam, rho)
     rows = range(1, max(len(lam), len(rho)) + 1)
     if dual:
         lo = [max(part(lam, r + 1), part(rho, r) - 1, 0) for r in rows]
     else:
         lo = [max(part(lam, r + 1), part(rho, r + 1)) for r in rows]
-    hi = [part(base, r) for r in rows]
-    return _by_size(partitions_between(lo, hi, max_remove=kmax), base, kmax)
+    return lo, [part(base, r) for r in rows]
+
+
+def down_sets_through(
+    lam: Partition, rho: Partition, kmax: int, dual: bool = False
+) -> list[list[Partition]]:
+    """[D(lam, rho, k) for k in 0..kmax], each sorted."""
+    lo, hi = _down_interval(lam, rho, dual)
+    return _by_size(partitions_between(lo, hi, max_remove=kmax), hi, kmax)
 
 
 def _by_size(members: list[Partition], base: Partition, kmax: int) -> list[list[Partition]]:
@@ -191,7 +197,8 @@ def down_set(lam: Partition, rho: Partition, k: int, dual: bool = False) -> list
     """The set D(lam, rho, k) (D* when dual), sorted."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return down_sets_through(lam, rho, k, dual)[k]
+    lo, hi = _down_interval(lam, rho, dual)
+    return partitions_between(lo, hi, sum(hi) - k - sum(lo), k)[::-1]
 
 
 # ---------------------------------------------------------------------------

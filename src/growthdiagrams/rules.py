@@ -10,31 +10,33 @@ to lam v rho; with j = |R|
     dual-row  R |-> R, or R + {0} when |R| = k-1
     dual-col  R |-> {x-1 : x in R}, plus {d} when |R| = k-1
 
-Here they act on part vectors in one pass over the rows that only compares
-(no builtin min/max; neither lam ^ rho nor lam v rho is built), and each row's
+Here they act on part vectors in one pass over the rows that only compares (no
+builtin min/max; neither lam ^ rho nor lam v rho is built), and each row's
 input check is the bound the rule's arithmetic needs anyway.  The pass counts
 j, so the growth engine hands over a square's entry and k = j + entry.  Write
 base = lam ^ rho and top = lam v rho.  Row and col: mu is in the domain iff
 top_{r+1} <= mu_r <= base_r in every row; row r removes base_r - mu_r cells,
 and its addable slot (row r+1) has mu_r - top_{r+1} cells left over, which is
 zero unless row r carries a removable ribbon.  So the row rule is Fomin's
-nu_1 = top_1 + k - j and nu_{r+1} = top_{r+1} + base_r - mu_r, and col
-matches the removed cells against those left-over cells in one scan
-(``_match``).  Dual: call row r an s-row when rho_r <= lam_r (there
-top_r = lam_r).  The dual corners are the s-rows r with lam_{r+1} < rho_r,
-the dual slots the s-rows with lam_r < rho_{r-1}, and the two alternate
-bottom-up, starting with a slot: slot 0 <= corner 1 < slot 1 <= corner 2 ...
-So dual-row sends corner i's cell to slot i, the next s-row above it, and
-dual-col to slot i-1, the last slot at or below it.  Nothing is cached;
-``interlacing.encode``/``decode`` are the reference the tests check these
-rules against.
+nu_1 = top_1 + k - j and nu_{r+1} = top_{r+1} + base_r - mu_r, and col matches
+the removed cells against those left-over cells: each removed cell, then each
+of the k - j new ones, takes the nearest slot at or above its row with a cell
+left, else row 1.  The matches nest like parentheses, so a running count of
+the unmatched cells gives each slot's share: one scan up the slots after the
+pass (the inverse scans down them in its pass).  Dual: call row r an s-row
+when rho_r <= lam_r (there top_r = lam_r).  The dual corners are the s-rows r
+with lam_{r+1} < rho_r, the dual slots the s-rows with lam_r < rho_{r-1}, and
+the two alternate bottom-up, starting with a slot:
+slot 0 <= corner 1 < slot 1 <= corner 2 ...  So dual-row sends corner i's cell
+to slot i, the next s-row above it, and dual-col to slot i-1, the last slot at
+or below it.  Nothing is cached; ``interlacing.encode``/``decode`` are the
+reference the tests check these rules against.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from math import inf
-from operator import add, sub
 
 from .interlacing import DomainError
 from .partitions import Partition
@@ -56,11 +58,10 @@ def apply_rule(
 ) -> Partition:
     """F_{lam,rho,k}(mu); raises DomainError when mu is outside the domain.
     With k = None and ``entry`` given, k = |R(mu)| + entry."""
-    if entry is None:
-        if k < 0:
-            raise DomainError("k must be >= 0")
-    elif k is not None:
-        raise TypeError("pass k or entry, not both")
+    if (k is None) == (entry is None):
+        raise TypeError("pass k or entry, " + ("got neither" if k is None else "not both"))
+    if entry is None and k < 0:
+        raise DomainError("k must be >= 0")
     if rule.dual:
         rows = (len(lam) if len(lam) > len(rho) else len(rho)) + 1
         lam_ = lam + (0,) * (rows + 1 - len(lam))
@@ -96,27 +97,37 @@ def apply_rule(
     if len(mu) > n or len(lam) + len(rho) > 2 * n + 1:
         raise DomainError(f"{mu} is not below both {lam} and {rho}")
     mu_ = mu + (0,) * (n + 1 - len(mu))
-    tops, cut, last = [], [], inf
+    col = rule is Rule.COL
+    # nu[r] = top_r + cut_{r-1}: row r-1's removed cells fill the slot below it
+    nu, tops, j, cut, last = [], [], 0, 0, inf
     for l, p, m in zip(lam + (0,), rho + (0,), mu_):
         t = l if l > p else p
         b = l + p - t
         if last < t or m > b:
             raise DomainError(f"{mu} is not below both {lam} and {rho}")
-        tops.append(t)
-        cut.append(b - m)
+        nu.append(t + cut)
+        if col:
+            tops.append(t)
+        cut = b - m
+        j += cut
         last = m
-    j = sum(cut)
     k = k if entry is None else j + entry
     if j > k:
         raise DomainError(f"|R(mu)| = {j} exceeds k = {k}")
-    if rule is Rule.ROW:
-        used = cut  # row r's removed cells fill the slot above it
-    else:
-        # greedy: drivers R + {inf^(k-j)} ascending each take the highest row
-        # below them whose addable slot has cells left, else row 0 (nu_1)
-        cut[-1] = k - j
-        used = _match(cut, [*map(sub, mu_, tops[1:])])  # cells left in row r's slot
-    return tuple(filter(None, [tops[0] + k - sum(used), *map(add, tops[1:], used)]))
+    d = k - j  # cells for row 0
+    if col:
+        # greedy, slots bottom-up: d counts the cells still unmatched; slot r
+        # takes u = min(mu_{r-1} - top_r, d) of them, and row r-1's cut joins d
+        for r in range(n, 0, -1):
+            v = tops[r] + d
+            if v > mu_[r - 1]:
+                v = mu_[r - 1]
+            d += nu[r] - v
+            nu[r] = v
+    nu[0] += d
+    if not nu[-1]:  # only the last row can be empty
+        nu.pop()
+    return tuple(nu)
 
 
 def unapply_rule(
@@ -158,39 +169,20 @@ def unapply_rule(
     if len(nu) > n + 1 or len(lam) + len(rho) > 2 * n + 1:
         raise DomainError(f"{nu} is not above both {lam} and {rho}")
     nu_ = nu + (0,) * (n + 1 - len(nu))
-    base, added, last = [], [], inf
+    col = rule is Rule.COL
+    # mu[r] = base_{r-1} - u_r: slot r gives back all its added cells (row), or
+    # top-down u_r = min(base_{r-1} - nu_r, d), d the added cells above still
+    # unmatched (col); row 0 has no slot: last = nu_1 offers none, mu[0] is a stand-in
+    mu, d, last = [], 0, nu_[0]
     for l, p, v in zip(lam + (0,), rho + (0,), nu_):
         t = l if l > p else p
-        b = l + p - t
         if v < t or v > last:
             raise DomainError(f"{nu} is not above both {lam} and {rho}")
-        base.append(b)
-        added.append(v - t)
-        last = b
-    if rule is Rule.ROW:
-        used = added[1:]  # row r+1's added cells were removed from row r
-    else:
-        # mirror greedy: S descending, each cell takes the lowest row at
-        # or above it whose addable slot has cells left; unmatched cells
-        # came from infinite drivers
-        used = _match(added[::-1], [*map(sub, base, nu_[1:])][::-1])[::-1]
-    return tuple(filter(None, map(sub, base, used))), sum(added) - sum(used)
-
-
-def _match(takes: list[int], offers: list[int]) -> list[int]:
-    """Cells are taken and offered in turn: takes[0], offers[0], takes[1], ...,
-    offers[-1], takes[-1].  Each taken cell uses the most recently offered
-    cell still open, if any.  Returns how many cells of each offer were used."""
-    left = offers + [0]
-    open_ = []
-    for i, t in enumerate(takes):
-        while t and open_:
-            y = open_[-1]
-            u = min(t, left[y])
-            left[y] -= u
-            t -= u
-            if not left[y]:
-                open_.pop()
-        if left[i]:
-            open_.append(i)
-    return [*map(sub, offers, left)]
+        u = v - t
+        if col:
+            u = last - v if last - v < d else d
+            d += v - t - u
+        mu.append(last - u)
+        last = l + p - t
+    a = d if col else nu_[0] - mu[0]
+    return tuple(mu[1:len(mu) - mu.count(0)]), a

@@ -15,6 +15,7 @@ from growthdiagrams import (
     up_set,
 )
 from growthdiagrams.interlacing import down_sets_through, up_sets_through
+from growthdiagrams.partitions import enumerate_partitions
 
 
 def entries(prof):
@@ -75,13 +76,23 @@ def test_sets_match_cell_oracle(dual):
 
 
 def test_batched_enumeration_consistency():
-    lam, rho = (4, 2, 1), (3, 3)
-    for dual in (False, True):
-        ups = up_sets_through(lam, rho, 5, dual)
-        downs = down_sets_through(lam, rho, 5, dual)
-        for k in range(6):
-            assert ups[k] == up_set(lam, rho, k, dual)
-            assert downs[k] == down_set(lam, rho, k, dual)
+    """up_set and down_set cut their one size straight from the interval and
+    list the same bucket as the batched enumerators: the 3x3 box, k <= 5."""
+    box = enumerate_partitions(9, (3, 3))
+    for lam, rho in [((4, 2, 1), (3, 3))] + [(lam, rho) for lam in box for rho in box]:
+        for dual in (False, True):
+            ups = up_sets_through(lam, rho, 5, dual)
+            downs = down_sets_through(lam, rho, 5, dual)
+            for k in range(6):
+                assert ups[k] == up_set(lam, rho, k, dual)
+                assert downs[k] == down_set(lam, rho, k, dual), (lam, rho, k, dual)
+
+
+def test_down_set_cuts_a_huge_k_without_buckets():
+    """k exceeds |lam ^ rho|, so the set is empty, and down_set finds that
+    from its one size without building k + 1 buckets."""
+    assert down_set((1,), (1,), 2**70) == []
+    assert down_set((1,), (1,), 2**70, dual=True) == []
 
 
 def test_cardinality_laws_small():

@@ -100,6 +100,11 @@ def test_entry_keyword_equals_k_from_the_removed_cells():
         apply_rule(Rule.ROW, (1,), (1,), 1, (1,), entry=0)
 
 
+def test_apply_rule_needs_k_or_entry():
+    with pytest.raises(TypeError, match="^pass k or entry"):
+        apply_rule(Rule.ROW, (1,), (1,), None, (1,))
+
+
 def test_growth_engine_looks_up_apply_rule_once_per_square(monkeypatch):
     """The benchmark's tracer counts squares by wrapping growth.apply_rule."""
     calls = []
@@ -278,6 +283,28 @@ def test_rules_match_position_multiset_reference():
                     )
                     cases += 1
     assert cases == 272_000
+
+
+def test_col_matches_reference_on_4x4_box():
+    """The col rule's running-count scans against the greedy matching as the
+    paper states it, where the scans pass up to four slots: every lam, rho in
+    the 4x4 box, mu in D(lam, rho, j) for j <= 3 and j <= k <= 3, applied and
+    its image unapplied."""
+    box = enumerate_partitions(16, (4, 4))
+    cases = 0
+    for lam in box:
+        for rho in box:
+            for j, downs in enumerate(down_sets_through(lam, rho, 3)):
+                for mu in downs:
+                    for k in range(j, 4):
+                        nu = apply_rule(Rule.COL, lam, rho, k, mu)
+                        expect = _reference_apply(Rule.COL, lam, rho, k, mu)
+                        assert nu == expect, (lam, rho, k, mu)
+                        assert unapply_rule(Rule.COL, lam, rho, nu) == (
+                            _reference_unapply(Rule.COL, lam, rho, nu)
+                        ), (lam, rho, nu)
+                        cases += 1
+    assert cases == 12_684
 
 
 # Past the 3x3 box: partitions with up to 8 rows, where dual corners and slots
