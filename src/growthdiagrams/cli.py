@@ -80,7 +80,10 @@ def _variant(args: argparse.Namespace):
         if args.star not in ("row", "col"):
             raise FormatError(f"star: unknown star {args.star!r}")
         star = StarVariant(f"{args.star}*")
-    return littlewood_variant(family, base, star)
+    try:
+        return littlewood_variant(family, base, star)
+    except ValueError as exc:  # the star is checked above: only the rule's duality is left
+        raise FormatError(f"rule: {exc}") from None
 
 
 def cmd_rsk(args: argparse.Namespace) -> int:

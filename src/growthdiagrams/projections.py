@@ -37,7 +37,6 @@ from .partitions import (
     frobenius,
     from_frobenius,
     FrobeniusCoords,
-    is_horizontal_strip,
     odd_part_count,
     partition,
     size,
@@ -148,8 +147,6 @@ def _asym_options(coords: FrobeniusCoords, sign: int) -> tuple[_Options, _Option
     The indices with two allowed values are the free sets R (below) and S
     (above).  When some index has none, lam has no partner.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     t = (1 - sign) // 2
     a, b = coords
     l = len(a)
@@ -260,12 +257,9 @@ def proj_apply(v: LittlewoodVariant, lam: Partition, k: int, mu: Partition) -> P
         return apply_rule(v.base_rule, lam, lam, k, mu)
     if fam is Family.EVEN_ROWS:
         odd = odd_part_count(lam)
-        drop = size(lam) - size(mu)
         if (k - odd) % 2 or k < odd:
             raise DomainError(f"no even-row partners of {lam} at k = {k}")
-        if (drop - odd) % 2 or drop > k:
-            raise DomainError(f"{mu} is outside the even-row domain at k = {k}")
-        lo, hi = halves(lam)
+        lo, hi = halves(lam)  # phi_halve and apply_rule refuse a mu outside the domain
         nu_half = apply_rule(v.base_rule, lo, hi, (k - odd) // 2, phi_halve(mu))
         return phi_double(nu_half)
     if fam is Family.EVEN_COLS:
@@ -288,10 +282,9 @@ def proj_apply(v: LittlewoodVariant, lam: Partition, k: int, mu: Partition) -> P
 
 
 def proj_unapply(v: LittlewoodVariant, lam: Partition, nu: Partition) -> tuple[Partition, int]:
-    """Invert proj_apply: returns (mu, c) with c = |nu/lam| - |lam/mu|."""
-    if not is_horizontal_strip(lam, nu):
-        raise DomainError(f"{nu}/{lam} is not a horizontal strip")
-    k = size(nu) - size(lam)
+    """Invert proj_apply: returns (mu, c) with c = |nu/lam| - |lam/mu|.  Each branch's
+    own check refuses a nu that is no horizontal strip over lam: unapply_rule's codomain
+    (all; even-rows after phi_halve), the even-column partner, the asym tables above lam."""
     fam = v.family
     if fam is Family.ALL:
         return unapply_rule(v.base_rule, lam, lam, nu)
@@ -299,7 +292,7 @@ def proj_unapply(v: LittlewoodVariant, lam: Partition, nu: Partition) -> tuple[P
         lo, hi = halves(lam)
         mu_half, _ = unapply_rule(v.base_rule, lo, hi, phi_halve(nu))
         mu = phi_double(mu_half)
-        return mu, k - (size(lam) - size(mu))
+        return mu, size(nu) + size(mu) - 2 * size(lam)
     if fam is Family.EVEN_COLS:
         conj = conjugate(lam)
         expect_nu = conjugate(partition(c + (c % 2) for c in conj))

@@ -29,13 +29,15 @@ with lam_{r+1} < rho_r, the dual slots the s-rows with lam_r < rho_{r-1}, and
 the two alternate bottom-up, starting with a slot:
 slot 0 <= corner 1 < slot 1 <= corner 2 ...  So dual-row sends corner i's cell
 to slot i, the next s-row above it, and dual-col to slot i-1, the last slot at
-or below it.  Nothing is cached; ``interlacing.encode``/``decode`` are the
-reference the tests check these rules against.
+or below it.  The dual pass zips the vectors unpadded and drops its one row
+past lam and rho when empty.  Nothing is cached; ``interlacing.encode`` and
+``decode`` are the reference the tests check these rules against.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import zip_longest
 from math import inf
 
 from .interlacing import DomainError
@@ -63,15 +65,12 @@ def apply_rule(
     if entry is None and k < 0:
         raise DomainError("k must be >= 0")
     if rule.dual:
-        rows = (len(lam) if len(lam) > len(rho) else len(rho)) + 1
-        lam_ = lam + (0,) * (rows + 1 - len(lam))
         # dual-row: a removed corner's cell waits for the next s-row, the extra
         # cell goes to the first; dual-col: each goes to the last slot at or below
         dual_row = rule is Rule.DUAL_ROW
-        nu, j, carry, slot, below = [], 0, 0, -1, inf
-        for l, l1, p, m in zip(lam_, lam_[1:], rho + (0,) * (rows - len(rho)),
-                               mu + (0,) * (rows - len(mu))):
-            if not (l1 <= m <= l and p - 1 <= m <= p):
+        nu, j, carry, slot, last, below = [], 0, 0, -1, inf, inf
+        for l, p, m in zip_longest(lam + (0,), rho + (0,), mu, fillvalue=0):
+            if not (l <= last and m <= l and p - 1 <= m <= p):  # lam_r <= mu_{r-1}
                 raise DomainError(f"{mu} is not below both {lam} and {rho}")
             if p > l:
                 nu.append(p)
@@ -87,12 +86,14 @@ def apply_rule(
                 nu.append(l)
                 nu[slot] += p - m
                 j += p - m
-            below = p
+            last, below = m, p
         k = k if entry is None else j + entry
         nu[slot] += k - j
         if j not in (k, k - 1):
             raise DomainError(f"|R(mu)| = {j} not in {{k, k-1}} for k = {k}")
-        return tuple(filter(None, nu))
+        if not nu[-1]:  # only the row past lam and rho can be empty
+            nu.pop()
+        return tuple(nu)
     n = len(lam) if len(lam) < len(rho) else len(rho)  # base has n rows, top n or n+1
     if len(mu) > n or len(lam) + len(rho) > 2 * n + 1:
         raise DomainError(f"{mu} is not below both {lam} and {rho}")
@@ -135,17 +136,13 @@ def unapply_rule(
 ) -> tuple[Partition, int]:
     """Invert F: returns (mu, a) with a = |nu| + |mu| - |lam| - |rho|."""
     if rule.dual:
-        rows = (len(lam) if len(lam) > len(rho) else len(rho)) + 1
-        lam_ = lam + (0,) * (rows + 1 - len(lam))
-        nu_ = nu + (0,) * (rows + 1 - len(nu))
         # dual-row: a slot's cell came from the s-row before it (a corner),
         # or is the extra cell at the first slot; dual-col: it came from the
         # next corner at or above it, or is the extra cell at the last slot
         dual_row = rule is Rule.DUAL_ROW
-        mu, carry, last = [], 0, -1
-        for l, l1, p, v, v1 in zip(lam_, lam_[1:], rho + (0,) * (rows - len(rho)),
-                                   nu_, nu_[1:]):
-            if not (v1 <= p <= v and l <= v <= l + 1):
+        mu, carry, last, below = [], 0, -1, inf
+        for l, l1, p, v in zip_longest(lam + (0,), lam[1:], rho + (0,), nu, fillvalue=0):
+            if not (v <= below and p <= v and l <= v <= l + 1):  # nu_r <= rho_{r-1}
                 raise DomainError(f"{nu} is not above both {lam} and {rho}")
             if p > l:
                 mu.append(l)
@@ -164,7 +161,8 @@ def unapply_rule(
                     carry = 0
                 else:
                     mu.append(p)
-        return tuple(filter(None, mu)), carry  # the extra cell: a
+            below = p
+        return tuple(mu[:len(mu) - mu.count(0)]), carry  # the extra cell: a
     n = len(lam) if len(lam) < len(rho) else len(rho)
     if len(nu) > n + 1 or len(lam) + len(rho) > 2 * n + 1:
         raise DomainError(f"{nu} is not above both {lam} and {rho}")

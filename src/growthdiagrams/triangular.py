@@ -119,6 +119,9 @@ def _default_border(variant: LittlewoodVariant, n: int,
         raise ValueError(f"border must be a {steps.value}-strip chain")
     if S.entries != n:
         raise ValueError(f"border must have {n} steps, got {S.entries}")
+    if not member(S.inner_shape, variant.family):  # at n = 0 no projection checks it
+        raise DomainError(f"border: inner shape {S.inner_shape} is not in family "
+                          f"{variant.family.value}")
     return S
 
 

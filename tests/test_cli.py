@@ -368,6 +368,66 @@ def test_star_rejected_outside_asym_minus(capsys, demo_matrix, argv, message):
     assert code == 1 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["littlewood-encode", "--variant", "asym+1", "--rule", "row", "--array"],
+         "rule: asym+1 requires a dual rule"),
+        (["littlewood-decode", "--variant", "asym-1", "--rule", "col", "--tableau"],
+         "rule: asym-1 requires a dual rule"),
+        (["render", "--variant", "asym+1", "--rule", "row", "--array"],
+         "rule: asym+1 requires a dual rule"),
+        (["littlewood-encode", "--variant", "even-rows", "--rule", "dual-row", "--array"],
+         "rule: even-rows requires a non-dual rule"),
+    ],
+    ids=["encode-asym+1", "decode-asym-1", "render-asym+1", "encode-even-rows"],
+)
+def test_rule_of_the_wrong_duality_is_a_rule_error(capsys, demo_matrix, argv, message):
+    code, out, err = run_cli(capsys, *argv, demo_matrix)
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,content,message",
+    [
+        (["verify", "--identity", "littlewood", "--n", "2"], None,
+         "identity: --variant is required for littlewood checks"),
+        (["rsk", "--rule", "bogus", "--matrix", "{F}"], "[[1]]", "rule: unknown rule 'bogus'"),
+        (["enumerate"], None, "enumerate: pass --growths FILE or --partitions N"),
+        (["render"], None, "render: pass --matrix FILE or --array FILE"),
+        (["rsk", "--matrix", "{F}"], "5", "matrix: expected a non-empty array of arrays"),
+        (["unrsk", "--p", "{F}", "--q", "{F}"], "[1]",
+         'P: expected {"chain": [...], "steps": ...}'),
+        (["unrsk", "--p", "{F}", "--q", "{F}"], '{"chain": [[1]], "steps": "diagonal"}',
+         "P.steps: unknown step kind 'diagonal'"),
+        (["unrsk", "--p", "{F}", "--q", "{F}"], '{"chain": []}',
+         "P.chain: expected a non-empty array of partitions"),
+        (["littlewood-encode", "--variant", "all", "--array", "{F}"], "[1]",
+         'array: expected {"n": ..., "rows": [...]}'),
+        (["littlewood-encode", "--variant", "all", "--array", "{F}"], '{"rows": 5}',
+         "array.rows: expected an array of arrays"),
+        (["littlewood-encode", "--variant", "all", "--array", "{F}"],
+         '{"n": 3, "rows": [[0, 0], [0]]}', "array.n: 3 does not match 2 rows"),
+    ],
+    ids=["verify-no-variant", "rsk-unknown-rule", "enumerate-bare", "render-bare",
+         "matrix-not-array", "P-not-object", "P-steps", "P-empty-chain", "array-not-object",
+         "array-rows", "array-n"],
+)
+def test_refusals_name_their_field(capsys, tmp_path, argv, content, message):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, *(arg.format(F=path) for arg in argv))
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+def test_enumerate_partitions_in_a_box(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--partitions", "4", "--rows", "2",
+                             "--cols", "3")
+    assert code == 0 and err == ""
+    assert out == '{"partitions":[[],[1],[2],[1,1],[3],[2,1],[3,1],[2,2]]}\n'
+
+
 @pytest.mark.parametrize("variant", ["asym-1", "all", "bogus"])
 def test_render_matrix_rejects_variant(capsys, demo_matrix, variant):
     code, out, err = run_cli(capsys, "render", "--matrix", demo_matrix, "--variant", variant)

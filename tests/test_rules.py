@@ -285,26 +285,32 @@ def test_rules_match_position_multiset_reference():
     assert cases == 272_000
 
 
-def test_col_matches_reference_on_4x4_box():
-    """The col rule's running-count scans against the greedy matching as the
-    paper states it, where the scans pass up to four slots: every lam, rho in
-    the 4x4 box, mu in D(lam, rho, j) for j <= 3 and j <= k <= 3, applied and
-    its image unapplied."""
+@pytest.mark.parametrize(
+    "rule,count",
+    [(Rule.COL, 12_684), (Rule.DUAL_ROW, 8_138), (Rule.DUAL_COL, 8_138)],
+    ids=["col", "dual-row", "dual-col"],
+)
+def test_rules_match_reference_on_4x4_box(rule, count):
+    """The col rule's running-count scans, and the dual passes with their row
+    past lam and rho, against the rules as the paper states them, where col's
+    scans pass up to four slots: every lam, rho in the 4x4 box, mu in
+    D(lam, rho, j) for j <= 3 (dual: D*) and j <= k <= 3 (dual: k in
+    {j, j+1}), applied and its image unapplied."""
     box = enumerate_partitions(16, (4, 4))
     cases = 0
     for lam in box:
         for rho in box:
-            for j, downs in enumerate(down_sets_through(lam, rho, 3)):
+            for j, downs in enumerate(down_sets_through(lam, rho, 3, rule.dual)):
                 for mu in downs:
-                    for k in range(j, 4):
-                        nu = apply_rule(Rule.COL, lam, rho, k, mu)
-                        expect = _reference_apply(Rule.COL, lam, rho, k, mu)
+                    for k in (j, j + 1) if rule.dual else range(j, 4):
+                        nu = apply_rule(rule, lam, rho, k, mu)
+                        expect = _reference_apply(rule, lam, rho, k, mu)
                         assert nu == expect, (lam, rho, k, mu)
-                        assert unapply_rule(Rule.COL, lam, rho, nu) == (
-                            _reference_unapply(Rule.COL, lam, rho, nu)
+                        assert unapply_rule(rule, lam, rho, nu) == (
+                            _reference_unapply(rule, lam, rho, nu)
                         ), (lam, rho, nu)
                         cases += 1
-    assert cases == 12_684
+    assert cases == count
 
 
 # Past the 3x3 box: partitions with up to 8 rows, where dual corners and slots

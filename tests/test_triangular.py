@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from growthdiagrams import (
     EMPTY,
+    DomainError,
     Family,
     Rule,
     StepKind,
@@ -353,6 +355,32 @@ def test_skew_roundtrip_with_borders():
                         + sum(arr.entry(k, i) for k in range(1, i))
                     )
                     assert w.get(i, 0) == expect, (fam, arr.rows, i)
+
+
+@pytest.mark.parametrize(
+    "family,inside",
+    [
+        (Family.EVEN_ROWS, (2,)),
+        (Family.EVEN_COLS, (1, 1)),
+        (Family.ASYM_PLUS, (1, 1)),
+        (Family.ASYM_MINUS, (2,)),
+    ],
+    ids=["even-rows", "even-cols", "asym+1", "asym-1"],
+)
+def test_n0_border_must_start_in_the_family(family, inside):
+    """At n = 0 no diagonal square runs, so the border's inner shape is the
+    only place an off-family image could come from: (1,) is refused, and an
+    in-family one round trips."""
+    variant = littlewood_variant(family)
+    steps = StepKind.VERTICAL if variant.dual else StepKind.HORIZONTAL
+    empty = TriangularArray(0, ())
+    message = f"border: inner shape (1,) is not in family {family.value}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        littlewood_map(variant, empty, TableauChain(((1,),), steps))
+    S = TableauChain((inside,), steps)
+    p = littlewood_map(variant, empty, S)
+    assert p.chain == (inside,)
+    assert littlewood_inverse(variant, p) == (empty, S)
 
 
 def test_dual_enumeration_membership():
