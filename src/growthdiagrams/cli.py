@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
 
-from .growth import build_growth, enumerate_growths, insert, rsk, rsk_inverse
+from .growth import build_growth, enumerate_growths, rsk, rsk_inverse
 from .interlacing import DomainError
 from .jsonio import (
     FormatError,
@@ -32,7 +31,6 @@ from .partitions import EMPTY, Family, enumerate_partitions
 from .projections import LITTLEWOOD, StarVariant, littlewood_variant
 from .rules import Rule
 from .series import IDENTITIES, _check_non_negative, verify_identity
-from .tableaux import TableauChain
 from .triangular import build_triangular, extract_P, littlewood_inverse
 
 
@@ -42,7 +40,7 @@ def _cli_name(identity: str) -> str:
     return identity.removesuffix(f"-{family.value}") if family else identity
 
 
-VERIFY_IDENTITIES = (*dict.fromkeys(map(_cli_name, IDENTITIES)), "insertion-agreement")
+VERIFY_IDENTITIES = tuple(dict.fromkeys(map(_cli_name, IDENTITIES)))
 
 
 def _read(path: str) -> str:
@@ -151,51 +149,22 @@ _VERIFY_FLAGS = (("shape", "lam"), ("rho", "rho"), ("k", "k"), ("m", "m"),
 
 def cmd_verify(args: argparse.Namespace) -> int:
     name = args.identity
-    if name not in IDENTITIES and name != "insertion-agreement":
+    if name not in IDENTITIES:
         if not args.variant:
             raise FormatError("identity: --variant is required for littlewood checks")
         name = f"{name}-{_family(args.variant).value}"
-    entry = IDENTITIES.get(name)  # None for insertion-agreement
-    takes = ("m", "seed") if entry is None else entry.params
+    entry = IDENTITIES[name]
     for flag, param in _VERIFY_FLAGS:
-        if getattr(args, flag) is not None and param not in takes:
+        if getattr(args, flag) is not None and param not in entry.params:
             raise FormatError(f"{flag}: identity {args.identity!r} takes no {flag}")
-    if args.variant is not None and (entry is None or entry.family is None):
+    if args.variant is not None and entry.family is None:
         raise FormatError(f"variant: identity {args.identity!r} takes no variant")
-    if entry is None:
-        m = args.n if args.m is None else args.m
-        _check_non_negative(n=args.n, m=m)
-        if args.n == 0:
-            raise FormatError("n: expected a positive integer, got 0")
-        report = _insertion_agreement(args.n, m, args.seed or 0)
-    else:
-        lam = _parse_partition_arg(args.shape, "shape") if args.shape else EMPTY
-        rho = _parse_partition_arg(args.rho, "rho") if args.rho else EMPTY
-        report = verify_identity(
-            name, n=args.n, cap=args.degree, m=args.m, lam=lam, rho=rho, k=args.k
-        ).to_dict()
-    sys.stdout.write(dumps(report))
-    return 0 if report["equal"] else 2
-
-
-def _insertion_agreement(n: int, m: int, seed: int) -> dict:
-    """Seed-fixed random check that column insertion equals the grid construction."""
-    rng = random.Random(seed)
-    checked = 0
-    report = {"identity": "insertion-agreement", "params": {"n": n, "m": m, "seed": seed}}
-    for _ in range(20):
-        for rule in Rule:
-            hi = 1 if rule.dual else 2
-            matrix = [[rng.randint(0, hi) for _ in range(m)] for _ in range(n)]
-            grid = build_growth(rule, matrix)
-            tab = TableauChain.trivial(EMPTY, n)
-            for j in range(m):
-                tab = insert(rule, tab, {i + 1: matrix[i][j] for i in range(n)})
-                column = tuple(grid.vertices[i][j + 1] for i in range(n + 1))
-                if tab.chain != column:
-                    return {**report, "equal": False, "checked_terms": checked, "matrix": matrix}
-                checked += 1
-    return {**report, "equal": True, "checked_terms": checked}
+    lam = _parse_partition_arg(args.shape, "shape") if args.shape else EMPTY
+    rho = _parse_partition_arg(args.rho, "rho") if args.rho else EMPTY
+    report = verify_identity(name, n=args.n, cap=args.degree, m=args.m, lam=lam, rho=rho,
+                             k=args.k, seed=args.seed)
+    sys.stdout.write(dumps(report.to_dict()))
+    return 0 if report.equal else 2
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

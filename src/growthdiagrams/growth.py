@@ -117,13 +117,15 @@ def _default_borders(
     if T is None:
         T = TableauChain.trivial(S.inner_shape, m, qsteps)
     if S.steps is not StepKind.HORIZONTAL:
-        raise ValueError("left border must be a horizontal-strip chain")
+        raise ValueError("border-s: expected a horizontal-strip chain")
     if T.steps is not qsteps:
-        raise ValueError(f"top border must be a {qsteps.value}-strip chain")
-    if S.entries != n or T.entries != m:
-        raise ValueError("border lengths must match the matrix dimensions")
+        raise ValueError(f"border-t: expected a {qsteps.value}-strip chain")
+    if S.entries != n:
+        raise ValueError(f"border-s: expected {n} steps, got {S.entries}")
+    if T.entries != m:
+        raise ValueError(f"border-t: expected {m} steps, got {T.entries}")
     if S.inner_shape != T.inner_shape:
-        raise ValueError("borders must start at the same partition")
+        raise ValueError("border-t: borders must start at the same partition")
     return S, T
 
 

@@ -5,15 +5,19 @@ a total-degree cap; products silently drop terms beyond the cap.  Schur and
 skew Schur polynomials are weighted sums over strip chains, which one sweep
 out of one shape enumerates for every shape it reaches: up sweeps add strips
 for the sum sides, down sweeps remove them for the inner sums and for
-``schur``.  Each identity in ``IDENTITIES`` is
-verified by computing both sides independently and comparing coefficients.
-Both sides are symmetric in each group of variables (x, and y for Cauchy),
-so a verification computes and compares only their dominant terms, whose
-exponents weakly decrease within each group (the m_lambda basis).
+``schur``.  ``IDENTITIES`` is the table of every check ``verify_identity``
+runs.  A series identity is verified by computing both sides independently
+and comparing coefficients.  Both sides are symmetric in each group of
+variables (x, and y for Cauchy), so a verification computes and compares only
+their dominant terms, whose exponents weakly decrease within each group (the
+m_lambda basis).  The table also holds the bijective check that column
+insertion builds the same tableaux as the growth diagram.  Every check
+reports ``equal``, ``checked_terms`` and ``params`` plus its own details.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,6 +25,7 @@ from math import factorial, prod
 from operator import add, ge, lt
 from typing import Callable, NamedTuple
 
+from .growth import build_growth, insert
 from .partitions import (
     EMPTY,
     Family,
@@ -36,7 +41,8 @@ from .partitions import (
     vertical_strips_under,
 )
 from .projections import LITTLEWOOD
-from .tableaux import StepKind
+from .rules import Rule
+from .tableaux import StepKind, TableauChain
 
 Exponents = tuple[int, ...]
 
@@ -263,27 +269,19 @@ def product_side(kind: str, n: int, m: int, cap: int) -> TruncatedPolynomial:
 
 @dataclass(frozen=True)
 class Report:
+    """The outcome of one check: whether it held, how many terms it checked,
+    the request's parameters, and the details its identity reports (the
+    first mismatch, the two counts, or the failing matrix)."""
+
     identity: str
     equal: bool
     checked_terms: int
     params: dict
-    mismatch: dict | None = None
-    lhs_value: int | None = None  # only for the squarefree count identity
-    rhs_value: int | None = None
+    details: dict
 
     def to_dict(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "equal": self.equal,
-            "checked_terms": self.checked_terms,
-            "params": self.params,
-        }
-        if self.mismatch is not None:
-            out["mismatch"] = self.mismatch
-        if self.lhs_value is not None:
-            out["lhs"] = self.lhs_value
-            out["rhs"] = self.rhs_value
-        return out
+        return {"identity": self.identity, "equal": self.equal,
+                "checked_terms": self.checked_terms, "params": self.params, **self.details}
 
 
 def _rearrangements(exps: Exponents) -> int:
@@ -291,10 +289,10 @@ def _rearrangements(exps: Exponents) -> int:
     return factorial(len(exps)) // prod(map(factorial, Counter(exps).values()))
 
 
-def _compare(identity: str, params: dict, lhs: TruncatedPolynomial,
-             rhs: TruncatedPolynomial, n: int) -> Report:
-    """Compare the sides on every key of either and report the first mismatch
-    in (degree, lex) order.
+def _compare(lhs: TruncatedPolynomial, rhs: TruncatedPolynomial, n: int) -> tuple[bool, int, dict]:
+    """Compare the sides on every key of either: whether they agree, the
+    number of monomials checked, and the first mismatch in (degree, lex)
+    order, if any.
 
     The sides are symmetric in x_1..x_n and in the variables after them, and
     hold only their dominant terms.  Each key stands for its distinct
@@ -304,13 +302,12 @@ def _compare(identity: str, params: dict, lhs: TruncatedPolynomial,
     keys = set(lhs.terms) | set(rhs.terms)
     wrong = [e for e in keys if lhs.terms.get(e, 0) != rhs.terms.get(e, 0)]
     checked = sum(_rearrangements(e[:n]) * _rearrangements(e[n:]) for e in keys)
+    if not wrong:
+        return True, checked, {}
     first = {e: tuple(sorted(e[:n])) + tuple(sorted(e[n:])) for e in wrong}
-    mismatch = None
-    if wrong:
-        e = min(wrong, key=lambda e: (sum(e), first[e]))
-        mismatch = {"exponents": list(first[e]), "lhs": lhs.terms.get(e, 0),
-                    "rhs": rhs.terms.get(e, 0)}
-    return Report(identity, mismatch is None, checked, params, mismatch)
+    e = min(wrong, key=lambda e: (sum(e), first[e]))
+    return False, checked, {"mismatch": {"exponents": list(first[e]), "lhs": lhs.terms.get(e, 0),
+                                         "rhs": rhs.terms.get(e, 0)}}
 
 
 def _pair(xs: States, ys: States) -> Terms:
@@ -324,7 +321,7 @@ def _pair(xs: States, ys: States) -> Terms:
     return out
 
 
-def _cauchy(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, k: int):
+def _cauchy(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, **_):
     """sum_nu s_{nu/rho}(x) s_{nu/lam}(y) is the product of 1/(1 - x_i y_j)
     times sum_mu s_{lam/mu}(x) s_{rho/mu}(y).  The dual identity has vertical
     strips on the y side and the product of 1 + x_i y_j."""
@@ -335,10 +332,10 @@ def _cauchy(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partitio
                   _sweep(rho, m, cap, _UNDER[e.steps]))
     rhs = _times(inner, _factors(None, n, m), e.steps is StepKind.VERTICAL, cap, dominant=True)
     rhs = {exps: coeff for exps, coeff in rhs.items() if _decreasing(exps[n:])}
-    return TruncatedPolynomial(n + m, cap, lhs), TruncatedPolynomial(n + m, cap, rhs)
+    return _compare(TruncatedPolynomial(n + m, cap, lhs), TruncatedPolynomial(n + m, cap, rhs), n)
 
 
-def _littlewood(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, k: int):
+def _littlewood(e: Identity, n: int, cap: int, lam: Partition, **_):
     """The sum of s_{nu/lam}(x) over nu in the family is the product times the
     sum of s_{lam/mu}(x) over mu in the family; for the asymmetric families the
     inner sum is of s_{lam'/mu}(x) over mu in the opposite family."""
@@ -349,10 +346,10 @@ def _littlewood(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Part
     inner = _total(_sweep(shape, n, cap, horizontal_strips_under),
                    lambda mu: member(mu, row.inner))
     rhs = _times(inner, _factors(e.family, n, 0), row.dual, cap, dominant=True)
-    return TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs)
+    return _compare(TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs), n)
 
 
-def _pieri(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, k: int):
+def _pieri(e: Identity, n: int, cap: int, lam: Partition, k: int, **_):
     """h_k s_lam is the sum of s_nu over the horizontal k-strips nu over lam;
     the dual identity has e_k and vertical strips."""
     top = size(lam) + k
@@ -362,19 +359,43 @@ def _pieri(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition
     lhs = {exps: coeff for exps, coeff in lhs.terms.items() if _decreasing(exps)}
     rhs = _total(_sweep(EMPTY, n, top, horizontal_strips_over, dominant=True),
                  shapes.__contains__)
-    return TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs)
+    return _compare(TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs), n)
 
 
-def _squarefree(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, k: int):
+def _squarefree(e: Identity, n: int, **_):
     """The sum of f_lam^2 over the partitions of n is n!."""
-    return sum(count_syt(p) ** 2 for p in partitions_of_size(n)), factorial(n)
+    lhs, rhs = sum(count_syt(p) ** 2 for p in partitions_of_size(n)), factorial(n)
+    return lhs == rhs, 1, {"lhs": lhs, "rhs": rhs}
+
+
+def _insertion_agreement(e: Identity, n: int, m: int, seed: int, **_):
+    """Seed-fixed random check that column insertion equals the grid
+    construction: 20 random n x m matrices per rule."""
+    if n == 0:
+        raise ValueError("n: expected a positive integer, got 0")
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(20):
+        for rule in Rule:
+            hi = 1 if rule.dual else 2
+            matrix = [[rng.randint(0, hi) for _ in range(m)] for _ in range(n)]
+            grid = build_growth(rule, matrix)
+            tab = TableauChain.trivial(EMPTY, n)
+            for j in range(m):
+                tab = insert(rule, tab, {i + 1: matrix[i][j] for i in range(n)})
+                if tab.chain != tuple(grid.vertices[i][j + 1] for i in range(n + 1)):
+                    return False, checked, {"matrix": matrix}
+                checked += 1
+    return True, checked, {}
 
 
 class Identity(NamedTuple):
-    """How to compute an identity's two sides, the request fields its report
-    lists, the strip kind of its dual side and its partition family."""
+    """How to check an identity, the request fields its report lists, the
+    strip kind of its dual side and its partition family.  ``check`` returns
+    whether the identity held, the number of terms checked and the details
+    its report adds."""
 
-    sides: Callable[..., tuple]
+    check: Callable[..., tuple[bool, int, dict]]
     params: tuple[str, ...]
     steps: StepKind = StepKind.HORIZONTAL
     family: Family | None = None
@@ -385,7 +406,8 @@ _SKEW_CAUCHY = ("n", "degree", "m", "lam", "rho")
 _PIERI = ("n", "degree", "k", "lam")
 
 #: Every identity ``verify_identity`` checks, by name.  The plain Cauchy and
-#: Littlewood identities are the skew ones with empty shapes.
+#: Littlewood identities are the skew ones with empty shapes; the last row is
+#: the bijective check.
 IDENTITIES: dict[str, Identity] = {
     "cauchy": Identity(_cauchy, _CAUCHY),
     "dual-cauchy": Identity(_cauchy, _CAUCHY, StepKind.VERTICAL),
@@ -398,6 +420,7 @@ IDENTITIES: dict[str, Identity] = {
     "pieri": Identity(_pieri, _PIERI),
     "dual-pieri": Identity(_pieri, _PIERI, StepKind.VERTICAL),
     "squarefree": Identity(_squarefree, ("n",)),
+    "insertion-agreement": Identity(_insertion_agreement, ("n", "m", "seed")),
 }
 
 
@@ -425,34 +448,39 @@ def verify_identity(
     lam: Partition = EMPTY,
     rho: Partition = EMPTY,
     k: int | None = None,
+    seed: int | None = None,
 ) -> Report:
-    """Compute both sides of the named identity exactly and compare.
+    """Run the named check; a series identity computes both sides exactly
+    and compares them.
 
     The sum sides sweep every shape that can contribute a term of total
     degree at most the cap; this is a finite set because a (skew) Schur
     polynomial is homogeneous of the skew-shape size.  Both sides are
     symmetric, so only their dominant terms are computed and compared;
     ``checked_terms`` still counts every monomial of either side.  The cap
-    (the report's degree) defaults to 6.  A parameter the identity does not
-    take is refused when given, the cap included.
+    (the report's degree) defaults to 6, and the seed to 0.  A parameter the
+    identity does not take is refused when given, the cap included.
     """
     entry = IDENTITIES.get(identity)
     if entry is None:
         raise ValueError(f"unknown identity {identity!r}")
     _check_non_negative(n=n, m=m, degree=cap, k=k)
-    given = {"m": m is not None, "k": k is not None,
-             "lam": lam not in ((), []), "rho": rho not in ((), []), "degree": cap is not None}
+    if seed is not None and type(seed) is not int:  # any int seeds the generator, negatives too
+        raise ValueError(f"seed: expected an integer, got {seed}")
+    given = {"m": m is not None, "k": k is not None, "lam": lam not in ((), []),
+             "rho": rho not in ((), []), "degree": cap is not None, "seed": seed is not None}
     for field, is_given in given.items():
         if is_given and field not in entry.params:
             raise ValueError(f"{field}: identity {identity!r} takes no {field}")
     cap = 6 if cap is None else cap
     m = n if m is None else m
     k = 0 if k is None else k
+    seed = 0 if seed is None else seed
     _check_partitions(lam=lam, rho=rho)
     lam, rho = tuple(lam), tuple(rho)
-    values = {"n": n, "degree": cap, "m": m, "k": k, "lam": list(lam), "rho": list(rho)}
+    values = {"n": n, "degree": cap, "m": m, "k": k, "lam": list(lam), "rho": list(rho),
+              "seed": seed}
     params = {name: values[name] for name in entry.params}
-    lhs, rhs = entry.sides(entry, n, m, cap, lam, rho, k)
-    if isinstance(lhs, int):
-        return Report(identity, lhs == rhs, 1, params, None, lhs, rhs)
-    return _compare(identity, params, lhs, rhs, n)
+    equal, checked, details = entry.check(entry, n=n, m=m, cap=cap, lam=lam, rho=rho, k=k,
+                                          seed=seed)
+    return Report(identity, equal, checked, params, details)

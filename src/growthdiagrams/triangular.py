@@ -116,9 +116,9 @@ def _default_border(variant: LittlewoodVariant, n: int,
     if S is None:
         return TableauChain.trivial(EMPTY, n, steps)
     if S.steps is not steps:
-        raise ValueError(f"border must be a {steps.value}-strip chain")
+        raise ValueError(f"border: expected a {steps.value}-strip chain")
     if S.entries != n:
-        raise ValueError(f"border must have {n} steps, got {S.entries}")
+        raise ValueError(f"border: expected {n} steps, got {S.entries}")
     if not member(S.inner_shape, variant.family):  # at n = 0 no projection checks it
         raise DomainError(f"border: inner shape {S.inner_shape} is not in family "
                           f"{variant.family.value}")

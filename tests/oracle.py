@@ -272,11 +272,12 @@ def compare(identity, params, lhs, rhs):
     number of monomials and the first mismatch in (degree, lex) order."""
     keys = set(lhs.terms) | set(rhs.terms)
     wrong = [e for e in keys if lhs.terms.get(e, 0) != rhs.terms.get(e, 0)]
-    mismatch = None
+    details = {}
     if wrong:
         e = min(wrong, key=lambda e: (sum(e), e))
-        mismatch = {"exponents": list(e), "lhs": lhs.terms.get(e, 0), "rhs": rhs.terms.get(e, 0)}
-    return Report(identity, mismatch is None, len(keys), params, mismatch)
+        details["mismatch"] = {"exponents": list(e), "lhs": lhs.terms.get(e, 0),
+                               "rhs": rhs.terms.get(e, 0)}
+    return Report(identity, not wrong, len(keys), params, details)
 
 
 # ---------------------------------------------------------------------------

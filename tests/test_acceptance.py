@@ -180,7 +180,7 @@ def test_criterion_6_series_identities():
         checks.append(("dual-pieri", dict(n=3, cap=9, lam=(2, 1), k=k)))
     for identity, kwargs in checks:
         rep = verify_identity(identity, **kwargs)
-        assert rep.equal, (identity, kwargs, rep.mismatch)
+        assert rep.equal, (identity, kwargs, rep.details)
     report(f"criterion 6: {len(checks)} truncated-series identities", t0, 300)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from growthdiagrams import cli
+from growthdiagrams import cli, growth, series
 from growthdiagrams.jsonio import (
     FormatError,
     dumps,
@@ -172,6 +172,52 @@ def test_insertion_agreement_sizes(capsys):
     )
     data = json.loads(out)
     assert code == 0 and data["params"]["m"] == 0 and data["checked_terms"] == 0
+
+
+def _patch_factorial(monkeypatch):
+    monkeypatch.setattr(series, "factorial", lambda n: 0)
+
+
+def _patch_times(monkeypatch):
+    """Add 1 to the coefficient of the product's largest key in (degree, lex) order."""
+    times = series._times
+
+    def wrong(*args, **kwargs):
+        terms = times(*args, **kwargs)
+        key = max(terms, key=lambda e: (sum(e), e))
+        return {**terms, key: terms[key] + 1}
+
+    monkeypatch.setattr(series, "_times", wrong)
+
+
+def _patch_part(monkeypatch):
+    monkeypatch.setattr(growth, "part", lambda lam, r: 0)  # only insert's bump loop reads it
+
+
+@pytest.mark.parametrize(
+    "patch,argv,expected",
+    [
+        (_patch_factorial, ["--identity", "squarefree", "--n", "3"],
+         '{"checked_terms":1,"equal":false,"identity":"squarefree","lhs":6,"params":{"n":3},'
+         '"rhs":0}'),
+        (_patch_times, ["--identity", "littlewood", "--variant", "all", "--n", "2",
+                        "--degree", "4"],
+         '{"checked_terms":15,"equal":false,"identity":"littlewood-all","mismatch":'
+         '{"exponents":[0,4],"lhs":1,"rhs":2},"params":{"degree":4,"n":2}}'),
+        (_patch_times, ["--identity", "cauchy", "--n", "2", "--degree", "4"],
+         '{"checked_terms":14,"equal":false,"identity":"cauchy","mismatch":'
+         '{"exponents":[0,2,0,2],"lhs":1,"rhs":2},"params":{"degree":4,"m":2,"n":2}}'),
+        (_patch_part, ["--identity", "insertion-agreement", "--n", "2", "--m", "3"],
+         '{"checked_terms":1,"equal":false,"identity":"insertion-agreement",'
+         '"matrix":[[1,1,0],[1,2,1]],"params":{"m":3,"n":2,"seed":0}}'),
+    ],
+    ids=["squarefree", "littlewood-all", "cauchy", "insertion-agreement"],
+)
+def test_verify_failure_reports(capsys, monkeypatch, patch, argv, expected):
+    """A broken side is reported with exit code 2 and the identity's details."""
+    patch(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and err == "" and out == expected + "\n"
 
 
 def test_verify_rejects_unknown_variant(capsys):
@@ -418,6 +464,41 @@ def test_refusals_name_their_field(capsys, tmp_path, argv, content, message):
     if content is not None:
         path.write_text(content)
     code, out, err = run_cli(capsys, *(arg.format(F=path) for arg in argv))
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+_H1 = '{"chain": [[], [1]], "steps": "horizontal"}'
+
+
+@pytest.mark.parametrize(
+    "argv,border,message",
+    [
+        (["rsk", "--matrix", "{A}", "--border-s", "{B}"], '{"chain": [[], [1], [1]], '
+         '"steps": "vertical"}', "border-s: expected a horizontal-strip chain"),
+        (["rsk", "--matrix", "{A}", "--border-t", "{B}"],
+         '{"chain": [[], [1]], "steps": "vertical"}',
+         "border-t: expected a horizontal-strip chain"),
+        (["rsk", "--rule", "dual-row", "--matrix", "{A}", "--border-t", "{B}"], _H1,
+         "border-t: expected a vertical-strip chain"),
+        (["rsk", "--matrix", "{A}", "--border-s", "{B}"], _H1, "border-s: expected 2 steps, got 1"),
+        (["rsk", "--matrix", "{A}", "--border-t", "{B}"], '{"chain": [[], [1], [2]]}',
+         "border-t: expected 1 steps, got 2"),
+        (["rsk", "--matrix", "{A}", "--border-t", "{B}"], '{"chain": [[1], [2]]}',
+         "border-t: borders must start at the same partition"),
+        (["littlewood-encode", "--variant", "asym+1", "--array", "{T}", "--border", "{B}"], _H1,
+         "border: expected a vertical-strip chain"),
+        (["littlewood-encode", "--variant", "all", "--array", "{T}", "--border", "{B}"],
+         '{"chain": [[]]}', "border: expected 1 steps, got 0"),
+    ],
+    ids=["s-steps", "t-steps", "t-steps-dual", "s-length", "t-length", "t-inner",
+         "triangular-steps", "triangular-length"],
+)
+def test_border_refusals_name_their_field(capsys, tmp_path, argv, border, message):
+    files = {"A": "[[1], [0]]", "T": '{"n": 1, "rows": [[0]]}', "B": border}
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    code, out, err = run_cli(capsys, *(arg.format(**{k: tmp_path / k for k in files})
+                                       for arg in argv))
     assert code == 1 and out == "" and err == f"error: {message}\n"
 
 

@@ -9,6 +9,7 @@ import oracle
 from growthdiagrams import (
     EMPTY,
     Family,
+    Report,
     StepKind,
     TruncatedPolynomial,
     conjugate,
@@ -280,6 +281,8 @@ def test_verify_rejects_non_partitions(identity, field, shape):
     ("pieri", dict(n=2, cap=4, lam=(1,), k=1.5), "k: expected a non-negative integer, got 1.5"),
     ("pieri", dict(n=2, cap=4, lam=5, k=1), "lam: expected a partition, got 5"),
     ("skew-cauchy", dict(n=2, cap=4, rho=None), "rho: expected a partition, got None"),
+    ("insertion-agreement", dict(n=2, seed=1.5), "seed: expected an integer, got 1.5"),
+    ("insertion-agreement", dict(n=2, seed=True), "seed: expected an integer, got True"),
 ])
 def test_verify_rejects_counts_and_shapes_of_the_wrong_type(identity, kwargs, message):
     with pytest.raises(ValueError) as info:
@@ -297,11 +300,28 @@ def test_verify_rejects_counts_and_shapes_of_the_wrong_type(identity, kwargs, me
     ("pieri", dict(lam=(1,), k=1, m=2), "m"),
     ("squarefree", dict(lam=(1,)), "lam"),
     ("squarefree", dict(), "degree"),
+    ("cauchy", dict(seed=1), "seed"),
+    ("littlewood-all", dict(seed=0), "seed"),
+    ("insertion-agreement", dict(lam=(1,)), "lam"),
+    ("insertion-agreement", dict(k=1), "k"),
+    ("insertion-agreement", dict(), "degree"),
 ])
 def test_verify_refuses_parameters_its_identity_does_not_take(identity, kwargs, field):
     with pytest.raises(ValueError) as info:
         verify_identity(identity, n=2, cap=4, **kwargs)
     assert str(info.value) == f"{field}: identity {identity!r} takes no {field}"
+
+
+def test_verify_insertion_agreement_is_a_table_row():
+    """The bijective check reports what the CLI prints for it."""
+    assert verify_identity("insertion-agreement", 2, m=3, seed=4).to_dict() == {
+        "identity": "insertion-agreement", "equal": True, "checked_terms": 240,
+        "params": {"n": 2, "m": 3, "seed": 4},
+    }
+    assert verify_identity("insertion-agreement", 2).params == {"n": 2, "m": 2, "seed": 0}
+    with pytest.raises(ValueError) as info:
+        verify_identity("insertion-agreement", 0)
+    assert str(info.value) == "n: expected a positive integer, got 0"
 
 
 def test_verify_takes_empty_shapes_and_none_counts_as_not_given():
@@ -340,7 +360,7 @@ def test_product_side_rejects_unknown_kinds(kind):
 
 def test_verify_squarefree():
     report = verify_identity("squarefree", n=5)
-    assert report.equal and report.lhs_value == report.rhs_value == 120
+    assert report.equal and report.details == {"lhs": 120, "rhs": 120}
     assert report.to_dict()["lhs"] == 120
 
 
@@ -348,9 +368,9 @@ def test_verify_mismatch_reporting():
     """A deliberately unequal comparison reports the first differing exponent."""
     a = TruncatedPolynomial(2, 4, {(1, 0): 1, (0, 2): 3})
     b = TruncatedPolynomial(2, 4, {(1, 0): 1, (0, 2): 4})
-    rep = _compare("test", {}, a, b, 1)  # x_1 and y_1: every key is dominant
-    assert not rep.equal
-    assert rep.mismatch == {"exponents": [0, 2], "lhs": 3, "rhs": 4}
+    equal, _, details = _compare(a, b, 1)  # x_1 and y_1: every key is dominant
+    assert not equal
+    assert details == {"mismatch": {"exponents": [0, 2], "lhs": 3, "rhs": 4}}
 
 
 def test_unknown_identity():
@@ -423,6 +443,8 @@ def _reference_cases():
     shapes = [EMPTY, (1,), (2,), (1, 1), (2, 1), (3, 1)]
     for name, entry in IDENTITIES.items():
         params = set(entry.params)
+        if "seed" in params:  # the bijective check has no series sides
+            continue
         if "m" in params:
             for n, m, cap in ((0, 2, 4), (2, 0, 4), (1, 2, 5), (2, 2, 6), (3, 2, 5)):
                 for lam, rho in ([(EMPTY, EMPTY)] if "lam" not in params
@@ -450,7 +472,8 @@ def test_dominant_verification_matches_full_reference():
         assert full.equal, (name, kwargs)
         assert report.to_dict() == full.to_dict(), (name, kwargs)
         cases += 1
-    assert {name for name, _ in _reference_cases()} == set(IDENTITIES) - {"squarefree"}
+    assert {name for name, _ in _reference_cases()} == \
+        set(IDENTITIES) - {"squarefree", "insertion-agreement"}
     assert cases == 423
     # squarefree compares two integers, not polynomials
     assert verify_identity("squarefree", n=4).to_dict() == {
@@ -495,8 +518,9 @@ def test_dominant_mismatch_matches_full_reference(name, kwargs, keys, first):
     for key in keys:
         lhs = _inject(lhs, n, key)
     full = oracle.compare(name, {}, lhs, rhs)
-    dominant = _compare(name, {}, _dominant(lhs, n), _dominant(rhs, n), n)
-    assert not full.equal and full.mismatch["exponents"] == first
+    equal, checked, details = _compare(_dominant(lhs, n), _dominant(rhs, n), n)
+    dominant = Report(name, equal, checked, {}, details)
+    assert not full.equal and full.details["mismatch"]["exponents"] == first
     assert dominant.to_dict() == full.to_dict()
 
 
