@@ -27,10 +27,10 @@ from .jsonio import (
     triarray_to_json,
     trigrid_to_json,
 )
-from .partitions import EMPTY, Family, enumerate_partitions
+from .partitions import EMPTY, Family, check_non_negative, enumerate_partitions
 from .projections import LITTLEWOOD, StarVariant, littlewood_variant
 from .rules import Rule
-from .series import IDENTITIES, _check_non_negative, verify_identity
+from .series import IDENTITIES, verify_identity
 from .triangular import build_triangular, extract_P, littlewood_inverse
 
 
@@ -181,7 +181,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.partitions is not None:
         if args.dual:
             raise FormatError("dual: enumerate --partitions takes no dual")
-        _check_non_negative(partitions=args.partitions, rows=args.rows, cols=args.cols)
+        check_non_negative(partitions=args.partitions, rows=args.rows, cols=args.cols)
         box = None
         if args.rows is not None or args.cols is not None:
             box = (args.rows if args.rows is not None else args.partitions,

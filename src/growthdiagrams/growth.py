@@ -73,24 +73,21 @@ def _ungrow(v: list[list[Partition]], a: list[list[int]], starts: Sequence[int],
 
 
 def matrix_dims(matrix: Matrix, binary: bool = False) -> tuple[int, int]:
-    """Validate a rectangular matrix of non-negative ints; return (n, m)."""
+    """The one matrix check: a rectangle of non-negative ints (0/1 when
+    ``binary``), refused by field name (``matrix[i][j]``); return (n, m)."""
     n = len(matrix)
     if n == 0:
-        raise ValueError("matrix needs at least one row")
+        raise ValueError("matrix: expected at least one row")
     m = len(matrix[0])
     for i, row in enumerate(matrix):
         if len(row) != m:
-            raise ValueError(f"row {i} has length {len(row)}, expected {m}")
+            raise ValueError(f"matrix[{i}]: expected {m} entries, got {len(row)}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"entry ({i},{j}) must be a non-negative integer")
+            if type(v) is not int or v < 0:
+                raise ValueError(f"matrix[{i}][{j}]: expected a non-negative integer")
             if binary and v > 1:
-                raise ValueError(f"entry ({i},{j}) must be 0 or 1 for dual rules")
+                raise ValueError(f"matrix[{i}][{j}]: expected 0 or 1 for a dual rule")
     return n, m
-
-
-def _frozen(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in row) for row in matrix)
 
 
 @dataclass(frozen=True)
@@ -110,23 +107,23 @@ class GrowthGrid:
 
 def _default_borders(
     rule: Rule, n: int, m: int, S: TableauChain | None, T: TableauChain | None
-) -> tuple[TableauChain, TableauChain]:
+) -> tuple[tuple[Partition, ...], tuple[Partition, ...]]:
+    """Column 0's and row 0's labels: a given border's chain, checked, or else
+    a constant one, of the empty partition for S and of S's start for T."""
     qsteps = StepKind.VERTICAL if rule.dual else StepKind.HORIZONTAL
-    if S is None:
-        S = TableauChain.trivial(EMPTY, n)
-    if T is None:
-        T = TableauChain.trivial(S.inner_shape, m, qsteps)
-    if S.steps is not StepKind.HORIZONTAL:
+    if S is not None and S.steps is not StepKind.HORIZONTAL:
         raise ValueError("border-s: expected a horizontal-strip chain")
-    if T.steps is not qsteps:
+    if T is not None and T.steps is not qsteps:
         raise ValueError(f"border-t: expected a {qsteps.value}-strip chain")
-    if S.entries != n:
+    if S is not None and S.entries != n:
         raise ValueError(f"border-s: expected {n} steps, got {S.entries}")
-    if T.entries != m:
+    if T is not None and T.entries != m:
         raise ValueError(f"border-t: expected {m} steps, got {T.entries}")
-    if S.inner_shape != T.inner_shape:
+    s = (EMPTY,) * (n + 1) if S is None else S.chain
+    t = (s[0],) * (m + 1) if T is None else T.chain
+    if s[0] != t[0]:
         raise ValueError("border-t: borders must start at the same partition")
-    return S, T
+    return s, t
 
 
 def build_growth(
@@ -138,11 +135,11 @@ def build_growth(
     """The unique rule-built (dual) growth over ``matrix`` with the given borders."""
     rule = Rule(rule)
     n, m = matrix_dims(matrix, binary=rule.dual)
-    S, T = _default_borders(rule, n, m, S, T)
-    grid = [[p] + [EMPTY] * m for p in S.chain]
-    grid[0] = list(T.chain)
+    s, t = _default_borders(rule, n, m, S, T)
+    grid = [[p] + [EMPTY] * m for p in s]
+    grid[0] = list(t)
     _grow(grid, matrix, [1] * (n + 1), rule)
-    return GrowthGrid(tuple(map(tuple, grid)), _frozen(matrix), rule.dual)
+    return GrowthGrid(tuple(map(tuple, grid)), tuple(map(tuple, matrix)), rule.dual)
 
 def extract_PQ(grid: GrowthGrid) -> tuple[TableauChain, TableauChain]:
     """P reads the last column, Q the last row."""
@@ -170,10 +167,12 @@ def rsk_inverse(
     """
     rule = Rule(rule)
     qsteps = StepKind.VERTICAL if rule.dual else StepKind.HORIZONTAL
-    if P.steps is not StepKind.HORIZONTAL or Q.steps is not qsteps:
-        raise ValueError("P must be a horizontal chain and Q must match the rule")
+    if P.steps is not StepKind.HORIZONTAL:
+        raise ValueError("P: expected a horizontal-strip chain")
+    if Q.steps is not qsteps:
+        raise ValueError(f"Q: expected a {qsteps.value}-strip chain")
     if P.shape != Q.shape:
-        raise ValueError(f"final shapes differ: {P.shape} vs {Q.shape}")
+        raise ValueError(f"Q: expected final shape {P.shape}, got {Q.shape}")
     n, m = P.entries, Q.entries
     grid = [[EMPTY] * m + [p] for p in P.chain]
     grid[n] = list(Q.chain)
@@ -317,5 +316,5 @@ def enumerate_growths(matrix: Matrix, dual: bool = False) -> list[GrowthGrid]:
     """All (dual) growths over the matrix with empty borders, vertex by vertex
     through the up sets.  Exponential; intended for small matrices."""
     n, _ = matrix_dims(matrix, binary=dual)
-    frozen = _frozen(matrix)
+    frozen = tuple(map(tuple, matrix))
     return [GrowthGrid(rows, frozen, dual) for rows in _enumerate(matrix, [0] * (n + 1), dual)]

@@ -180,6 +180,14 @@ def member(lam: Partition, family: Family) -> bool:
     raise ValueError(f"unknown family {family!r}")
 
 
+def check_non_negative(**fields: int | None) -> None:
+    """Field-named ValueError for the first count that is not a non-negative
+    int (bools included); None is not given."""
+    for field, value in fields.items():
+        if value is not None and (type(value) is not int or value < 0):
+            raise ValueError(f"{field}: expected a non-negative integer, got {value}")
+
+
 def enumerate_partitions(
     max_size: int, box: tuple[int, int] | None = None
 ) -> list[Partition]:
@@ -189,14 +197,15 @@ def enumerate_partitions(
     parts, e.g. (2) before (1, 1).  With ``box=(rows, cols)`` only partitions
     fitting inside the box are produced.  The order is deterministic.
     """
-    if max_size < 0:
-        raise ValueError("max_size must be >= 0")
+    check_non_negative(max_size=max_size)
     return [lam for s in range(max_size + 1) for lam in partitions_of_size(s, box)]
 
 
 def partitions_of_size(s: int, box: tuple[int, int] | None = None) -> list[Partition]:
     """All partitions of size exactly ``s`` (graded-lex tail of enumerate_partitions)."""
-    rows, cols = (max(0, min(s, d)) for d in box or (s, s))
+    rows, cols = box or (s, s)
+    check_non_negative(s=s, rows=rows, cols=cols)
+    rows, cols = min(s, rows), min(s, cols)
     return partitions_between((), (cols,) * rows, s, rows * cols - s)
 
 

@@ -30,6 +30,7 @@ from .partitions import (
     EMPTY,
     Family,
     Partition,
+    check_non_negative,
     conjugate,
     contains,
     horizontal_strips_over,
@@ -175,7 +176,7 @@ def schur(
     s_{lam'/mu'}.  The result is homogeneous of degree |lam/mu|, so it is zero
     beyond the cap.  It is read at mu off a down sweep from lam.
     """
-    _check_non_negative(n=n, cap=cap)
+    check_non_negative(n=n, cap=cap)
     _check_partitions(lam=lam, mu=mu)
     if not contains(mu, lam):
         raise ValueError(f"{mu} is not contained in {lam}")
@@ -260,7 +261,7 @@ def product_side(kind: str, n: int, m: int, cap: int) -> TruncatedPolynomial:
         nv, dual = n, LITTLEWOOD[family].dual
     else:
         raise ValueError(f"unknown product {kind!r}")
-    _check_non_negative(n=n, m=m, cap=cap)
+    check_non_negative(n=n, m=m, cap=cap)
     return TruncatedPolynomial(nv, cap, _times({(0,) * nv: 1}, _factors(family, n, m), dual, cap))
 
 
@@ -371,8 +372,9 @@ def _squarefree(e: Identity, n: int, **_):
 def _insertion_agreement(e: Identity, n: int, m: int, seed: int, **_):
     """Seed-fixed random check that column insertion equals the grid
     construction: 20 random n x m matrices per rule."""
-    if n == 0:
-        raise ValueError("n: expected a positive integer, got 0")
+    for field, count in (("n", n), ("m", m)):
+        if count == 0:
+            raise ValueError(f"{field}: expected a positive integer, got 0")
     rng = random.Random(seed)
     checked = 0
     for _ in range(20):
@@ -424,14 +426,6 @@ IDENTITIES: dict[str, Identity] = {
 }
 
 
-def _check_non_negative(**fields: int | None) -> None:
-    """Field-named ValueError for the first count that is not a non-negative
-    int (bools included); None is not given."""
-    for field, value in fields.items():
-        if value is not None and (type(value) is not int or value < 0):
-            raise ValueError(f"{field}: expected a non-negative integer, got {value}")
-
-
 def _check_partitions(**shapes: Partition) -> None:
     """Field-named ValueError for the first shape that is not a partition."""
     for field, lam in shapes.items():
@@ -464,7 +458,7 @@ def verify_identity(
     entry = IDENTITIES.get(identity)
     if entry is None:
         raise ValueError(f"unknown identity {identity!r}")
-    _check_non_negative(n=n, m=m, degree=cap, k=k)
+    check_non_negative(n=n, m=m, degree=cap, k=k)
     if seed is not None and type(seed) is not int:  # any int seeds the generator, negatives too
         raise ValueError(f"seed: expected an integer, got {seed}")
     given = {"m": m is not None, "k": k is not None, "lam": lam not in ((), []),

@@ -37,19 +37,23 @@ def _as_variant(variant: LittlewoodVariant | str) -> LittlewoodVariant:
 
 @dataclass(frozen=True)
 class TriangularArray:
-    """Entries c[i][j] for 1 <= i <= j <= n, stored as rows[i-1][j-i]."""
+    """Entries c[i][j] for 1 <= i <= j <= n, stored as rows[i-1][j-i].  The one
+    array check: refusals name ``n``, ``rows[i]`` or ``rows[i][j]``, from 0."""
 
     n: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or len(self.rows) != self.n:
-            raise ValueError(f"need {self.n} rows, got {len(self.rows)}")
-        for i, row in enumerate(self.rows, start=1):
-            if len(row) != self.n - i + 1:
-                raise ValueError(f"row {i} must have {self.n - i + 1} entries")
-            if any(type(v) is not int or v < 0 for v in row):
-                raise ValueError(f"row {i} has a negative or non-integer entry")
+        if type(self.n) is not int:
+            raise ValueError("n: expected an integer")
+        if self.n != len(self.rows):
+            raise ValueError(f"n: {self.n} does not match {len(self.rows)} rows")
+        for i, row in enumerate(self.rows):
+            for j, v in enumerate(row):
+                if type(v) is not int or v < 0:
+                    raise ValueError(f"rows[{i}][{j}]: expected a non-negative integer")
+            if len(row) != self.n - i:
+                raise ValueError(f"rows[{i}]: expected {self.n - i} entries, got {len(row)}")
 
     def entry(self, i: int, j: int) -> int:
         if not 1 <= i <= j <= self.n:
@@ -111,10 +115,11 @@ class TriGrid:
 
 
 def _default_border(variant: LittlewoodVariant, n: int,
-                    S: TableauChain | None) -> TableauChain:
-    steps = StepKind.VERTICAL if variant.dual else StepKind.HORIZONTAL
+                    S: TableauChain | None) -> tuple[Partition, ...]:
+    """Row 0's labels: the given border's chain, checked, or n + 1 empty partitions."""
     if S is None:
-        return TableauChain.trivial(EMPTY, n, steps)
+        return (EMPTY,) * (n + 1)
+    steps = StepKind.VERTICAL if variant.dual else StepKind.HORIZONTAL
     if S.steps is not steps:
         raise ValueError(f"border: expected a {steps.value}-strip chain")
     if S.entries != n:
@@ -122,7 +127,7 @@ def _default_border(variant: LittlewoodVariant, n: int,
     if not member(S.inner_shape, variant.family):  # at n = 0 no projection checks it
         raise DomainError(f"border: inner shape {S.inner_shape} is not in family "
                           f"{variant.family.value}")
-    return S
+    return S.chain
 
 
 def build_triangular(
@@ -135,8 +140,7 @@ def build_triangular(
     variant = _as_variant(variant)
     n = array.n
     validate_entries(variant, array)
-    S = _default_border(variant, n, S)
-    grid = [list(S.chain)] + [[EMPTY] * (n + 1) for _ in range(n)]
+    grid = [list(_default_border(variant, n, S))] + [[EMPTY] * (n + 1) for _ in range(n)]
     _grow(grid, _symmetric(array), range(n + 1), variant.base_rule, variant)
     return TriGrid(tuple(tuple(row[i:]) for i, row in enumerate(grid)), array, variant)
 
@@ -157,13 +161,15 @@ def littlewood_map(
 def littlewood_inverse(
     variant: LittlewoodVariant | str, P: TableauChain
 ) -> tuple[TriangularArray, TableauChain]:
-    """Invert littlewood_map: recover the array and the border chain from P."""
+    """Invert littlewood_map: recover the array and the border chain from P.
+
+    Refusals of P name it ``tableau``, the field the CLI reads it from."""
     variant = _as_variant(variant)
     if P.steps is not StepKind.HORIZONTAL:
-        raise ValueError("P must be a horizontal-strip chain")
+        raise ValueError("tableau: expected a horizontal-strip chain")
     n = P.entries
     if not member(P.shape, variant.family):
-        raise DomainError(f"{P.shape} is not in family {variant.family.value}")
+        raise DomainError(f"tableau: shape {P.shape} is not in family {variant.family.value}")
     grid = [[EMPTY] * n + [p] for p in P.chain]
     entries = [[0] * n for _ in range(n)]
     _ungrow(grid, entries, range(n + 1), variant.base_rule, variant)

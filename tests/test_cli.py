@@ -10,7 +10,6 @@ from growthdiagrams import cli, growth, series
 from growthdiagrams.jsonio import (
     FormatError,
     dumps,
-    matrix_from_json,
     partition_from_json,
     tableau_from_json,
     tableau_to_json,
@@ -51,8 +50,8 @@ def test_json_codecs_roundtrip():
     assert tableau_from_json(tableau_to_json(t)) == t
     with pytest.raises(FormatError):
         tableau_from_json({"chain": [[2], [1]]})
-    with pytest.raises(FormatError):
-        matrix_from_json([[1], [2, 3]])
+    with pytest.raises(ValueError, match=r"^matrix\[1\]: expected 1 entries, got 2$"):
+        growth.matrix_dims([[1], [2, 3]])
     with pytest.raises(FormatError):
         triarray_from_json({"rows": [[0, 1], [0], [0]]})
 
@@ -61,13 +60,13 @@ def test_json_booleans_are_not_integers(capsys, tmp_path):
     for bad in ([1, True], [False]):
         with pytest.raises(FormatError, match="partition"):
             partition_from_json(bad)
-    with pytest.raises(FormatError, match=r"matrix\[0\]\[1\]"):
-        matrix_from_json([[1, True], [0, 1]])
+    with pytest.raises(ValueError, match=r"^matrix\[0\]\[1\]: expected a non-negative integer$"):
+        growth.matrix_dims([[1, True], [0, 1]])
     with pytest.raises(FormatError, match=r"array.rows\[0\]\[0\]"):
         triarray_from_json({"rows": [[False]]})
     with pytest.raises(FormatError, match="array.n"):
         triarray_from_json({"n": True, "rows": [[0]]})
-    with pytest.raises(ValueError, match=r"entry \(0,1\)"):
+    with pytest.raises(ValueError, match=r"^matrix\[0\]\[1\]: expected a non-negative integer$"):
         build_growth(Rule.ROW, [[1, True], [0, 1]])
     path = tmp_path / "A.json"
     path.write_text("[[1,true],[0,1]]")
@@ -167,11 +166,10 @@ def test_verify_rejects_negative_inputs(capsys, argv, field):
 def test_insertion_agreement_sizes(capsys):
     code, out, err = run_cli(capsys, "verify", "--identity", "insertion-agreement", "--n", "0")
     assert code == 1 and out == "" and err == "error: n: expected a positive integer, got 0\n"
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "verify", "--identity", "insertion-agreement", "--n", "2", "--m", "0",
     )
-    data = json.loads(out)
-    assert code == 0 and data["params"]["m"] == 0 and data["checked_terms"] == 0
+    assert code == 1 and out == "" and err == "error: m: expected a positive integer, got 0\n"
 
 
 def _patch_factorial(monkeypatch):
@@ -433,6 +431,10 @@ def test_rule_of_the_wrong_duality_is_a_rule_error(capsys, demo_matrix, argv, me
     assert code == 1 and out == "" and err == f"error: {message}\n"
 
 
+_H1 = '{"chain": [[], [1]], "steps": "horizontal"}'
+_V1 = '{"chain": [[], [1]], "steps": "vertical"}'
+
+
 @pytest.mark.parametrize(
     "argv,content,message",
     [
@@ -454,20 +456,34 @@ def test_rule_of_the_wrong_duality_is_a_rule_error(capsys, demo_matrix, argv, me
          "array.rows: expected an array of arrays"),
         (["littlewood-encode", "--variant", "all", "--array", "{F}"],
          '{"n": 3, "rows": [[0, 0], [0]]}', "array.n: 3 does not match 2 rows"),
+        (["rsk", "--rule", "dual-row", "--matrix", "{F}"], "[[1, 2]]",
+         "matrix[0][1]: expected 0 or 1 for a dual rule"),
+        (["unrsk", "--p", "{F}", "--q", "{F}"], _V1, "P: expected a horizontal-strip chain"),
+        (["unrsk", "--p", "{F}", "--q", "{G}"], {"F": _H1, "G": _V1},
+         "Q: expected a horizontal-strip chain"),
+        (["unrsk", "--rule", "dual-row", "--p", "{F}", "--q", "{F}"], _H1,
+         "Q: expected a vertical-strip chain"),
+        (["unrsk", "--p", "{F}", "--q", "{G}"], {"F": _H1, "G": '{"chain": [[], [2]]}'},
+         "Q: expected final shape (1,), got (2,)"),
+        (["littlewood-decode", "--variant", "all", "--tableau", "{F}"], _V1,
+         "tableau: expected a horizontal-strip chain"),
+        (["littlewood-decode", "--variant", "even-rows", "--tableau", "{F}"], _H1,
+         "tableau: shape (1,) is not in family even-rows"),
     ],
     ids=["verify-no-variant", "rsk-unknown-rule", "enumerate-bare", "render-bare",
          "matrix-not-array", "P-not-object", "P-steps", "P-empty-chain", "array-not-object",
-         "array-rows", "array-n"],
+         "array-rows", "array-n", "matrix-dual-entry", "P-vertical", "Q-vertical",
+         "Q-horizontal-dual", "Q-final-shape", "tableau-vertical", "tableau-family"],
 )
 def test_refusals_name_their_field(capsys, tmp_path, argv, content, message):
-    path = tmp_path / "in.json"
-    if content is not None:
-        path.write_text(content)
-    code, out, err = run_cli(capsys, *(arg.format(F=path) for arg in argv))
+    """``content`` is the text of the input file F, or a dict of texts by file name."""
+    files = content if isinstance(content, dict) else {"F": content}
+    for name, text in files.items():
+        if text is not None:
+            (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, *(arg.format(**{k: tmp_path / k for k in files})
+                                       for arg in argv))
     assert code == 1 and out == "" and err == f"error: {message}\n"
-
-
-_H1 = '{"chain": [[], [1]], "steps": "horizontal"}'
 
 
 @pytest.mark.parametrize(

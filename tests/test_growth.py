@@ -11,6 +11,7 @@ from growthdiagrams import (
     StepKind,
     TableauChain,
     build_growth,
+    build_triangular,
     check_traceable,
     count_syt,
     enumerate_growths,
@@ -20,6 +21,7 @@ from growthdiagrams import (
     pieri_inverse,
     rsk,
     rsk_inverse,
+    triangular_array,
 )
 
 REF_A = [[0, 2, 1], [1, 1, 0], [2, 0, 0]]
@@ -273,6 +275,20 @@ def test_border_validation():
         build_growth(Rule.ROW, [[0], [0]], S, None)  # wrong border length
     with pytest.raises(ValueError):
         build_growth(Rule.DUAL_ROW, [[0]], None, TableauChain((EMPTY, EMPTY)))
+
+
+def test_default_borders_are_labels_not_chains(monkeypatch):
+    """A border that is not given is a row of labels, not a checked chain: rsk
+    builds only P and Q, and a triangular build no chain at all."""
+    built = []
+    check = TableauChain.__post_init__
+    monkeypatch.setattr(TableauChain, "__post_init__",
+                        lambda self: (built.append(self), check(self)))
+    rsk(Rule.ROW, [[1, 0], [0, 1]])
+    assert len(built) == 2
+    built.clear()
+    build_triangular("all", triangular_array([[1, 0], [1]]))
+    assert built == []
 
 
 def test_generating_function_bookkeeping():

@@ -1,3 +1,5 @@
+import re
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -177,3 +179,23 @@ def test_enumerate_partitions():
     ]
     with pytest.raises(ValueError):
         enumerate_partitions(-1)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: enumerate_partitions(-1), "max_size: expected a non-negative integer, got -1"),
+        (lambda: enumerate_partitions(3, box=(-1, 2)),
+         "rows: expected a non-negative integer, got -1"),
+        (lambda: enumerate_partitions(2, box=(2, -5)),
+         "cols: expected a non-negative integer, got -5"),
+        (lambda: partitions_of_size(-2), "s: expected a non-negative integer, got -2"),
+        (lambda: partitions_of_size(2, (1.5, 2)),
+         "rows: expected a non-negative integer, got 1.5"),
+    ],
+    ids=["max-size", "box-rows", "box-cols", "size", "box-float"],
+)
+def test_enumerators_refuse_negative_counts(call, message):
+    """A negative size or box side is refused by field name, not read as 0."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
