@@ -197,8 +197,10 @@ def enumerate_partitions(
     parts, e.g. (2) before (1, 1).  With ``box=(rows, cols)`` only partitions
     fitting inside the box are produced.  The order is deterministic.
     """
-    check_non_negative(max_size=max_size)
-    return [lam for s in range(max_size + 1) for lam in partitions_of_size(s, box)]
+    rows, cols = box or (max_size, max_size)
+    check_non_negative(max_size=max_size, rows=rows, cols=cols)
+    rows, cols = min(max_size, rows), min(max_size, cols)
+    return sorted(partitions_between((), (cols,) * rows, max_size), key=size)
 
 
 def partitions_of_size(s: int, box: tuple[int, int] | None = None) -> list[Partition]:
@@ -210,10 +212,8 @@ def partitions_of_size(s: int, box: tuple[int, int] | None = None) -> list[Parti
 
 
 # ---------------------------------------------------------------------------
-# Interval enumeration.  Every strip set, up/down set and size class is an
-# interval of Young's lattice cut by a size window: each row of nu lies
-# between rows of fixed partitions (the interlacing lam_1 >= mu_1 >= lam_2 >=
-# ...), so one row-by-row search serves them all.
+# Interval enumeration: every up/down set and size class is one row-by-row search of an
+# interval of Young's lattice; a strip set's rows are independent but for one budget.
 
 def partitions_between(
     lo: Sequence[int], hi: Sequence[int], max_add: float = inf, max_remove: float = inf
@@ -251,31 +251,51 @@ def partitions_between(
     return out
 
 
-def horizontal_strips_over(mu: Partition, max_add: int) -> list[Partition]:
-    """All nu with mu < nu (horizontal strip) and |nu/mu| <= max_add, lex-ascending.
+def _strip_rows(lo: Sequence[int], hi: Sequence[int], budget: int, up: bool,
+                cap: bool = False) -> list[Partition]:
+    """The nu with lo[r] <= nu_r <= hi[r] (and <= nu_(r-1) with ``cap``), lo weakly decreasing,
+    at most ``budget`` cells up from lo, lex-ascending, or down from hi, lex-descending."""
+    level: list[tuple[Partition, int]] = [((), budget)] if budget >= 0 else []
+    for l, h in zip(lo, hi):
+        level, prev = [], level
+        add = level.append
+        for prefix in prev:
+            p, b = prefix
+            if b < 0:  # a row of 0 ended p, budget ~b left: this row is 0, costing h going down
+                if up or ~b >= h:
+                    add(prefix if up else (p, b + h))
+                continue
+            top = p[-1] if cap and p and p[-1] < h else h
+            if up:
+                for v in range(l, min(top, l + b) + 1):
+                    add((p + (v,), b + l - v) if v else (p, ~b))
+            else:
+                for v in range(top, max(l, h - b) - 1, -1):
+                    add((p + (v,), b - h + v) if v else (p, ~(b - h)))
+    return [p for p, _ in level]
 
-    A horizontal strip adds at most one new row, and row r is bounded by the
-    previous row of mu.
-    """
-    return partitions_between(mu + (0,), (part(mu, 1) + max_add,) + mu, max_add)[::-1]
+
+def horizontal_strips_over(mu: Partition, max_add: int) -> list[Partition]:
+    """All nu with mu < nu (horizontal strip) and |nu/mu| <= max_add, lex-ascending."""
+    return _strip_rows(mu + (0,), (part(mu, 1) + max_add,) + mu, max_add, True)
 
 
 def vertical_strips_over(mu: Partition, max_add: int) -> list[Partition]:
     """All nu with mu <' nu (vertical strip) and |nu/mu| <= max_add, lex-ascending."""
-    lo = mu + (0,) * max_add
-    return partitions_between(lo, tuple(v + 1 for v in lo), max_add)[::-1]
+    lo = mu + (0,) * max_add  # row r of nu is mu_r or mu_r + 1
+    return _strip_rows(lo, [v + 1 for v in lo], max_add, True, cap=True)
 
 
 def horizontal_strips_under(lam: Partition, max_remove: int | None = None) -> list[Partition]:
-    """All mu with mu < lam (horizontal strip), lex-descending."""
-    budget = inf if max_remove is None else max_remove
-    return partitions_between(lam[1:], lam, inf, budget)
+    """All mu with mu < lam (horizontal strip), lex-descending; row r in [lam_(r+1), lam_r]."""
+    budget = size(lam) if max_remove is None else max_remove
+    return _strip_rows(lam[1:] + (0,), lam, budget, False)
 
 
 def vertical_strips_under(lam: Partition, max_remove: int | None = None) -> list[Partition]:
-    """All mu with mu <' lam (vertical strip), lex-descending."""
-    budget = inf if max_remove is None else max_remove
-    return partitions_between([v - 1 for v in lam], lam, inf, budget)
+    """All mu with mu <' lam (vertical strip), lex-descending; row r is lam_r or lam_r - 1."""
+    budget = size(lam) if max_remove is None else max_remove
+    return _strip_rows([v - 1 for v in lam], lam, budget, False, cap=True)
 
 
 def sub_partitions(lam: Partition) -> list[Partition]:

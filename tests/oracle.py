@@ -3,10 +3,11 @@
 The cell, strip, up/down-set, growth and filling oracles work on explicit
 cell sets or fillings, deliberately avoiding the interlacing shortcuts the
 package uses, so the two routes only agree if both are right.  The size laws
-sum the matrix or array entries themselves.  Two groups read package code:
+sum the matrix or array entries themselves.  Three groups read package code:
 the family sets (``family_up_set``, ``family_down_set``, ``proj_domain``)
-filter the package's strip enumerators through its ``member``, and
-``asym_indices`` reads the option tables of ``projections._asym_options``.
+filter the package's strip enumerators through its ``member``,
+``asym_indices`` reads the option tables of ``projections._asym_options``,
+and the ``interval_*`` strip enumerators run ``partitions_between``.
 ``compare`` is the reference the dominant-key comparison of
 ``verify_identity`` is checked against: it compares every monomial.
 """
@@ -15,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, inf
 
 from growthdiagrams import frobenius, member, size
 from growthdiagrams.partitions import (
     horizontal_strips_over,
     horizontal_strips_under,
+    part,
+    partitions_between,
     vertical_strips_under,
 )
 from growthdiagrams.projections import LITTLEWOOD, _asym_options
@@ -174,6 +177,31 @@ def hook_count_syt(lam):
         for c in range(1, length + 1):
             prod *= (length - c) + (conj[c - 1] - r) + 1
     return factorial(sum(lam)) // prod
+
+
+# ---------------------------------------------------------------------------
+# Strip sets as intervals of the general row-by-row search
+# (``partitions_between``): a second formulation of the four strip
+# enumerators, the reference their direct row-by-row product is checked
+# against, order included.
+
+def interval_horizontal_strips_over(mu, max_add):
+    return partitions_between(mu + (0,), (part(mu, 1) + max_add,) + mu, max_add)[::-1]
+
+
+def interval_vertical_strips_over(mu, max_add):
+    lo = mu + (0,) * max_add
+    return partitions_between(lo, tuple(v + 1 for v in lo), max_add)[::-1]
+
+
+def interval_horizontal_strips_under(lam, max_remove=None):
+    budget = inf if max_remove is None else max_remove
+    return partitions_between(lam[1:], lam, inf, budget)
+
+
+def interval_vertical_strips_under(lam, max_remove=None):
+    budget = inf if max_remove is None else max_remove
+    return partitions_between([v - 1 for v in lam], lam, inf, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,29 @@ def test_enumerators_match_cell_oracle_exhaustively():
         assert partitions_of_size(s) == list(oracle.partitions_of(s))
 
 
+def test_strip_enumerators_match_interval_reference():
+    """The direct row-by-row strip sets equal the partitions_between
+    formulation list for list, order included, on every shape of size <= 9."""
+    pairs = ((horizontal_strips_over, oracle.interval_horizontal_strips_over),
+             (vertical_strips_over, oracle.interval_vertical_strips_over),
+             (horizontal_strips_under, oracle.interval_horizontal_strips_under),
+             (vertical_strips_under, oracle.interval_vertical_strips_under))
+    for mu in oracle.all_partitions(9):
+        for new, ref in pairs:
+            for b in range(-1, 7):
+                assert new(mu, b) == ref(mu, b), (new.__name__, mu, b)
+        for new, ref in pairs[2:]:
+            assert new(mu, None) == ref(mu, None) == new(mu), (new.__name__, mu)
+
+
+def test_deep_strips_need_no_recursion():
+    """Strips 2,000 rows deep: a recursive search ran past Python's recursion limit."""
+    column = (1,) * 2000
+    assert vertical_strips_over(EMPTY, 2000) == [column[:j] for j in range(2001)]
+    assert vertical_strips_under(column) == [column[:j] for j in range(2000, -1, -1)]
+    assert len(horizontal_strips_under(column)) == 2
+
+
 def test_enumerate_partitions():
     assert enumerate_partitions(2) == [EMPTY, (1,), (2,), (1, 1)]
     assert enumerate_partitions(0) == [EMPTY]
@@ -177,6 +200,10 @@ def test_enumerate_partitions():
     assert enumerate_partitions(3) == [
         EMPTY, (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1),
     ]
+    for rows, cols in ((3, 4), (0, 2), (2, 0), (9, 1), (1, 9)):
+        graded = [p for s in range(11) for p in oracle.partitions_of(s)
+                  if len(p) <= rows and (not p or p[0] <= cols)]
+        assert enumerate_partitions(10, (rows, cols)) == graded, (rows, cols)
     with pytest.raises(ValueError):
         enumerate_partitions(-1)
 
