@@ -290,25 +290,26 @@ def _enumerate(a: Matrix, vertex_starts: Sequence[int],
     """Every growth on the vertices (i, j), vertex_starts[i] <= j: v[i][j] runs
     lex-descending through U(lam, rho, k) (U* when dual) of lam = v[i][j-1] (or
     rho, non-dual, at the row's start) and rho = v[i-1][j] (or () in row 0), with
-    |v[i][j]| the sum of a over [1..i] x [1..j].  Rows are cut to their range."""
+    |v[i][j]| the sum of a over [1..i] x [1..j].  Rows are cut to their range.
+    The search is depth-first, on a stack of (vertex position, label) pairs."""
     sizes = _prefix(a)
     cells = [(i, j) for i, s in enumerate(vertex_starts) for j in range(s, len(sizes[0]))]
     v = [[EMPTY] * len(sizes[0]) for _ in vertex_starts]
     found = []
-
-    def rec(pos: int) -> None:
-        if pos == len(cells):
-            found.append(tuple(tuple(row[s:]) for row, s in zip(v, vertex_starts)))
-            return
+    stack = [(0, EMPTY)]  # the first vertex has size 0: its one label is ()
+    while stack:
+        pos, p = stack.pop()
         i, j = cells[pos]
+        v[i][j] = p
+        if pos + 1 == len(cells):
+            found.append(tuple(tuple(row[s:]) for row, s in zip(v, vertex_starts)))
+            continue
+        i, j = cells[pos + 1]
         rho = v[i - 1][j] if i else EMPTY
         lam, jdual = (v[i][j - 1], dual) if j > vertex_starts[i] else (rho, False)
         k = sizes[i][j] - size(join(lam, rho))
-        for p in reversed(up_set(lam, rho, k, jdual) if k >= 0 else []):
-            v[i][j] = p
-            rec(pos + 1)
-
-    rec(0)
+        if k >= 0:  # pushed ascending, so popped lex-descending
+            stack += [(pos + 1, q) for q in up_set(lam, rho, k, jdual)]
     return found
 
 

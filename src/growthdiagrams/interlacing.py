@@ -8,8 +8,9 @@ For a pair of partitions (lam, rho) the four sets are
 and their dual variants where the strip condition on the rho side (down) or
 the lam side (up) is vertical instead of horizontal.  By interlacing, each
 row of a member lies between rows of lam and rho, so each set is an interval
-of Young's lattice cut to one size (``partitions_between``); the structured
-encodings below identify their elements with multisets of ribbon positions.
+of Young's lattice cut to one size, which ``partitions._rows_between`` walks
+row by row with no recursion; the structured encodings below identify their
+elements with multisets of ribbon positions.
 The growth enumerator lists each vertex through ``up_set``.  The local rules
 in ``rules.py`` call nothing here: the encodings are the paper's statement of
 the rules, which the tests check the rules against.  Nothing here is cached.
@@ -23,13 +24,13 @@ from enum import Enum
 
 from .partitions import (
     Partition,
+    _rows_between,
     contains,
     is_horizontal_strip,
     is_vertical_strip,
     join,
     meet,
     part,
-    partitions_between,
     size,
 )
 
@@ -133,27 +134,27 @@ def _dual_addable_rows(lam: Partition, rho: Partition) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The up and down sets: one partitions_between interval per (lam, rho, kmax),
-# cut to one size or split by size.
+# The up and down sets: one interval per (lam, rho, kmax), walked by
+# ``_rows_between`` and cut to one size or split by size.
 
 def _up_interval(lam: Partition, rho: Partition, kmax: int,
                  dual: bool) -> tuple[Partition, list[int]]:
     """Row bounds (lo, hi) of U(lam, rho, k) for every k <= kmax; |lo| = |lam v rho|."""
     base = join(lam, rho)
-    top = (part(base, 1) + kmax,)  # stands in for row 0 of lam and rho
+    # hi_r is row r-1 of lam ^ rho, or when dual of rho capped at lam_r + 1;
+    # above's first entry stands in for row 0 of lam and rho
+    above = (part(base, 1) + kmax,) + (rho if dual else meet(lam, rho))
     rows = range(1, len(base) + 2)
     if dual:
-        hi = [min(part(lam, r) + 1, part(top + rho, r)) for r in rows]
-    else:
-        hi = [part(top + meet(lam, rho), r) for r in rows]
-    return base + (0,), hi
+        return base + (0,), [min(part(lam, r) + 1, part(above, r)) for r in rows]
+    return base + (0,), [part(above, r) for r in rows]
 
 
 def up_sets_through(lam: Partition, rho: Partition, kmax: int,
                     dual: bool = False) -> list[list[Partition]]:
     """[U(lam, rho, k) for k in 0..kmax], each sorted."""
     lo, hi = _up_interval(lam, rho, kmax, dual)
-    return _by_size(partitions_between(lo, hi, kmax), lo, kmax)
+    return _by_size(_rows_between(lo, hi, kmax, True), lo, kmax)
 
 
 def _down_interval(lam: Partition, rho: Partition,
@@ -173,14 +174,14 @@ def down_sets_through(
 ) -> list[list[Partition]]:
     """[D(lam, rho, k) for k in 0..kmax], each sorted."""
     lo, hi = _down_interval(lam, rho, dual)
-    return _by_size(partitions_between(lo, hi, max_remove=kmax), hi, kmax)
+    return _by_size(_rows_between(lo, hi, kmax, False)[::-1], hi, kmax)
 
 
 def _by_size(members: list[Partition], base: Partition, kmax: int) -> list[list[Partition]]:
-    """The members bucketed by how many cells they differ from base, each sorted."""
+    """The lex-ascending members bucketed by how many cells they differ from base."""
     out: list[list[Partition]] = [[] for _ in range(kmax + 1)]
     s = size(base)
-    for nu in reversed(members):
+    for nu in members:
         out[abs(size(nu) - s)].append(nu)
     return out
 
@@ -190,7 +191,7 @@ def up_set(lam: Partition, rho: Partition, k: int, dual: bool = False) -> list[P
     if k < 0:
         raise ValueError("k must be >= 0")
     lo, hi = _up_interval(lam, rho, k, dual)
-    return partitions_between(lo, hi, k, sum(hi) - size(lo) - k)[::-1]
+    return _rows_between(lo, hi, k, True, exact=True)
 
 
 def down_set(lam: Partition, rho: Partition, k: int, dual: bool = False) -> list[Partition]:
@@ -198,7 +199,7 @@ def down_set(lam: Partition, rho: Partition, k: int, dual: bool = False) -> list
     if k < 0:
         raise ValueError("k must be >= 0")
     lo, hi = _down_interval(lam, rho, dual)
-    return partitions_between(lo, hi, sum(hi) - k - sum(lo), k)[::-1]
+    return _rows_between(lo, hi, sum(hi) - sum(lo) - k, True, exact=True)
 
 
 # ---------------------------------------------------------------------------

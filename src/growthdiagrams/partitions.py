@@ -3,14 +3,15 @@
 A partition is a plain tuple of weakly decreasing positive integers; ``()`` is
 the empty partition.  Cells are addressed as ``(column, row)`` pairs, 1-indexed,
 in French convention (row 1 is the bottom, and the longest, row).  Everything
-here is a pure function on immutable values.
+here is a pure function on immutable values.  Every set of partitions listed here
+or in ``interlacing.py`` (strips, boxes, size classes, up and down sets) is an
+interval of Young's lattice, and one iterative row-by-row walk,
+``_rows_between``, lists them all.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate
-from math import inf
 from operator import ge
 from typing import Iterable, NamedTuple, Sequence
 
@@ -200,7 +201,8 @@ def enumerate_partitions(
     rows, cols = box or (max_size, max_size)
     check_non_negative(max_size=max_size, rows=rows, cols=cols)
     rows, cols = min(max_size, rows), min(max_size, cols)
-    return sorted(partitions_between((), (cols,) * rows, max_size), key=size)
+    inside = _rows_between((0,) * rows, (cols,) * rows, max_size, True, cap=True)
+    return sorted(reversed(inside), key=size)
 
 
 def partitions_of_size(s: int, box: tuple[int, int] | None = None) -> list[Partition]:
@@ -208,96 +210,97 @@ def partitions_of_size(s: int, box: tuple[int, int] | None = None) -> list[Parti
     rows, cols = box or (s, s)
     check_non_negative(s=s, rows=rows, cols=cols)
     rows, cols = min(s, rows), min(s, cols)
-    return partitions_between((), (cols,) * rows, s, rows * cols - s)
+    return _rows_between((0,) * rows, (cols,) * rows, rows * cols - s, False, cap=True,
+                         exact=True)
 
 
 # ---------------------------------------------------------------------------
-# Interval enumeration: every up/down set and size class is one row-by-row search of an
-# interval of Young's lattice; a strip set's rows are independent but for one budget.
+# Interval enumeration: every strip set, up/down set, box and size class is one
+# row-by-row walk over an interval of Young's lattice with one cell budget.
 
-def partitions_between(
-    lo: Sequence[int], hi: Sequence[int], max_add: float = inf, max_remove: float = inf
-) -> list[Partition]:
-    """Every partition nu with lo[r] <= nu_r <= hi[r] in each row, at most
-    ``max_add`` cells above lo and at most ``max_remove`` cells below hi,
-    in lex-descending order.
+def _rows_between(lo: Sequence[int], hi: Sequence[int], budget: int, up: bool,
+                  cap: bool = False, exact: bool = False) -> list[Partition]:
+    """Every nu with lo[r] <= nu_r <= hi[r] in each row (and nu_r <= nu_(r-1) with
+    ``cap``) that moves at most ``budget`` cells (exactly ``budget`` with ``exact``)
+    up from lo, listed lex-ascending, or down from hi, listed lex-descending.
 
-    ``hi`` holds finite ints and fixes the number of rows; ``lo`` is weakly
-    decreasing, no longer than hi and zero past its end, so filling the
-    remaining rows with lo never overdraws the add budget.
-    """
-    if max_add < 0 or max_remove < 0:
+    ``lo`` is weakly decreasing and as long as ``hi``, so a row of 0 ends nu.  The
+    walk is breadth-first: a level holds open prefixes (p, b), b the budget left, and
+    runs of consecutive partitions that a row of 0 ended, checked once when they end
+    and then carried whole.  With ``exact``, b stays within ``slack``, what the later
+    rows can still move, so the last row spends it."""
+    slack = sum(hi) - sum(lo) if exact else budget
+    if budget < 0 or budget > slack:
         return []
-    n = len(hi)
-    lo = tuple(lo) + (0,) * (n - len(lo))
-    tail = list(accumulate(reversed(hi), initial=0))[::-1]  # tail[r] = sum(hi[r:])
+    keep = 0 if exact else budget  # what an ended partition may leave unspent going up
+    rest = sum(hi)
+    level: list = [((), budget)]
+    for l, h in zip(lo, hi):
+        rest -= h  # going down, what a row of 0 costs the rows after it
+        if exact:
+            slack -= h - l
+        level, prev = [], level
+        add = level.append
+        for item in prev:
+            if item.__class__ is list:
+                add(item)
+                continue
+            p, b = item
+            top = p[-1] if cap and p and p[-1] < h else h
+            if up:  # v costs v - l; v = 0 ends p, leaving b unspent
+                c = l + b
+                first = c - slack if b > slack else l
+                if not first and b <= keep:
+                    _end(level, p)
+                for v in range(first or 1, (c if c < top else top) + 1):
+                    add((p + (v,), c - v))
+            else:  # v costs h - v; v = 0 ends p, costing the later rows their hi
+                c = b - h
+                stop = l if l > -c else -c
+                for v in range(top if top < slack - c else slack - c, (stop or 1) - 1, -1):
+                    add((p + (v,), c + v))
+                if not l and c >= rest:
+                    _end(level, p)
     out: list[Partition] = []
-    rows: list[int] = []
-
-    def rec(r: int, cap: float, add: float, remove: float) -> None:
-        if r == n:
-            out.append(tuple(rows))
-            return
-        l, h = lo[r], hi[r]
-        for v in range(min(h, cap, l + add), max(l, h - remove) - 1, -1):
-            if v:
-                rows.append(v)
-                rec(r + 1, v, add - v + l, remove - h + v)
-                rows.pop()
-            elif remove - h >= tail[r + 1]:
-                out.append(tuple(rows))  # every later row is 0 as well
-
-    rec(0, inf, max_add, max_remove)
+    for item in level:
+        if item.__class__ is list:
+            out += item
+        else:
+            out.append(item[0])
     return out
 
 
-def _strip_rows(lo: Sequence[int], hi: Sequence[int], budget: int, up: bool,
-                cap: bool = False) -> list[Partition]:
-    """The nu with lo[r] <= nu_r <= hi[r] (and <= nu_(r-1) with ``cap``), lo weakly decreasing,
-    at most ``budget`` cells up from lo, lex-ascending, or down from hi, lex-descending."""
-    level: list[tuple[Partition, int]] = [((), budget)] if budget >= 0 else []
-    for l, h in zip(lo, hi):
-        level, prev = [], level
-        add = level.append
-        for prefix in prev:
-            p, b = prefix
-            if b < 0:  # a row of 0 ended p, budget ~b left: this row is 0, costing h going down
-                if up or ~b >= h:
-                    add(prefix if up else (p, b + h))
-                continue
-            top = p[-1] if cap and p and p[-1] < h else h
-            if up:
-                for v in range(l, min(top, l + b) + 1):
-                    add((p + (v,), b + l - v) if v else (p, ~b))
-            else:
-                for v in range(top, max(l, h - b) - 1, -1):
-                    add((p + (v,), b - h + v) if v else (p, ~(b - h)))
-    return [p for p, _ in level]
+def _end(level: list, p: Partition) -> None:
+    """Add p, which a row of 0 ended, to the run that level ends with, or start one."""
+    if level and level[-1].__class__ is list:
+        level[-1].append(p)
+    else:
+        level.append([p])
 
 
 def horizontal_strips_over(mu: Partition, max_add: int) -> list[Partition]:
     """All nu with mu < nu (horizontal strip) and |nu/mu| <= max_add, lex-ascending."""
-    return _strip_rows(mu + (0,), (part(mu, 1) + max_add,) + mu, max_add, True)
+    return _rows_between(mu + (0,), (part(mu, 1) + max_add,) + mu, max_add, True)
 
 
 def vertical_strips_over(mu: Partition, max_add: int) -> list[Partition]:
     """All nu with mu <' nu (vertical strip) and |nu/mu| <= max_add, lex-ascending."""
     lo = mu + (0,) * max_add  # row r of nu is mu_r or mu_r + 1
-    return _strip_rows(lo, [v + 1 for v in lo], max_add, True, cap=True)
+    return _rows_between(lo, [v + 1 for v in lo], max_add, True, cap=True)
 
 
 def horizontal_strips_under(lam: Partition, max_remove: int | None = None) -> list[Partition]:
     """All mu with mu < lam (horizontal strip), lex-descending; row r in [lam_(r+1), lam_r]."""
     budget = size(lam) if max_remove is None else max_remove
-    return _strip_rows(lam[1:] + (0,), lam, budget, False)
+    return _rows_between(lam[1:] + (0,), lam, budget, False)
 
 
 def vertical_strips_under(lam: Partition, max_remove: int | None = None) -> list[Partition]:
     """All mu with mu <' lam (vertical strip), lex-descending; row r is lam_r or lam_r - 1."""
     budget = size(lam) if max_remove is None else max_remove
-    return _strip_rows([v - 1 for v in lam], lam, budget, False, cap=True)
+    return _rows_between([v - 1 for v in lam], lam, budget, False, cap=True)
 
 
 def sub_partitions(lam: Partition) -> list[Partition]:
     """All partitions contained in lam, lex-descending."""
-    return partitions_between((), lam)
+    return _rows_between((0,) * len(lam), lam, size(lam), False, cap=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, prod
 from operator import add, ge, lt
 from typing import Callable, NamedTuple
@@ -184,18 +183,11 @@ def schur(
     return TruncatedPolynomial(n, cap, states.get(mu))
 
 
-@lru_cache(maxsize=None)
 def count_syt(lam: Partition) -> int:
-    """Number of standard Young tableaux of shape lam, by chain counting."""
-    if not lam:
-        return 1
-    total = 0
-    for r in range(len(lam)):
-        if lam[r] > (lam[r + 1] if r + 1 < len(lam) else 0):
-            below = list(lam)
-            below[r] -= 1
-            total += count_syt(tuple(v for v in below if v))
-    return total
+    """Number of standard Young tableaux of shape lam, by the hook length formula."""
+    conj = conjugate(lam)
+    hooks = prod(p - c + conj[c] - r - 1 for r, p in enumerate(lam) for c in range(p))
+    return factorial(size(lam)) // hooks
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ sum the matrix or array entries themselves.  Three groups read package code:
 the family sets (``family_up_set``, ``family_down_set``, ``proj_domain``)
 filter the package's strip enumerators through its ``member``,
 ``asym_indices`` reads the option tables of ``projections._asym_options``,
-and the ``interval_*`` strip enumerators run ``partitions_between``.
-``compare`` is the reference the dominant-key comparison of
+and the ``interval_*`` enumerators read the row bounds of
+``interlacing._up_interval``/``_down_interval``.  Those run
+``partitions_between``, a recursive two-budget interval search kept here as
+the reference that the package's one row-by-row walk is checked against,
+order included.  ``compare`` is the reference the dominant-key comparison of
 ``verify_identity`` is checked against: it compares every monomial.
 """
 
@@ -16,14 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, inf
+from itertools import accumulate
+from math import inf
 
 from growthdiagrams import frobenius, member, size
+from growthdiagrams.interlacing import _down_interval, _up_interval
 from growthdiagrams.partitions import (
     horizontal_strips_over,
     horizontal_strips_under,
     part,
-    partitions_between,
     vertical_strips_under,
 )
 from growthdiagrams.projections import LITTLEWOOD, _asym_options
@@ -164,26 +168,58 @@ def schur_poly(shape, n, inner=()):
 
 
 @lru_cache(maxsize=None)
-def hook_count_syt(lam):
-    """Standard Young tableaux count by the hook length formula."""
+def chain_count_syt(lam):
+    """Standard Young tableaux counted as saturated chains from () to lam:
+    the sum of the counts of lam minus each of its corners."""
     if not lam:
         return 1
-    conj = [0] * lam[0]
-    for p in lam:
-        for c in range(p):
-            conj[c] += 1
-    prod = 1
-    for r, length in enumerate(lam, start=1):
-        for c in range(1, length + 1):
-            prod *= (length - c) + (conj[c - 1] - r) + 1
-    return factorial(sum(lam)) // prod
+    total = 0
+    for r in range(len(lam)):
+        if lam[r] > (lam[r + 1] if r + 1 < len(lam) else 0):
+            below = list(lam)
+            below[r] -= 1
+            total += chain_count_syt(tuple(v for v in below if v))
+    return total
 
 
 # ---------------------------------------------------------------------------
-# Strip sets as intervals of the general row-by-row search
-# (``partitions_between``): a second formulation of the four strip
-# enumerators, the reference their direct row-by-row product is checked
-# against, order included.
+# Every interval the package lists, through the general recursive search: a
+# second formulation of each enumerator, the reference its row-by-row walk is
+# checked against, order included.
+
+def partitions_between(lo, hi, max_add=inf, max_remove=inf):
+    """Every partition nu with lo[r] <= nu_r <= hi[r] in each row, at most
+    ``max_add`` cells above lo and at most ``max_remove`` cells below hi,
+    in lex-descending order.
+
+    ``hi`` holds finite ints and fixes the number of rows; ``lo`` is weakly
+    decreasing, no longer than hi and zero past its end, so filling the
+    remaining rows with lo never overdraws the add budget.
+    """
+    if max_add < 0 or max_remove < 0:
+        return []
+    n = len(hi)
+    lo = tuple(lo) + (0,) * (n - len(lo))
+    tail = list(accumulate(reversed(hi), initial=0))[::-1]  # tail[r] = sum(hi[r:])
+    out = []
+    rows = []
+
+    def rec(r, cap, add, remove):
+        if r == n:
+            out.append(tuple(rows))
+            return
+        l, h = lo[r], hi[r]
+        for v in range(min(h, cap, l + add), max(l, h - remove) - 1, -1):
+            if v:
+                rows.append(v)
+                rec(r + 1, v, add - v + l, remove - h + v)
+                rows.pop()
+            elif remove - h >= tail[r + 1]:
+                out.append(tuple(rows))  # every later row is 0 as well
+
+    rec(0, inf, max_add, max_remove)
+    return out
+
 
 def interval_horizontal_strips_over(mu, max_add):
     return partitions_between(mu + (0,), (part(mu, 1) + max_add,) + mu, max_add)[::-1]
@@ -202,6 +238,49 @@ def interval_horizontal_strips_under(lam, max_remove=None):
 def interval_vertical_strips_under(lam, max_remove=None):
     budget = inf if max_remove is None else max_remove
     return partitions_between([v - 1 for v in lam], lam, inf, budget)
+
+
+def interval_sub_partitions(lam):
+    return partitions_between((), lam)
+
+
+def interval_enumerate_partitions(max_size, box=None):
+    rows, cols = box or (max_size, max_size)
+    rows, cols = min(max_size, rows), min(max_size, cols)
+    return sorted(partitions_between((), (cols,) * rows, max_size), key=size)
+
+
+def interval_partitions_of_size(s, box=None):
+    rows, cols = box or (s, s)
+    rows, cols = min(s, rows), min(s, cols)
+    return partitions_between((), (cols,) * rows, s, rows * cols - s)
+
+
+def _interval_by_size(members, base, kmax):
+    out = [[] for _ in range(kmax + 1)]
+    for nu in reversed(members):
+        out[abs(size(nu) - size(base))].append(nu)
+    return out
+
+
+def interval_up_sets_through(lam, rho, kmax, dual=False):
+    lo, hi = _up_interval(lam, rho, kmax, dual)
+    return _interval_by_size(partitions_between(lo, hi, kmax), lo, kmax)
+
+
+def interval_down_sets_through(lam, rho, kmax, dual=False):
+    lo, hi = _down_interval(lam, rho, dual)
+    return _interval_by_size(partitions_between(lo, hi, max_remove=kmax), hi, kmax)
+
+
+def interval_up_set(lam, rho, k, dual=False):
+    lo, hi = _up_interval(lam, rho, k, dual)
+    return partitions_between(lo, hi, k, sum(hi) - size(lo) - k)[::-1]
+
+
+def interval_down_set(lam, rho, k, dual=False):
+    lo, hi = _down_interval(lam, rho, dual)
+    return partitions_between(lo, hi, sum(hi) - k - sum(lo), k)[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,8 @@ def test_insertion_agreement_sizes(capsys):
     assert code == 1 and out == "" and err == "error: m: expected a positive integer, got 0\n"
 
 
-def _patch_factorial(monkeypatch):
-    monkeypatch.setattr(series, "factorial", lambda n: 0)
+def _patch_count_syt(monkeypatch):
+    monkeypatch.setattr(series, "count_syt", lambda lam: 0)
 
 
 def _patch_times(monkeypatch):
@@ -195,9 +195,9 @@ def _patch_part(monkeypatch):
 @pytest.mark.parametrize(
     "patch,argv,expected",
     [
-        (_patch_factorial, ["--identity", "squarefree", "--n", "3"],
-         '{"checked_terms":1,"equal":false,"identity":"squarefree","lhs":6,"params":{"n":3},'
-         '"rhs":0}'),
+        (_patch_count_syt, ["--identity", "squarefree", "--n", "3"],
+         '{"checked_terms":1,"equal":false,"identity":"squarefree","lhs":0,"params":{"n":3},'
+         '"rhs":6}'),
         (_patch_times, ["--identity", "littlewood", "--variant", "all", "--n", "2",
                         "--degree", "4"],
          '{"checked_terms":15,"equal":false,"identity":"littlewood-all","mismatch":'
@@ -310,6 +310,19 @@ def test_enumerate_growths_huge_entry(capsys, tmp_path):
     result = json.loads(out)
     assert result["count"] == 1
     assert result["growths"][0]["vertices"][1][1] == [2**70]
+
+
+def test_enumerate_deep_requests(capsys, tmp_path):
+    """Requests 1,100 rows or vertices deep print their result with exit 0;
+    the recursive searches they ran before ended in a RecursionError."""
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps([[0] * 1100]))
+    code, out, err = run_cli(capsys, "enumerate", "--growths", str(path))
+    assert code == 0 and err == "" and json.loads(out)["count"] == 1
+    code, out, err = run_cli(capsys, "enumerate", "--partitions", "1100", "--rows", "1100",
+                             "--cols", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["partitions"] == [[1] * j for j in range(1101)]
 
 
 def test_littlewood_cli_roundtrip(capsys, tmp_path):

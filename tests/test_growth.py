@@ -82,6 +82,13 @@ def test_enumerate_growths_matches_oracle():
         assert got == oracle.growths(a, dual), (a, dual)
 
 
+def test_deep_enumeration_needs_no_recursion():
+    """A 1 x 1,100 zero matrix has one growth on its 2,202 vertices; a
+    recursive search over them ran past Python's recursion limit."""
+    (grid,) = enumerate_growths([[0] * 1100])
+    assert grid.vertices == ((EMPTY,) * 1101,) * 2
+
+
 def test_third_growth_tableaux():
     growths = enumerate_growths(SMALL_A)
     third = [

@@ -88,6 +88,36 @@ def test_batched_enumeration_consistency():
                 assert downs[k] == down_set(lam, rho, k, dual), (lam, rho, k, dual)
 
 
+def test_sets_match_interval_reference():
+    """Every up/down set and batch over the 3x3 box, k <= 4, in both dualities,
+    equals the oracle's recursive interval search, order included."""
+    box = enumerate_partitions(9, (3, 3))
+    for lam in box:
+        for rho in box:
+            for dual in (False, True):
+                case = (lam, rho, dual)
+                assert up_sets_through(lam, rho, 4, dual) == oracle.interval_up_sets_through(
+                    lam, rho, 4, dual), case
+                assert down_sets_through(lam, rho, 4, dual) == (
+                    oracle.interval_down_sets_through(lam, rho, 4, dual)), case
+                for k in range(5):
+                    assert up_set(lam, rho, k, dual) == oracle.interval_up_set(
+                        lam, rho, k, dual), (case, k)
+                    assert down_set(lam, rho, k, dual) == oracle.interval_down_set(
+                        lam, rho, k, dual), (case, k)
+
+
+def test_deep_columns_need_no_recursion():
+    """Sets around a 2,000-row column: the recursive interval search ran past
+    Python's recursion limit on each of these."""
+    column = (1,) * 2000
+    for dual in (False, True):
+        assert up_set(column, column, 1, dual) == [column + (1,), (2,) + column[1:]]
+        assert down_set(column, column, 1, dual) == [column[1:]]
+        assert up_sets_through(column, column, 1, dual)[1] == up_set(column, column, 1, dual)
+        assert down_sets_through(column, column, 1, dual) == [[column], [column[1:]]]
+
+
 def test_down_set_cuts_a_huge_k_without_buckets():
     """k exceeds |lam ^ rho|, so the set is empty, and down_set finds that
     from its one size without building k + 1 buckets."""

@@ -167,8 +167,8 @@ def test_enumerators_match_cell_oracle_exhaustively():
 
 
 def test_strip_enumerators_match_interval_reference():
-    """The direct row-by-row strip sets equal the partitions_between
-    formulation list for list, order included, on every shape of size <= 9."""
+    """The row-by-row strip sets equal the oracle's recursive interval search
+    list for list, order included, on every shape of size <= 9."""
     pairs = ((horizontal_strips_over, oracle.interval_horizontal_strips_over),
              (vertical_strips_over, oracle.interval_vertical_strips_over),
              (horizontal_strips_under, oracle.interval_horizontal_strips_under),
@@ -181,12 +181,35 @@ def test_strip_enumerators_match_interval_reference():
             assert new(mu, None) == ref(mu, None) == new(mu), (new.__name__, mu)
 
 
+def test_box_and_size_enumerators_match_interval_reference():
+    """sub_partitions, enumerate_partitions and partitions_of_size list what the
+    oracle's recursive interval search lists, order included: every shape of
+    size <= 12, and every size <= 12 in every box up to 6 x 6."""
+    for mu in oracle.all_partitions(12):
+        assert sub_partitions(mu) == oracle.interval_sub_partitions(mu), mu
+    boxes = [None] + [(rows, cols) for rows in range(7) for cols in range(7)]
+    for m in range(13):
+        for box in boxes:
+            assert enumerate_partitions(m, box) == oracle.interval_enumerate_partitions(m, box)
+            assert partitions_of_size(m, box) == oracle.interval_partitions_of_size(m, box)
+
+
 def test_deep_strips_need_no_recursion():
     """Strips 2,000 rows deep: a recursive search ran past Python's recursion limit."""
     column = (1,) * 2000
     assert vertical_strips_over(EMPTY, 2000) == [column[:j] for j in range(2001)]
     assert vertical_strips_under(column) == [column[:j] for j in range(2000, -1, -1)]
     assert len(horizontal_strips_under(column)) == 2
+
+
+def test_deep_boxes_need_no_recursion():
+    """A 2,000-row column and the box around it: the recursive interval search
+    ran past Python's recursion limit on each of these."""
+    column = (1,) * 2000
+    below = [column[:j] for j in range(2000, -1, -1)]
+    assert sub_partitions(column) == below
+    assert enumerate_partitions(2000, (2000, 1)) == below[::-1]
+    assert partitions_of_size(2000, (2000, 1)) == [column]
 
 
 def test_enumerate_partitions():

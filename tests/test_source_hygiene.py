@@ -1,5 +1,6 @@
 """Leftovers in the package source: imports a module no longer uses, and
-private helpers nothing calls any more.
+private helpers nothing calls any more; and recursion, which no function in
+the package uses.
 
 Every module of ``src/growthdiagrams`` except ``__init__.py`` (which only
 re-exports) is parsed with ``ast``.  A name counts as referenced where it is
@@ -65,3 +66,29 @@ def test_every_private_name_is_referenced():
         if _is_private(name) and everywhere[name] - _references(stmt)[name] <= 0
     ]
     assert unreferenced == []
+
+
+def _calls_itself(func):
+    """Whether ``func`` calls its own name anywhere in its body, directly or as
+    ``self.name``/``cls.name``, nested functions included."""
+    for sub in ast.walk(func):
+        if isinstance(sub, ast.Call):
+            f = sub.func
+            if isinstance(f, ast.Name) and f.id == func.name:
+                return True
+            if (isinstance(f, ast.Attribute) and f.attr == func.name
+                    and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
+                return True
+    return False
+
+
+def test_no_function_calls_itself():
+    """A recursive function runs past Python's recursion limit on a deep
+    enough valid input, so the package walks every search iteratively."""
+    recursive = [
+        f"{module}:{node.name}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node)
+    ]
+    assert recursive == []

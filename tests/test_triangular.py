@@ -79,6 +79,15 @@ def test_enumerate_matches_oracle():
     assert count == 476
 
 
+def test_deep_enumeration_needs_no_recursion():
+    """A 45-row zero array has one growth on its 1,081 vertices; a recursive
+    search over them ran past Python's recursion limit."""
+    zero = triangular_array([[0] * (45 - i) for i in range(45)])
+    assert enumerate_triangular_growths(zero) == [
+        tuple((EMPTY,) * (46 - i) for i in range(46))
+    ]
+
+
 def test_dual_enumeration_refuses_entries_above_one():
     arr = triangular_array([[0, 1, 0], [0, 2], [0]])
     assert len(enumerate_triangular_growths(arr)) == 13
