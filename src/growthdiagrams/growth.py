@@ -31,7 +31,7 @@ from .interlacing import DomainError, up_set
 from .partitions import EMPTY, Partition, join, part, size
 from .projections import LittlewoodVariant, proj_apply, proj_unapply
 from .rules import Rule, apply_rule, unapply_rule
-from .tableaux import StepKind, TableauChain
+from .tableaux import TableauChain, check_chain, strip_kind
 
 Matrix = Sequence[Sequence[int]]
 
@@ -110,17 +110,8 @@ def _default_borders(
 ) -> tuple[tuple[Partition, ...], tuple[Partition, ...]]:
     """Column 0's and row 0's labels: a given border's chain, checked, or else
     a constant one, of the empty partition for S and of S's start for T."""
-    qsteps = StepKind.VERTICAL if rule.dual else StepKind.HORIZONTAL
-    if S is not None and S.steps is not StepKind.HORIZONTAL:
-        raise ValueError("border-s: expected a horizontal-strip chain")
-    if T is not None and T.steps is not qsteps:
-        raise ValueError(f"border-t: expected a {qsteps.value}-strip chain")
-    if S is not None and S.entries != n:
-        raise ValueError(f"border-s: expected {n} steps, got {S.entries}")
-    if T is not None and T.entries != m:
-        raise ValueError(f"border-t: expected {m} steps, got {T.entries}")
-    s = (EMPTY,) * (n + 1) if S is None else S.chain
-    t = (s[0],) * (m + 1) if T is None else T.chain
+    s = (EMPTY,) * (n + 1) if S is None else check_chain("border-s", S, entries=n)
+    t = (s[0],) * (m + 1) if T is None else check_chain("border-t", T, strip_kind(rule.dual), m)
     if s[0] != t[0]:
         raise ValueError("border-t: borders must start at the same partition")
     return s, t
@@ -143,9 +134,8 @@ def build_growth(
 
 def extract_PQ(grid: GrowthGrid) -> tuple[TableauChain, TableauChain]:
     """P reads the last column, Q the last row."""
-    qsteps = StepKind.VERTICAL if grid.dual else StepKind.HORIZONTAL
     p = TableauChain(tuple(row[-1] for row in grid.vertices))
-    return p, TableauChain(grid.vertices[-1], qsteps)
+    return p, TableauChain(grid.vertices[-1], strip_kind(grid.dual))
 
 
 def rsk(
@@ -166,11 +156,8 @@ def rsk_inverse(
     m = entries of Q); trailing zero rows and columns are preserved.
     """
     rule = Rule(rule)
-    qsteps = StepKind.VERTICAL if rule.dual else StepKind.HORIZONTAL
-    if P.steps is not StepKind.HORIZONTAL:
-        raise ValueError("P: expected a horizontal-strip chain")
-    if Q.steps is not qsteps:
-        raise ValueError(f"Q: expected a {qsteps.value}-strip chain")
+    check_chain("P", P)
+    check_chain("Q", Q, strip_kind(rule.dual))
     if P.shape != Q.shape:
         raise ValueError(f"Q: expected final shape {P.shape}, got {Q.shape}")
     n, m = P.entries, Q.entries
@@ -179,7 +166,7 @@ def rsk_inverse(
     matrix = [[0] * m for _ in range(n)]
     _ungrow(grid, matrix, [1] * (n + 1), rule)
     S = TableauChain(tuple(row[0] for row in grid))
-    return tuple(map(tuple, matrix)), S, TableauChain(tuple(grid[0]), qsteps)
+    return tuple(map(tuple, matrix)), S, TableauChain(tuple(grid[0]), Q.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +182,7 @@ def insert(
     re-inserted, and the chain of the updated tableau is returned.
     """
     rule = Rule(rule)
+    check_chain("tableau", tableau)  # an i-chain: horizontal in every diagram
     work = Counter(dict(values)) if isinstance(values, Mapping) else Counter(values)
     n = tableau.entries
     for v, c in list(work.items()):
@@ -224,7 +212,7 @@ def insert(
                 if bumped is not None and bumped > i:
                     work[bumped] += 1
         hat.append(nu)
-    return TableauChain(tuple(hat), tableau.steps)
+    return TableauChain(tuple(hat))
 
 
 def check_traceable(
@@ -264,13 +252,14 @@ def pieri_inverse(
 ) -> tuple[TableauChain, tuple[int, ...]]:
     """Recover (tableau, counts) from the Pieri image and the source shape."""
     rule = Rule(rule)
+    check_chain("hat", hat)  # an i-chain, like insert's tableau
     grid = [[EMPTY, p] for p in hat.chain]
     grid[-1][0] = shape
     counts = [[0] for _ in range(hat.entries)]
     _ungrow(grid, counts, [1] * len(grid), rule)
     if grid[0][0] != hat.chain[0]:
         raise DomainError("inner shapes disagree after inversion")
-    return TableauChain(tuple(row[0] for row in grid), hat.steps), tuple(c[0] for c in counts)
+    return TableauChain(tuple(row[0] for row in grid)), tuple(c[0] for c in counts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """JSON codecs for the wire formats.
 
-Partitions are arrays of positive integers ([] is empty); matrices are arrays
-of arrays; tableaux are {"chain": [[...], ...], "steps": "horizontal"}; the
-other shapes are documented on their codec.  Dumps are deterministic: sorted
-keys, fixed separators.
+Partitions are arrays of positive integers ([] is empty, and a zero part is
+refused); matrices are arrays of arrays; tableaux are {"chain": [[...], ...],
+"steps": "horizontal"}; the other shapes are documented on their codec.  Dumps
+are deterministic: sorted keys, fixed separators.
 """
 
 from __future__ import annotations
@@ -32,18 +32,16 @@ def loads(text: str, what: str) -> Any:
         raise FormatError(f"{what}: invalid JSON ({exc.msg} at char {exc.pos})") from exc
 
 
-def _is_int(v: Any) -> bool:
-    """JSON integers only: true and false are not 1 and 0."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def partition_from_json(data: Any, field: str = "partition") -> Partition:
-    if not isinstance(data, list) or not all(_is_int(v) for v in data):
+    if not isinstance(data, list):
         raise FormatError(f"{field}: expected an array of integers")
     try:
-        return partition(data)
+        p = partition(data)
     except ValueError as exc:
         raise FormatError(f"{field}: {exc}") from exc
+    if len(p) != len(data):  # partition drops trailing zeros
+        raise FormatError(f"{field}: zero part in {tuple(data)!r}")
+    return p
 
 
 def matrix_from_json(data: Any, field: str = "matrix") -> list[list[int]]:

@@ -38,7 +38,6 @@ from .partitions import (
     from_frobenius,
     FrobeniusCoords,
     odd_part_count,
-    partition,
     size,
 )
 from .rules import Rule, apply_rule, unapply_rule
@@ -228,11 +227,8 @@ def _asym_tables(v: LittlewoodVariant, lam: Partition) -> tuple[int, _Options, _
 # The halving bijection phi for even-row partitions.
 
 def halves(lam: Partition) -> tuple[Partition, Partition]:
-    """(floor(lam/2), ceil(lam/2)) componentwise."""
-    return (
-        partition(p // 2 for p in lam),
-        partition((p + 1) // 2 for p in lam),
-    )
+    """(floor(lam/2), ceil(lam/2)) componentwise; the parts of 1 halve to 0."""
+    return tuple(p // 2 for p in lam if p > 1), tuple((p + 1) // 2 for p in lam)
 
 
 def phi_double(mu: Partition) -> Partition:
@@ -267,10 +263,10 @@ def proj_apply(v: LittlewoodVariant, lam: Partition, k: int, mu: Partition) -> P
         odd_cols = odd_part_count(conj)
         if k != odd_cols:
             raise DomainError(f"no even-column partners of {lam} at k = {k}")
-        expect_mu = conjugate(partition(c - (c % 2) for c in conj))
+        expect_mu = conjugate(tuple(c - c % 2 for c in conj if c > 1))
         if mu != expect_mu:
             raise DomainError(f"{mu} is not the even-column partner of {lam}")
-        return conjugate(partition(c + (c % 2) for c in conj))
+        return conjugate(tuple(c + c % 2 for c in conj))
     sign, down, up, pad = _asym_tables(v, lam)
     ranks = [r + (r >= pad) for r in _asym_choice(down, sign, mu)]
     drop = size(lam) - size(mu)
@@ -295,10 +291,10 @@ def proj_unapply(v: LittlewoodVariant, lam: Partition, nu: Partition) -> tuple[P
         return mu, size(nu) + size(mu) - 2 * size(lam)
     if fam is Family.EVEN_COLS:
         conj = conjugate(lam)
-        expect_nu = conjugate(partition(c + (c % 2) for c in conj))
+        expect_nu = conjugate(tuple(c + c % 2 for c in conj))
         if nu != expect_nu:
             raise DomainError(f"{nu} is not the even-column partner of {lam}")
-        return conjugate(partition(c - (c % 2) for c in conj)), 0
+        return conjugate(tuple(c - c % 2 for c in conj if c > 1)), 0
     sign, down, up, pad = _asym_tables(v, lam)
     ranks = _asym_choice(up, sign, nu)
     mu = _asym_build(down, sign, [r - (r > pad) for r in ranks if r != pad])

@@ -51,7 +51,8 @@ class TruncatedPolynomial:
     """Multivariate polynomial with integer coefficients, truncated at a total
     degree cap.  Immutable by convention; a product is a new value, and the
     constructor drops zero coefficients and terms beyond the cap.  The result
-    type of ``schur`` and ``product_side``; the only arithmetic is ``*``."""
+    type of ``schur``, ``product_side`` and the Pieri check's product; the only
+    arithmetic is ``*``.  The verify sides are plain term dicts within the cap."""
 
     __slots__ = ("nvars", "cap", "terms")
 
@@ -282,7 +283,7 @@ def _rearrangements(exps: Exponents) -> int:
     return factorial(len(exps)) // prod(map(factorial, Counter(exps).values()))
 
 
-def _compare(lhs: TruncatedPolynomial, rhs: TruncatedPolynomial, n: int) -> tuple[bool, int, dict]:
+def _compare(lhs: Terms, rhs: Terms, n: int) -> tuple[bool, int, dict]:
     """Compare the sides on every key of either: whether they agree, the
     number of monomials checked, and the first mismatch in (degree, lex)
     order, if any.
@@ -292,15 +293,15 @@ def _compare(lhs: TruncatedPolynomial, rhs: TruncatedPolynomial, n: int) -> tupl
     rearrangements within the two groups, all counted as checked, and the
     first of them sorts each group ascending.
     """
-    keys = set(lhs.terms) | set(rhs.terms)
-    wrong = [e for e in keys if lhs.terms.get(e, 0) != rhs.terms.get(e, 0)]
+    keys = set(lhs) | set(rhs)
+    wrong = [e for e in keys if lhs.get(e, 0) != rhs.get(e, 0)]
     checked = sum(_rearrangements(e[:n]) * _rearrangements(e[n:]) for e in keys)
     if not wrong:
         return True, checked, {}
     first = {e: tuple(sorted(e[:n])) + tuple(sorted(e[n:])) for e in wrong}
     e = min(wrong, key=lambda e: (sum(e), first[e]))
-    return False, checked, {"mismatch": {"exponents": list(first[e]), "lhs": lhs.terms.get(e, 0),
-                                         "rhs": rhs.terms.get(e, 0)}}
+    return False, checked, {"mismatch": {"exponents": list(first[e]), "lhs": lhs.get(e, 0),
+                                         "rhs": rhs.get(e, 0)}}
 
 
 def _pair(xs: States, ys: States) -> Terms:
@@ -317,15 +318,17 @@ def _pair(xs: States, ys: States) -> Terms:
 def _cauchy(e: Identity, n: int, m: int, cap: int, lam: Partition, rho: Partition, **_):
     """sum_nu s_{nu/rho}(x) s_{nu/lam}(y) is the product of 1/(1 - x_i y_j)
     times sum_mu s_{lam/mu}(x) s_{rho/mu}(y).  The dual identity has vertical
-    strips on the y side and the product of 1 + x_i y_j."""
+    strips on the y side and the product of 1 + x_i y_j.  A pair at nu (at mu)
+    has degree |nu/rho| + |nu/lam| (|lam/mu| + |rho/mu|), so the sweeps stop
+    at |nu| <= top (|mu| >= low) and build no term beyond the cap."""
     top = (cap + size(lam) + size(rho)) // 2
+    low = (size(lam) + size(rho) - cap + 1) // 2
     lhs = _pair(_sweep(rho, n, top - size(rho), horizontal_strips_over, dominant=True),
                 _sweep(lam, m, top - size(lam), _OVER[e.steps], dominant=True))
-    inner = _pair(_sweep(lam, n, cap, horizontal_strips_under),
-                  _sweep(rho, m, cap, _UNDER[e.steps]))
+    inner = _pair(_sweep(lam, n, size(lam) - low, horizontal_strips_under),
+                  _sweep(rho, m, size(rho) - low, _UNDER[e.steps]))
     rhs = _times(inner, _factors(None, n, m), e.steps is StepKind.VERTICAL, cap, dominant=True)
-    rhs = {exps: coeff for exps, coeff in rhs.items() if _decreasing(exps[n:])}
-    return _compare(TruncatedPolynomial(n + m, cap, lhs), TruncatedPolynomial(n + m, cap, rhs), n)
+    return _compare(lhs, {exps: coeff for exps, coeff in rhs.items() if _decreasing(exps[n:])}, n)
 
 
 def _littlewood(e: Identity, n: int, cap: int, lam: Partition, **_):
@@ -338,8 +341,7 @@ def _littlewood(e: Identity, n: int, cap: int, lam: Partition, **_):
                  lambda nu: member(nu, e.family))
     inner = _total(_sweep(shape, n, cap, horizontal_strips_under),
                    lambda mu: member(mu, row.inner))
-    rhs = _times(inner, _factors(e.family, n, 0), row.dual, cap, dominant=True)
-    return _compare(TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs), n)
+    return _compare(lhs, _times(inner, _factors(e.family, n, 0), row.dual, cap, dominant=True), n)
 
 
 def _pieri(e: Identity, n: int, cap: int, lam: Partition, k: int, **_):
@@ -352,7 +354,7 @@ def _pieri(e: Identity, n: int, cap: int, lam: Partition, k: int, **_):
     lhs = {exps: coeff for exps, coeff in lhs.terms.items() if _decreasing(exps)}
     rhs = _total(_sweep(EMPTY, n, top, horizontal_strips_over, dominant=True),
                  shapes.__contains__)
-    return _compare(TruncatedPolynomial(n, cap, lhs), TruncatedPolynomial(n, cap, rhs), n)
+    return _compare(lhs, rhs, n)
 
 
 def _squarefree(e: Identity, n: int, **_):

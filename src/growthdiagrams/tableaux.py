@@ -28,6 +28,11 @@ class StepKind(str, Enum):
     VERTICAL = "vertical"
 
 
+def strip_kind(dual: bool) -> StepKind:
+    """The strip kind of a (dual) growth's j-steps: vertical when dual."""
+    return StepKind.VERTICAL if dual else StepKind.HORIZONTAL
+
+
 @dataclass(frozen=True)
 class TableauChain:
     chain: tuple[Partition, ...]
@@ -100,3 +105,15 @@ class TableauChain:
                 steps: StepKind = StepKind.HORIZONTAL) -> "TableauChain":
         """The constant chain (base, base, ..., base) of the given length."""
         return cls((base,) * (length + 1), steps)
+
+
+def check_chain(field: str, chain: TableauChain, steps: StepKind = StepKind.HORIZONTAL,
+                entries: int | None = None) -> tuple[Partition, ...]:
+    """The one check of a chain argument: refuse, under its field name, a chain
+    of the wrong strip kind or, when ``entries`` fixes it, of the wrong number of
+    steps.  Return its partitions."""
+    if chain.steps is not steps:
+        raise ValueError(f"{field}: expected a {steps.value}-strip chain")
+    if entries is not None and chain.entries != entries:
+        raise ValueError(f"{field}: expected {entries} steps, got {chain.entries}")
+    return chain.chain

@@ -28,7 +28,7 @@ from .growth import _enumerate, _grow, _ungrow, insert
 from .interlacing import DomainError
 from .partitions import EMPTY, Partition, member, size
 from .projections import LITTLEWOOD, LittlewoodVariant, littlewood_variant, proj_apply
-from .tableaux import StepKind, TableauChain
+from .tableaux import TableauChain, check_chain, strip_kind
 
 def _as_variant(variant: LittlewoodVariant | str) -> LittlewoodVariant:
     """A variant as given, or a family name with its canonical defaults."""
@@ -119,15 +119,11 @@ def _default_border(variant: LittlewoodVariant, n: int,
     """Row 0's labels: the given border's chain, checked, or n + 1 empty partitions."""
     if S is None:
         return (EMPTY,) * (n + 1)
-    steps = StepKind.VERTICAL if variant.dual else StepKind.HORIZONTAL
-    if S.steps is not steps:
-        raise ValueError(f"border: expected a {steps.value}-strip chain")
-    if S.entries != n:
-        raise ValueError(f"border: expected {n} steps, got {S.entries}")
+    chain = check_chain("border", S, strip_kind(variant.dual), n)
     if not member(S.inner_shape, variant.family):  # at n = 0 no projection checks it
         raise DomainError(f"border: inner shape {S.inner_shape} is not in family "
                           f"{variant.family.value}")
-    return S.chain
+    return chain
 
 
 def build_triangular(
@@ -165,17 +161,15 @@ def littlewood_inverse(
 
     Refusals of P name it ``tableau``, the field the CLI reads it from."""
     variant = _as_variant(variant)
-    if P.steps is not StepKind.HORIZONTAL:
-        raise ValueError("tableau: expected a horizontal-strip chain")
+    check_chain("tableau", P)
     n = P.entries
     if not member(P.shape, variant.family):
         raise DomainError(f"tableau: shape {P.shape} is not in family {variant.family.value}")
     grid = [[EMPTY] * n + [p] for p in P.chain]
     entries = [[0] * n for _ in range(n)]
     _ungrow(grid, entries, range(n + 1), variant.base_rule, variant)
-    steps = StepKind.VERTICAL if variant.dual else StepKind.HORIZONTAL
     rows = tuple(tuple(row[i:]) for i, row in enumerate(entries))
-    return TriangularArray(n, rows), TableauChain(tuple(grid[0]), steps)
+    return TriangularArray(n, rows), TableauChain(tuple(grid[0]), strip_kind(variant.dual))
 
 
 def triangular_insert(
@@ -197,7 +191,7 @@ def triangular_insert(
     mu = tableau.shape
     k = size(lam) - size(mu) + diag
     nu = proj_apply(variant, lam, k, mu)
-    return TableauChain(hat.chain + (nu,), tableau.steps)
+    return TableauChain(hat.chain + (nu,))
 
 
 def littlewood_insert(

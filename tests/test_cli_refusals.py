@@ -5,10 +5,11 @@ the exit code and stderr recorded in ``cli_refusals.json``; stdout must stay
 empty.  The requests cover malformed matrices for ``rsk``, ``render`` and
 ``enumerate --growths``, malformed triangular arrays for ``littlewood-encode``
 and ``render --array``, malformed or mismatched borders (``--border-s``,
-``--border-t``, ``--border``), ``unrsk`` tableaux and ``littlewood-decode``
-tableaux, and requests with two faults, where the recording pins which one is
-reported.  A change that alters a refusal fails here; the recording is only
-ever replaced on purpose, together with the change that explains it.
+``--border-t``, ``--border``), ``unrsk`` tableaux, ``littlewood-decode``
+tableaux, partitions with a zero part in every field that reads one, and
+requests with two faults, where the recording pins which one is reported.  A
+change that alters a refusal fails here; the recording is only ever replaced
+on purpose, together with the change that explains it.
 """
 
 import json
@@ -95,6 +96,7 @@ FILES = {
     "P_vertical": {"chain": [[], [1]], "steps": _V},
     "Q_two": {"chain": [[], [2]]},
     "P_one_one": {"chain": [[], [1], [1, 1]]},
+    "B_zero_part": {"chain": [[], [1, 0]]},
 }
 
 _MATRIX_FAULTS = ("M_bad_json", "M_scalar", "M_empty", "M_rows_not_arrays", "M_mixed_rows",
@@ -188,6 +190,17 @@ REQUESTS = [
     _decode("P_one_one", variant="asym-1"),
     _decode("H1", variant="asym+1"),
     _decode("P_vertical", variant="even-rows"),
+    # a zero part, in every field that reads a partition
+    ["verify", "--identity", "pieri", "--n", "2", "--k", "1", "--shape", "[1,0]"],
+    ["verify", "--identity", "skew-cauchy", "--n", "2", "--shape", "[1]", "--rho", "[0]"],
+    _rsk("A", "--border-s", "{B_zero_part}"),
+    _rsk("A", "--border-t", "{B_zero_part}"),
+    _unrsk("B_zero_part", "H1"),
+    _unrsk("H1", "B_zero_part"),
+    _encode("T1", "--border", "{B_zero_part}"),
+    _decode("B_zero_part"),
+    # a border of the wrong length beside one of the wrong strip kind: S is checked first
+    _rsk("A", "--border-s", "{H1}", "--border-t", "{H2}", rule="dual-row"),
 ]
 
 

@@ -13,6 +13,7 @@ from growthdiagrams import (
     build_growth,
     build_triangular,
     check_traceable,
+    conjugate,
     count_syt,
     enumerate_growths,
     extract_PQ,
@@ -22,6 +23,7 @@ from growthdiagrams import (
     rsk,
     rsk_inverse,
     triangular_array,
+    triangular_insert,
 )
 
 REF_A = [[0, 2, 1], [1, 1, 0], [2, 0, 0]]
@@ -178,6 +180,9 @@ def test_rsk_roundtrip_property(case):
 
 
 def test_rsk_symmetry():
+    """Transposing A swaps P and Q under row and col.  Under the dual rules,
+    every vertex of the dual-row growth of A is the conjugate of the transposed
+    vertex of the dual-col growth of A^T, and the other way round."""
     bins = [
         [[(v >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
         for v in range(512)
@@ -187,6 +192,14 @@ def test_rsk_symmetry():
             p, q = rsk(rule, matrix)
             tp, tq = rsk(rule, [list(r) for r in zip(*matrix)])
             assert (tp, tq) == (q, p)
+    rng = random.Random(12)
+    sizes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(150)]
+    bins += [[[rng.randint(0, 1) for _ in range(m)] for _ in range(n)] for n, m in sizes]
+    for rule, other in ((Rule.DUAL_ROW, Rule.DUAL_COL), (Rule.DUAL_COL, Rule.DUAL_ROW)):
+        for matrix in bins:
+            v = build_growth(rule, matrix).vertices
+            w = build_growth(other, [list(r) for r in zip(*matrix)]).vertices
+            assert v == tuple(zip(*(map(conjugate, row) for row in w))), (rule, matrix)
 
 
 def test_permutation_bijection():
@@ -271,6 +284,24 @@ def test_non_strip_chain_is_refused():
         TableauChain(((1,), (2, 1, 1)))
     with pytest.raises(ValueError, match="not a vertical strip"):
         TableauChain(((1,), (3,)), StepKind.VERTICAL)
+
+
+@pytest.mark.parametrize("rule", list(Rule))
+def test_insertion_refuses_vertical_chains(rule):
+    """The tableau that insertion reads and the image it returns are i-chains,
+    horizontal in every diagram: a vertical one is refused by field name."""
+    t = TableauChain(((), (1,), (1, 1)), StepKind.VERTICAL)
+    calls = [
+        lambda: insert(rule, t, [1]),
+        lambda: pieri(rule, t, [1, 0]),
+        lambda: check_traceable(rule, t, [1]),
+        lambda: triangular_insert("all", t, [0, 0, 0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^tableau: expected a horizontal-strip chain$"):
+            call()
+    with pytest.raises(ValueError, match="^hat: expected a horizontal-strip chain$"):
+        pieri_inverse(rule, t, (1,))
 
 
 def test_border_validation():

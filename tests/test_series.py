@@ -370,9 +370,36 @@ def test_verify_mismatch_reporting():
     """A deliberately unequal comparison reports the first differing exponent."""
     a = TruncatedPolynomial(2, 4, {(1, 0): 1, (0, 2): 3})
     b = TruncatedPolynomial(2, 4, {(1, 0): 1, (0, 2): 4})
-    equal, _, details = _compare(a, b, 1)  # x_1 and y_1: every key is dominant
+    equal, _, details = _compare(a.terms, b.terms, 1)  # x_1 and y_1: every key is dominant
     assert not equal
     assert details == {"mismatch": {"exponents": [0, 2], "lhs": 3, "rhs": 4}}
+
+
+def test_verify_sides_are_term_dicts(monkeypatch):
+    """The verify rows compare plain term dicts within the cap: a Littlewood
+    check and a skew Cauchy check build no TruncatedPolynomial."""
+    built = []
+    init = TruncatedPolynomial.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedPolynomial, "__init__", counting)
+    for name, kwargs in (("littlewood-all", dict(n=3, cap=6)),
+                         ("skew-cauchy", dict(n=2, m=2, cap=5, lam=(2, 1), rho=(1, 1)))):
+        assert verify_identity(name, **kwargs).equal
+        assert built == [], name
+
+
+@pytest.mark.parametrize("name", ["skew-cauchy", "skew-dual-cauchy"])
+def test_skew_cauchy_beyond_the_cap(name):
+    """|lam| + |rho| = 19 > cap: the inner sweeps build no pair beyond the
+    cap, and the report is the one a comparison that truncated them gave."""
+    report = verify_identity(name, 4, 14, 4, (6, 5, 3, 1), (3, 1))
+    assert report.to_dict() == {
+        "identity": name, "equal": True, "checked_terms": 1484,
+        "params": {"n": 4, "degree": 14, "m": 4, "lam": [6, 5, 3, 1], "rho": [3, 1]}}
 
 
 def test_unknown_identity():
@@ -520,7 +547,7 @@ def test_dominant_mismatch_matches_full_reference(name, kwargs, keys, first):
     for key in keys:
         lhs = _inject(lhs, n, key)
     full = oracle.compare(name, {}, lhs, rhs)
-    equal, checked, details = _compare(_dominant(lhs, n), _dominant(rhs, n), n)
+    equal, checked, details = _compare(_dominant(lhs, n).terms, _dominant(rhs, n).terms, n)
     dominant = Report(name, equal, checked, {}, details)
     assert not full.equal and full.details["mismatch"]["exponents"] == first
     assert dominant.to_dict() == full.to_dict()
