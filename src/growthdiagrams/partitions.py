@@ -64,44 +64,37 @@ def contains(mu: Partition, lam: Partition) -> bool:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Reflect the diagram along the main diagonal."""
-    if not lam:
-        return EMPTY
-    cols = [0] * lam[0]
-    for p in lam:
-        for c in range(p):
-            cols[c] += 1
+    """Reflect the diagram along the main diagonal: columns lam_(i+1) + 1 .. lam_i
+    all have height i, so the columns come out in runs, one per row."""
+    cols: list[int] = []
+    for i in range(len(lam), 0, -1):
+        cols += (i,) * (lam[i - 1] - len(cols))  # len(cols) is lam_(i+1)
     return tuple(cols)
 
 
 def conj_part(lam: Partition, col: int) -> int:
     """Height of column ``col``: the number of parts that are >= col."""
-    n = 0
-    for p in lam:
-        if p >= col:
-            n += 1
-        else:
-            break
-    return n
+    return sum(1 for p in lam if p >= col)
 
 
 def durfee(lam: Partition) -> int:
-    d = 0
-    for i, p in enumerate(lam, start=1):
-        if p >= i:
-            d = i
-        else:
-            break
-    return d
+    """Side of the Durfee square: the number of rows i with lam_i >= i."""
+    return sum(1 for i, p in enumerate(lam, start=1) if p >= i)
 
 
 def frobenius(lam: Partition) -> FrobeniusCoords:
-    """Frobenius coordinates (arm lengths | leg lengths) over the Durfee square."""
-    d = durfee(lam)
-    conj = conjugate(lam)
-    arms = tuple(lam[i] - i - 1 for i in range(d))
-    legs = tuple(conj[i] - i - 1 for i in range(d))
-    return FrobeniusCoords(arms, legs)
+    """Frobenius coordinates (arm lengths | leg lengths) over the Durfee square,
+    in one pass down the diagonal; h, the height of column i + 1, only falls."""
+    arms, legs = [], []
+    h = len(lam)
+    for i, p in enumerate(lam):
+        if p <= i:
+            break
+        while lam[h - 1] <= i:
+            h -= 1
+        arms.append(p - i - 1)
+        legs.append(h - i - 1)
+    return FrobeniusCoords(tuple(arms), tuple(legs))
 
 
 def from_frobenius(coords: FrobeniusCoords) -> Partition:
@@ -114,12 +107,16 @@ def from_frobenius(coords: FrobeniusCoords) -> Partition:
             raise ValueError(f"negative {name} in {seq!r}")
         if any(a <= b for a, b in zip(seq, seq[1:])):
             raise ValueError(f"{name} not strictly decreasing: {seq!r}")
-    d = len(arms)
-    rows = [arms[i] + i + 1 for i in range(d)]
-    col_heights = [legs[i] + i + 1 for i in range(d)]
-    max_rows = col_heights[0] if d else 0
-    for r in range(d + 1, max_rows + 1):
-        rows.append(sum(1 for h in col_heights if h >= r))
+    return _frobenius_rows(arms, legs)
+
+
+def _frobenius_rows(arms: Sequence[int], legs: Sequence[int]) -> Partition:
+    """The rows of (arms | legs), whose coordinates are valid: row i of the Durfee
+    square is arms[i-1] + i, and the rows past it come in runs of length i, up to
+    column i's height legs[i-1] + i."""
+    rows = [a + i for i, a in enumerate(arms, start=1)]
+    for i in range(len(arms), 0, -1):
+        rows += (i,) * (legs[i - 1] + i - len(rows))  # len(rows): column i + 1's height
     return tuple(rows)
 
 
@@ -166,17 +163,18 @@ def odd_part_count(lam: Partition) -> int:
 
 
 def member(lam: Partition, family: Family) -> bool:
-    """Membership in one of the named families."""
-    if family is Family.ALL:
+    """Membership in one of the named families; a family's name is accepted
+    (``Family`` is a str enum, so ``==`` matches a member or its name)."""
+    if family == Family.ALL:
         return True
-    if family is Family.EVEN_ROWS:
+    if family == Family.EVEN_ROWS:
         return all(p % 2 == 0 for p in lam)
-    if family is Family.EVEN_COLS:
-        return all(p % 2 == 0 for p in conjugate(lam))
+    if family == Family.EVEN_COLS:  # every column even: the rows come in equal pairs
+        return lam[0::2] == lam[1::2]
     arms, legs = frobenius(lam)
-    if family is Family.ASYM_PLUS:
+    if family == Family.ASYM_PLUS:
         return all(b == a + 1 for a, b in zip(arms, legs))
-    if family is Family.ASYM_MINUS:
+    if family == Family.ASYM_MINUS:
         return all(a == b + 1 for a, b in zip(arms, legs))
     raise ValueError(f"unknown family {family!r}")
 

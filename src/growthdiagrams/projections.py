@@ -9,7 +9,7 @@ vertical strips for the asymmetric families and horizontal strips otherwise.
 
   all        mu |-> F_{lam,lam,k}(mu) for the variant's base rule
   even-rows  conjugated through the part-halving bijection phi
-  even-cols  the unique map (add/remove one cell in every odd column)
+  even-cols  the unique map (add/remove one cell in every odd column), by row pairs
   asym+1     index-set transport in Frobenius coordinates
   asym-1     index-set transport with an s_0 pad (row*) or an index shift (col*)
 
@@ -27,15 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple
 
 from .interlacing import DomainError
 from .partitions import (
     Family,
     Partition,
-    conjugate,
+    _frobenius_rows,
     frobenius,
-    from_frobenius,
     FrobeniusCoords,
     odd_part_count,
     size,
@@ -151,16 +151,18 @@ def _asym_options(coords: FrobeniusCoords, sign: int) -> tuple[_Options, _Option
     l = len(a)
     down: _Options = []
     up: _Options = []
-    for i in range(l):
+    a_prev = math.inf
+    for i, ai in enumerate(a):  # each pair's slice keeps its allowed values
         b_next = b[i + 1] if i + 1 < l else -1
-        a_prev = a[i - 1] if i else math.inf
-        down.append(tuple(
-            c for c in (a[i] - t, a[i] - 1 - t)
-            if (b_next < c + 1 - t <= b[i] if c >= 0 else c == -1 and a[i] == 0)
-        ))
-        up.append(tuple(
-            c for c in (b[i] - 1 + t, b[i] + t) if c >= 0 and a[i] <= c + t < a_prev
-        ))
+        c = ai - t  # c < 0 only as c = -1 with a_i = 0
+        first = c < 0 or b_next < c + 1 - t <= b[i]
+        second = b_next < c - t <= b[i] if c > 0 else c == ai == 0
+        down.append((c, c - 1)[not first:1 + second])
+        c = b[i] - 1 + t
+        first = c >= 0 and ai <= c + t < a_prev
+        second = ai <= c + 1 + t < a_prev
+        up.append((c, c + 1)[not first:1 + second])
+        a_prev = ai
     if sign == -1:
         up.append((-1, 0) if l == 0 or a[-1] > 1 else (-1,))
     return down, up
@@ -205,8 +207,7 @@ def _asym_build(options: _Options, sign: int, ranks: list[int]) -> Partition:
             rank += 1
         if c >= 0:
             cs.append(c)
-    arms = tuple(c + t for c in cs)
-    return from_frobenius(FrobeniusCoords(arms, tuple(c + 1 - t for c in cs)))
+    return _frobenius_rows([c + t for c in cs], [c + 1 - t for c in cs])
 
 
 def _asym_tables(v: LittlewoodVariant, lam: Partition) -> tuple[int, _Options, _Options, int]:
@@ -224,7 +225,7 @@ def _asym_tables(v: LittlewoodVariant, lam: Partition) -> tuple[int, _Options, _
 
 
 # ---------------------------------------------------------------------------
-# The halving bijection phi for even-row partitions.
+# The halving bijection phi for even-row partitions; row pairs for even columns.
 
 def halves(lam: Partition) -> tuple[Partition, Partition]:
     """(floor(lam/2), ceil(lam/2)) componentwise; the parts of 1 halve to 0."""
@@ -239,6 +240,12 @@ def phi_halve(mu: Partition) -> Partition:
     if any(p % 2 for p in mu):
         raise DomainError(f"{mu} has an odd part, cannot halve")
     return tuple(p // 2 for p in mu)
+
+
+def _row_pairs(rows: Partition) -> Partition:
+    """(r_1, r_1, r_2, r_2, ...).  lam has even columns iff its rows come in equal
+    pairs, so its even-column partners pair its odd rows (nu) or its even rows (mu)."""
+    return tuple(chain.from_iterable(zip(rows, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +266,11 @@ def proj_apply(v: LittlewoodVariant, lam: Partition, k: int, mu: Partition) -> P
         nu_half = apply_rule(v.base_rule, lo, hi, (k - odd) // 2, phi_halve(mu))
         return phi_double(nu_half)
     if fam is Family.EVEN_COLS:
-        conj = conjugate(lam)
-        odd_cols = odd_part_count(conj)
-        if k != odd_cols:
+        if k != sum(lam[0::2]) - sum(lam[1::2]):
             raise DomainError(f"no even-column partners of {lam} at k = {k}")
-        expect_mu = conjugate(tuple(c - c % 2 for c in conj if c > 1))
-        if mu != expect_mu:
+        if mu != _row_pairs(lam[1::2]):
             raise DomainError(f"{mu} is not the even-column partner of {lam}")
-        return conjugate(tuple(c + c % 2 for c in conj))
+        return _row_pairs(lam[0::2])
     sign, down, up, pad = _asym_tables(v, lam)
     ranks = [r + (r >= pad) for r in _asym_choice(down, sign, mu)]
     drop = size(lam) - size(mu)
@@ -290,11 +294,9 @@ def proj_unapply(v: LittlewoodVariant, lam: Partition, nu: Partition) -> tuple[P
         mu = phi_double(mu_half)
         return mu, size(nu) + size(mu) - 2 * size(lam)
     if fam is Family.EVEN_COLS:
-        conj = conjugate(lam)
-        expect_nu = conjugate(tuple(c + c % 2 for c in conj))
-        if nu != expect_nu:
+        if nu != _row_pairs(lam[0::2]):
             raise DomainError(f"{nu} is not the even-column partner of {lam}")
-        return conjugate(tuple(c - c % 2 for c in conj if c > 1)), 0
+        return _row_pairs(lam[1::2]), 0
     sign, down, up, pad = _asym_tables(v, lam)
     ranks = _asym_choice(up, sign, nu)
     mu = _asym_build(down, sign, [r - (r > pad) for r in ranks if r != pad])

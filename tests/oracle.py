@@ -2,13 +2,16 @@
 
 The cell, strip, up/down-set, growth and filling oracles work on explicit
 cell sets or fillings, deliberately avoiding the interlacing shortcuts the
-package uses, so the two routes only agree if both are right.  The size laws
+package uses, so the two routes only agree if both are right.  That holds
+for ``conjugate``, ``frobenius`` and ``member`` too, read off the cell sets,
+and for ``even_col_partners``, which walks the cells of lam to conjugate it,
+adds or removes one cell per odd column and conjugates back.  The size laws
 sum the matrix or array entries themselves.  Three groups read package code:
 the family sets (``family_up_set``, ``family_down_set``, ``proj_domain``)
-filter the package's strip enumerators through its ``member``,
-``asym_indices`` reads the option tables of ``projections._asym_options``,
-and the ``interval_*`` enumerators read the row bounds of
-``interlacing._up_interval``/``_down_interval``.  Those run
+filter the package's strip enumerators through the cell-set ``member``,
+``asym_indices`` reads the option tables of ``projections._asym_options``
+at the cell-set ``frobenius``, and the ``interval_*`` enumerators read the
+row bounds of ``interlacing._up_interval``/``_down_interval``.  Those run
 ``partitions_between``, a recursive two-budget interval search kept here as
 the reference that the package's one row-by-row walk is checked against,
 order included.  ``compare`` is the reference the dominant-key comparison of
@@ -22,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import inf
 
-from growthdiagrams import frobenius, member, size
+from growthdiagrams import size
 from growthdiagrams.interlacing import _down_interval, _up_interval
 from growthdiagrams.partitions import (
     horizontal_strips_over,
@@ -36,6 +39,62 @@ from growthdiagrams.series import Report
 
 def cells(p):
     return {(c, r) for r, length in enumerate(p, start=1) for c in range(1, length + 1)}
+
+
+def from_cells(cell_set):
+    """The partition whose diagram is cell_set, counted row by row."""
+    rows = [sum(1 for _, r in cell_set if r == row) for row in range(1, len(cell_set) + 1)]
+    return tuple(length for length in rows if length)
+
+
+def conjugate(p):
+    """The diagram reflected along the main diagonal, cell by cell."""
+    return from_cells({(r, c) for c, r in cells(p)})
+
+
+def frobenius(p):
+    """(arms, legs): the cells right of and above each diagonal cell (i, i)."""
+    cs = cells(p)
+    diagonal = [i for i in range(1, len(p) + 1) if (i, i) in cs]
+    arms = tuple(sum(1 for c, r in cs if r == i and c > i) for i in diagonal)
+    legs = tuple(sum(1 for c, r in cs if c == i and r > i) for i in diagonal)
+    return arms, legs
+
+
+def member(p, family):
+    """Membership in a family, read off the cell set: even rows or columns
+    count their cells; an asymmetric member's legs are its arms + 1 (asym+1)
+    or - 1 (asym-1)."""
+    cs = cells(p)
+    if family == "all":
+        return True
+    if family in ("even-rows", "even-cols"):
+        axis = 1 if family == "even-rows" else 0
+        lines = [cell[axis] for cell in cs]
+        return all(lines.count(line) % 2 == 0 for line in set(lines))
+    arms, legs = frobenius(p)
+    shift = {"asym+1": 1, "asym-1": -1}[family]
+    return all(leg == arm + shift for arm, leg in zip(arms, legs))
+
+
+def even_col_partners(lam):
+    """(mu, nu, k): the only mu and nu with even columns that even-cols'
+    projection pairs at lam, and its only k = |nu/lam|.  Each is lam conjugated
+    by a walk over its cells, with one cell removed (mu) or added (nu) in each
+    odd column, conjugated back."""
+    def walk_conjugate(p):
+        if not p:
+            return ()
+        cols = [0] * p[0]
+        for length in p:
+            for c in range(length):
+                cols[c] += 1
+        return tuple(cols)
+
+    conj = walk_conjugate(lam)
+    mu = walk_conjugate(tuple(c - c % 2 for c in conj if c > 1))
+    nu = walk_conjugate(tuple(c + c % 2 for c in conj))
+    return mu, nu, sum(c % 2 for c in conj)
 
 
 def is_partition(p):

@@ -80,6 +80,18 @@ def test_frobenius_roundtrip_and_conjugation_swap():
         assert frobenius(conjugate(lam)) == FrobeniusCoords(legs, arms)
 
 
+def test_primitives_match_cell_oracle_exhaustively():
+    """The O(rows) conjugate, Frobenius coordinates, row builder and family
+    tests against the cell-set references, on every partition of size <= 16."""
+    for lam in oracle.all_partitions(16):
+        assert conjugate(lam) == oracle.conjugate(lam), lam
+        coords = frobenius(lam)
+        assert coords == oracle.frobenius(lam), lam
+        assert from_frobenius(coords) == lam
+        for family in Family:
+            assert member(lam, family) == oracle.member(lam, family), (lam, family)
+
+
 def test_meet_join_examples():
     assert meet_join((9, 7, 4, 4, 4), (7, 7, 5, 5, 2, 1)) == (
         (7, 7, 4, 4, 2),
@@ -135,6 +147,14 @@ def test_member():
     assert member((2,), Family.ASYM_MINUS)  # (1|0)
     assert member((1, 1), Family.ASYM_PLUS)  # (0|1)
     assert member(EMPTY, Family.ASYM_PLUS) and member(EMPTY, Family.ASYM_MINUS)
+
+
+def test_member_accepts_family_names():
+    for family in Family:
+        for lam in (EMPTY, (2,), (1, 1), (2, 2), (3, 1), (4, 4, 2, 2)):
+            assert member(lam, family.value) == member(lam, family), (lam, family)
+    with pytest.raises(ValueError, match=re.escape("unknown family 'even-col'")):
+        member((2, 2), "even-col")
 
 
 def test_member_asym_conjugation():

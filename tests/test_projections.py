@@ -1,6 +1,13 @@
 import pytest
 
-from oracle import AsymIndexSets, asym_indices, family_down_set, family_up_set, proj_domain
+from oracle import (
+    AsymIndexSets,
+    asym_indices,
+    even_col_partners,
+    family_down_set,
+    family_up_set,
+    proj_domain,
+)
 from growthdiagrams import (
     DomainError,
     Family,
@@ -22,6 +29,7 @@ from growthdiagrams import (
     up_set,
     down_set,
 )
+from growthdiagrams.partitions import horizontal_strips_over, sub_partitions
 from growthdiagrams.projections import LITTLEWOOD
 
 
@@ -122,6 +130,23 @@ def test_proj_errors():
         littlewood_variant(Family.ASYM_PLUS, star=StarVariant.COL_STAR)
     with pytest.raises(ValueError):
         littlewood_variant(Family.ALL, Rule.DUAL_ROW)
+
+
+def test_even_cols_match_partner_reference():
+    """Even-cols' row-pair maps against the oracle's route through conjugation:
+    at lam only the partner mu maps, at its one k, to the partner nu, and
+    unapply takes nu back and refuses every other horizontal strip over lam."""
+    pf = littlewood_variant(Family.EVEN_COLS)
+    for lam in enumerate_partitions(14):
+        mu_ref, nu_ref, k_ref = even_col_partners(lam)
+        for mu in sub_partitions(lam):
+            for k in range(7):
+                expect = nu_ref if (mu, k) == (mu_ref, k_ref) else DomainError
+                assert _outcome(proj_apply, pf, lam, k, mu) == expect, (lam, k, mu)
+        assert proj_unapply(pf, lam, nu_ref) == (mu_ref, 0), lam
+        for nu in horizontal_strips_over(lam, 6):
+            expect = (mu_ref, 0) if nu == nu_ref else DomainError
+            assert _outcome(proj_unapply, pf, lam, nu) == expect, (lam, nu)
 
 
 @pytest.mark.parametrize(
