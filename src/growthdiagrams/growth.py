@@ -54,8 +54,11 @@ def _grow(v: list[list[Partition]], a: Matrix, starts: Sequence[int], rule: Rule
             mu, lam = up[first - 1], up[first]
             row[first] = proj_apply(variant, lam, size(lam) - size(mu) + entries[first - 1], mu)
             first += 1
+        mu, lam = up[first - 1], row[first - 1]  # then the rho and nu of the square before
         for j in range(first, end):
-            row[j] = apply_rule(rule, row[j - 1], up[j], None, up[j - 1], entry=entries[j - 1])
+            rho = up[j]
+            lam = row[j] = apply_rule(rule, lam, rho, None, mu, entry=entries[j - 1])
+            mu = rho
 
 
 def _ungrow(v: list[list[Partition]], a: list[list[int]], starts: Sequence[int],
@@ -66,10 +69,13 @@ def _ungrow(v: list[list[Partition]], a: list[list[int]], starts: Sequence[int],
     for i in range(len(v) - 1, 0, -1):
         up, row, entries = v[i - 1], v[i], a[i - 1]
         first = starts[i]
+        rho, nu = up[last], row[last]  # then the mu and lam of the square after
         for j in range(last, first - (variant is None), -1):
-            up[j - 1], entries[j - 1] = unapply_rule(rule, row[j - 1], up[j], row[j])
+            lam = row[j - 1]
+            rho, entries[j - 1] = unapply_rule(rule, lam, rho, nu)
+            up[j - 1], nu = rho, lam
         if variant is not None:
-            up[first - 1], entries[first - 1] = proj_unapply(variant, up[first], row[first])
+            up[first - 1], entries[first - 1] = proj_unapply(variant, rho, nu)
 
 
 def matrix_dims(matrix: Matrix, binary: bool = False) -> tuple[int, int]:

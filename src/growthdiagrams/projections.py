@@ -37,7 +37,6 @@ from .partitions import (
     _frobenius_rows,
     frobenius,
     FrobeniusCoords,
-    odd_part_count,
     size,
 )
 from .rules import Rule, apply_rule, unapply_rule
@@ -229,17 +228,25 @@ def _asym_tables(v: LittlewoodVariant, lam: Partition) -> tuple[int, _Options, _
 
 def halves(lam: Partition) -> tuple[Partition, Partition]:
     """(floor(lam/2), ceil(lam/2)) componentwise; the parts of 1 halve to 0."""
-    return tuple(p // 2 for p in lam if p > 1), tuple((p + 1) // 2 for p in lam)
+    lo, hi = [], []
+    for p in lam:
+        if p > 1:
+            lo.append(p >> 1)
+        hi.append(p - (p >> 1))
+    return tuple(lo), tuple(hi)
 
 
 def phi_double(mu: Partition) -> Partition:
-    return tuple(2 * p for p in mu)
+    return tuple([2 * p for p in mu])
 
 
 def phi_halve(mu: Partition) -> Partition:
-    if any(p % 2 for p in mu):
-        raise DomainError(f"{mu} has an odd part, cannot halve")
-    return tuple(p // 2 for p in mu)
+    half = []
+    for p in mu:
+        if p & 1:
+            raise DomainError(f"{mu} has an odd part, cannot halve")
+        half.append(p >> 1)
+    return tuple(half)
 
 
 def _row_pairs(rows: Partition) -> Partition:
@@ -259,10 +266,10 @@ def proj_apply(v: LittlewoodVariant, lam: Partition, k: int, mu: Partition) -> P
     if fam is Family.ALL:
         return apply_rule(v.base_rule, lam, lam, k, mu)
     if fam is Family.EVEN_ROWS:
-        odd = odd_part_count(lam)
+        lo, hi = halves(lam)  # phi_halve and apply_rule refuse a mu outside the domain
+        odd = sum(hi) - sum(lo)  # the odd parts of lam
         if (k - odd) % 2 or k < odd:
             raise DomainError(f"no even-row partners of {lam} at k = {k}")
-        lo, hi = halves(lam)  # phi_halve and apply_rule refuse a mu outside the domain
         nu_half = apply_rule(v.base_rule, lo, hi, (k - odd) // 2, phi_halve(mu))
         return phi_double(nu_half)
     if fam is Family.EVEN_COLS:
@@ -289,10 +296,9 @@ def proj_unapply(v: LittlewoodVariant, lam: Partition, nu: Partition) -> tuple[P
     if fam is Family.ALL:
         return unapply_rule(v.base_rule, lam, lam, nu)
     if fam is Family.EVEN_ROWS:
-        lo, hi = halves(lam)
-        mu_half, _ = unapply_rule(v.base_rule, lo, hi, phi_halve(nu))
-        mu = phi_double(mu_half)
-        return mu, size(nu) + size(mu) - 2 * size(lam)
+        lo, hi = halves(lam)  # c = |nu| + |mu| - 2|lam| = 2a, as |lo| + |hi| = |lam|
+        mu_half, a = unapply_rule(v.base_rule, lo, hi, phi_halve(nu))
+        return phi_double(mu_half), 2 * a
     if fam is Family.EVEN_COLS:
         if nu != _row_pairs(lam[0::2]):
             raise DomainError(f"{nu} is not the even-column partner of {lam}")

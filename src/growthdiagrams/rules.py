@@ -29,9 +29,10 @@ with lam_{r+1} < rho_r, the dual slots the s-rows with lam_r < rho_{r-1}, and
 the two alternate bottom-up, starting with a slot:
 slot 0 <= corner 1 < slot 1 <= corner 2 ...  So dual-row sends corner i's cell
 to slot i, the next s-row above it, and dual-col to slot i-1, the last slot at
-or below it.  The dual pass zips the vectors unpadded and drops its one row
-past lam and rho when empty.  Nothing is cached; ``interlacing.encode`` and
-``decode`` are the reference the tests check these rules against.
+or below it.  No pass pads its inputs: row and col take row n, the longer
+shape's extra part over a base of 0, after the loop, and dual apply its row
+past lam and rho.  Nothing is cached; ``interlacing.encode`` and ``decode``
+are the reference the tests check these rules against.
 """
 
 from __future__ import annotations
@@ -54,22 +55,28 @@ class Rule(str, Enum):
         self.dual = value.startswith("dual-")  # a plain attribute, read on every square
 
 
+_COL, _DUAL_ROW = Rule.COL, Rule.DUAL_ROW
+
+
 def apply_rule(
     rule: Rule, lam: Partition, rho: Partition, k: int | None, mu: Partition,
     *, entry: int | None = None,
 ) -> Partition:
     """F_{lam,rho,k}(mu); raises DomainError when mu is outside the domain.
     With k = None and ``entry`` given, k = |R(mu)| + entry."""
-    if (k is None) == (entry is None):
-        raise TypeError("pass k or entry, " + ("got neither" if k is None else "not both"))
-    if entry is None and k < 0:
-        raise DomainError("k must be >= 0")
+    if entry is None:
+        if k is None:
+            raise TypeError("pass k or entry, got neither")
+        if k < 0:
+            raise DomainError("k must be >= 0")
+    elif k is not None:
+        raise TypeError("pass k or entry, not both")
     if rule.dual:
         # dual-row: a removed corner's cell waits for the next s-row, the extra
         # cell goes to the first; dual-col: each goes to the last slot at or below
-        dual_row = rule is Rule.DUAL_ROW
+        dual_row = rule is _DUAL_ROW
         nu, j, carry, slot, last, below = [], 0, 0, -1, inf, inf
-        for l, p, m in zip_longest(lam + (0,), rho + (0,), mu, fillvalue=0):
+        for l, p, m in zip_longest(lam, rho, mu, fillvalue=0):
             if not (l <= last and m <= l and p - 1 <= m <= p):  # lam_r <= mu_{r-1}
                 raise DomainError(f"{mu} is not below both {lam} and {rho}")
             if p > l:
@@ -87,6 +94,9 @@ def apply_rule(
                 nu[slot] += p - m
                 j += p - m
             last, below = m, p
+        if slot < 0 if dual_row else below:  # the row past lam and rho: an s-row with lam_r = 0
+            slot = len(nu)
+        nu.append(carry)
         k = k if entry is None else j + entry
         nu[slot] += k - j
         if j not in (k, k - 1):
@@ -95,13 +105,15 @@ def apply_rule(
             nu.pop()
         return tuple(nu)
     n = len(lam) if len(lam) < len(rho) else len(rho)  # base has n rows, top n or n+1
-    if len(mu) > n or len(lam) + len(rho) > 2 * n + 1:
+    lm = len(mu)
+    if lm > n or len(lam) + len(rho) > 2 * n + 1:
         raise DomainError(f"{mu} is not below both {lam} and {rho}")
-    mu_ = mu + (0,) * (n + 1 - len(mu))
-    col = rule is Rule.COL
+    col = rule is _COL
     # nu[r] = top_r + cut_{r-1}: row r-1's removed cells fill the slot below it
     nu, tops, j, cut, last = [], [], 0, 0, inf
-    for l, p, m in zip(lam + (0,), rho + (0,), mu_):
+    for r in range(n):
+        l, p = lam[r], rho[r]
+        m = mu[r] if r < lm else 0
         t = l if l > p else p
         b = l + p - t
         if last < t or m > b:
@@ -112,6 +124,10 @@ def apply_rule(
         cut = b - m
         j += cut
         last = m
+    t = lam[n] if len(lam) > n else rho[n] if len(rho) > n else 0  # row n, over a base of 0
+    if last < t:
+        raise DomainError(f"{mu} is not below both {lam} and {rho}")
+    nu.append(t + cut)
     k = k if entry is None else j + entry
     if j > k:
         raise DomainError(f"|R(mu)| = {j} exceeds k = {k}")
@@ -119,10 +135,12 @@ def apply_rule(
     if col:
         # greedy, slots bottom-up: d counts the cells still unmatched; slot r
         # takes u = min(mu_{r-1} - top_r, d) of them, and row r-1's cut joins d
+        tops.append(t)
         for r in range(n, 0, -1):
             v = tops[r] + d
-            if v > mu_[r - 1]:
-                v = mu_[r - 1]
+            m = mu[r - 1] if r <= lm else 0
+            if v > m:
+                v = m
             d += nu[r] - v
             nu[r] = v
     nu[0] += d
@@ -139,9 +157,9 @@ def unapply_rule(
         # dual-row: a slot's cell came from the s-row before it (a corner),
         # or is the extra cell at the first slot; dual-col: it came from the
         # next corner at or above it, or is the extra cell at the last slot
-        dual_row = rule is Rule.DUAL_ROW
+        dual_row = rule is _DUAL_ROW
         mu, carry, last, below = [], 0, -1, inf
-        for l, l1, p, v in zip_longest(lam + (0,), lam[1:], rho + (0,), nu, fillvalue=0):
+        for l, l1, p, v in zip_longest(lam, lam[1:], rho, nu, fillvalue=0):
             if not (v <= below and p <= v and l <= v <= l + 1):  # nu_r <= rho_{r-1}
                 raise DomainError(f"{nu} is not above both {lam} and {rho}")
             if p > l:
@@ -164,15 +182,14 @@ def unapply_rule(
             below = p
         return tuple(mu[:len(mu) - mu.count(0)]), carry  # the extra cell: a
     n = len(lam) if len(lam) < len(rho) else len(rho)
-    if len(nu) > n + 1 or len(lam) + len(rho) > 2 * n + 1:
+    if not n <= len(nu) <= n + 1 or len(lam) + len(rho) > 2 * n + 1:
         raise DomainError(f"{nu} is not above both {lam} and {rho}")
-    nu_ = nu + (0,) * (n + 1 - len(nu))
-    col = rule is Rule.COL
+    col = rule is _COL
     # mu[r] = base_{r-1} - u_r: slot r gives back all its added cells (row), or
     # top-down u_r = min(base_{r-1} - nu_r, d), d the added cells above still
     # unmatched (col); row 0 has no slot: last = nu_1 offers none, mu[0] is a stand-in
-    mu, d, last = [], 0, nu_[0]
-    for l, p, v in zip(lam + (0,), rho + (0,), nu_):
+    mu, d, last = [], 0, nu[0] if nu else 0
+    for l, p, v in zip(lam, rho, nu):
         t = l if l > p else p
         if v < t or v > last:
             raise DomainError(f"{nu} is not above both {lam} and {rho}")
@@ -182,5 +199,11 @@ def unapply_rule(
             d += v - t - u
         mu.append(last - u)
         last = l + p - t
-    a = d if col else nu_[0] - mu[0]
+    t = lam[n] if len(lam) > n else rho[n] if len(rho) > n else 0  # row n, over a base of 0
+    v = nu[n] if len(nu) > n else 0
+    if v < t or v > last:
+        raise DomainError(f"{nu} is not above both {lam} and {rho}")
+    u = (last - v if last - v < d else d) if col else v - t
+    mu.append(last - u)
+    a = d + v - t - u if col else (nu[0] if nu else 0) - mu[0]
     return tuple(mu[1:len(mu) - mu.count(0)]), a

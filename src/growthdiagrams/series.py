@@ -18,7 +18,6 @@ reports ``equal``, ``checked_terms`` and ``params`` plus its own details.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial, prod
 from operator import add, ge, lt
@@ -224,8 +223,9 @@ def _times(terms: Terms, rows: list[list[Exponents]], dual: bool, cap: int,
 
     ``rows`` are the factors of ``_factors``, so after row i the exponent of
     x_i is final and those of the later x_j only grow.  With ``dominant`` the
-    terms that can no longer weakly decrease in x_1..x_n are dropped there:
-    e_i > e_{i-1}, or e_j > e_i for some later j.
+    terms that can no longer weakly decrease in x_1..x_n are never kept: every
+    factor of row i > 0 raises e_i, so its copies stop at e_i = e_{i-1}, and
+    after row i the terms with e_j > e_i for some later j are dropped.
     """
     n = len(rows)
     for i, row in enumerate(rows):
@@ -234,13 +234,14 @@ def _times(terms: Terms, rows: list[list[Exponents]], dual: bool, cap: int,
             out = dict(terms)
             for exps, coeff in terms.items():
                 copies = (cap - sum(exps)) // d
+                if dominant and i and (exps[i - 1] - exps[i]) // e[i] < copies:
+                    copies = (exps[i - 1] - exps[i]) // e[i]
                 for _ in range(min(copies, 1) if dual else copies):
                     exps = tuple(map(add, exps, e))
                     out[exps] = out.get(exps, 0) + coeff
             terms = out
         if dominant:
-            terms = {exps: coeff for exps, coeff in terms.items()
-                     if (i == 0 or exps[i] <= exps[i - 1]) and max(exps[i:n]) == exps[i]}
+            terms = {exps: coeff for exps, coeff in terms.items() if max(exps[i:n]) == exps[i]}
     return terms
 
 
@@ -279,8 +280,13 @@ class Report:
 
 
 def _rearrangements(exps: Exponents) -> int:
-    """The number of distinct rearrangements of an exponent tuple."""
-    return factorial(len(exps)) // prod(map(factorial, Counter(exps).values()))
+    """The number of distinct rearrangements of a sorted exponent tuple: after i
+    entries, i! over the factorials of the lengths of its runs of equal entries."""
+    count = run = 1
+    for i in range(1, len(exps)):
+        run = run + 1 if exps[i] == exps[i - 1] else 1
+        count = count * (i + 1) // run
+    return count
 
 
 def _compare(lhs: Terms, rhs: Terms, n: int) -> tuple[bool, int, dict]:
@@ -289,9 +295,9 @@ def _compare(lhs: Terms, rhs: Terms, n: int) -> tuple[bool, int, dict]:
     order, if any.
 
     The sides are symmetric in x_1..x_n and in the variables after them, and
-    hold only their dominant terms.  Each key stands for its distinct
-    rearrangements within the two groups, all counted as checked, and the
-    first of them sorts each group ascending.
+    hold only their dominant terms, sorted descending in each group.  Each key
+    stands for its distinct rearrangements within the two groups, all counted
+    as checked, and the first of them sorts each group ascending.
     """
     keys = set(lhs) | set(rhs)
     wrong = [e for e in keys if lhs.get(e, 0) != rhs.get(e, 0)]

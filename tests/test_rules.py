@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,13 @@ from growthdiagrams import (
     build_growth,
     down_set,
     growth,
+    littlewood_inverse,
+    littlewood_map,
+    littlewood_variant,
+    rsk,
+    rsk_inverse,
     size,
+    triangular_array,
     unapply_rule,
     up_set,
 )
@@ -116,6 +124,36 @@ def test_growth_engine_looks_up_apply_rule_once_per_square(monkeypatch):
     monkeypatch.setattr(growth, "apply_rule", counted)
     build_growth(Rule.COL, [[(i + j) % 3 for j in range(5)] for i in range(4)])
     assert len(calls) == 20
+
+
+@pytest.mark.parametrize("family", ["all", "even-rows", "even-cols", "asym+1", "asym-1"])
+def test_growth_engine_looks_up_each_kernel_once_per_square(monkeypatch, family):
+    """The tracer counts squares by wrapping the engine's globals: rsk_inverse
+    unapplies the rule on each of its n*m squares, and a Littlewood map of
+    size n runs the rule on its n(n-1)/2 full squares and the projection on its
+    n half squares, in both directions."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(growth, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("apply_rule", "unapply_rule", "proj_apply", "proj_unapply"):
+        monkeypatch.setattr(growth, name, counted(name))
+    P, Q = rsk(Rule.COL, [[(i + j) % 3 for j in range(5)] for i in range(4)])
+    rsk_inverse(Rule.COL, P, Q)
+    assert calls == {"apply_rule": 20, "unapply_rule": 20}
+    calls.clear()
+    v = littlewood_variant(family)
+    array = triangular_array([[0] + [(i + j) % 2 for j in range(5 - i)] for i in range(6)])
+    littlewood_map(v, array)
+    assert calls == {"apply_rule": 15, "proj_apply": 6}
+    littlewood_inverse(v, littlewood_map(v, array))
+    assert calls == {"apply_rule": 30, "proj_apply": 12, "unapply_rule": 15, "proj_unapply": 6}
 
 
 def test_bijectivity_box():
@@ -283,6 +321,63 @@ def test_rules_match_position_multiset_reference():
                     )
                     cases += 1
     assert cases == 272_000
+
+
+def _refusal(fn, *args, **kwargs):
+    """The message of the DomainError the call raises, or None."""
+    try:
+        fn(*args, **kwargs)
+    except DomainError as e:
+        return str(e)
+    return None
+
+
+def _apply_refusal(rule, lam, rho, mu, j, k):
+    """The refusal apply_rule owes when the reference's |R(mu)| is j (None when
+    the encoding refuses mu)."""
+    if j is None:
+        return f"{mu} is not below both {lam} and {rho}"
+    if rule.dual:
+        return None if j in (k, k - 1) else f"|R(mu)| = {j} not in {{k, k-1}} for k = {k}"
+    return None if j <= k else f"|R(mu)| = {j} exceeds k = {k}"
+
+
+def test_refusal_messages_name_their_reason():
+    """Each refusal says why, with the caller's own tuples: "not below (above)
+    both" exactly when the position-multiset encoding refuses the shape, and
+    otherwise the |R(mu)| message with the reference's |R|.  Apply over the 3x3
+    box in the k and entry forms, unapply over the 4x4 box; both boxes hold lam
+    and rho whose lengths differ by 2 or 3, which the row/col passes refuse
+    after their row loop."""
+    box = enumerate_partitions(9, (3, 3))
+    above = enumerate_partitions(16, (4, 4))
+    apart = 0
+    for rule in Rule:
+        for lam in box:
+            for rho in box:
+                apart += abs(len(lam) - len(rho)) > 1
+                for mu in box:
+                    try:
+                        j = multiset_size(encode(mu, lam, rho, Direction.DOWN, dual=rule.dual))
+                    except DomainError:
+                        j = None
+                    assert _refusal(apply_rule, rule, lam, rho, -1, mu) == "k must be >= 0"
+                    for k in range(5):
+                        assert _refusal(apply_rule, rule, lam, rho, k, mu) == (
+                            _apply_refusal(rule, lam, rho, mu, j, k)
+                        ), (rule, lam, rho, mu, k)
+                    for e in range(-1, 3):
+                        assert _refusal(apply_rule, rule, lam, rho, None, mu, entry=e) == (
+                            _apply_refusal(rule, lam, rho, mu, j, e if j is None else j + e)
+                        ), (rule, lam, rho, mu, e)
+                for nu in above:
+                    try:
+                        encode(nu, lam, rho, Direction.UP, dual=rule.dual)
+                        expect = None
+                    except DomainError:
+                        expect = f"{nu} is not above both {lam} and {rho}"
+                    assert _refusal(unapply_rule, rule, lam, rho, nu) == expect, (lam, rho, nu)
+    assert apart == 4 * 92  # of 4 * 400 (lam, rho) pairs
 
 
 @pytest.mark.parametrize(
