@@ -28,7 +28,7 @@ from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .interlacing import DomainError, up_set
-from .partitions import EMPTY, Partition, join, part, size
+from .partitions import EMPTY, Partition, check_partitions, join, part, size
 from .projections import LittlewoodVariant, proj_apply, proj_unapply
 from .rules import Rule, apply_rule, unapply_rule
 from .tableaux import TableauChain, check_chain, strip_kind
@@ -259,8 +259,9 @@ def pieri_inverse(
     """Recover (tableau, counts) from the Pieri image and the source shape."""
     rule = Rule(rule)
     check_chain("hat", hat)  # an i-chain, like insert's tableau
+    check_partitions(shape=shape)
     grid = [[EMPTY, p] for p in hat.chain]
-    grid[-1][0] = shape
+    grid[-1][0] = tuple(shape)
     counts = [[0] for _ in range(hat.entries)]
     _ungrow(grid, counts, [1] * len(grid), rule)
     if grid[0][0] != hat.chain[0]:

@@ -12,7 +12,7 @@ interval of Young's lattice, and one iterative row-by-row walk,
 from __future__ import annotations
 
 from enum import Enum
-from operator import ge
+from operator import ge, lt
 from typing import Iterable, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
@@ -185,6 +185,14 @@ def check_non_negative(**fields: int | None) -> None:
     for field, value in fields.items():
         if value is not None and (type(value) is not int or value < 0):
             raise ValueError(f"{field}: expected a non-negative integer, got {value}")
+
+
+def check_partitions(**shapes: Partition) -> None:
+    """Field-named ValueError for the first shape that is not a partition."""
+    for field, lam in shapes.items():
+        if (not isinstance(lam, (tuple, list)) or any(type(p) is not int or p < 1 for p in lam)
+                or any(map(lt, lam, lam[1:]))):
+            raise ValueError(f"{field}: expected a partition, got {lam}")
 
 
 def enumerate_partitions(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import factorial, prod
-from operator import add, ge, lt
+from operator import add, ge
 from typing import Callable, NamedTuple
 
 from .growth import build_growth, insert
@@ -29,6 +29,7 @@ from .partitions import (
     Family,
     Partition,
     check_non_negative,
+    check_partitions,
     conjugate,
     contains,
     horizontal_strips_over,
@@ -176,7 +177,7 @@ def schur(
     beyond the cap.  It is read at mu off a down sweep from lam.
     """
     check_non_negative(n=n, cap=cap)
-    _check_partitions(lam=lam, mu=mu)
+    check_partitions(lam=lam, mu=mu)
     if not contains(mu, lam):
         raise ValueError(f"{mu} is not contained in {lam}")
     states = _sweep(lam, n, min(cap, size(lam) - size(mu)), _UNDER[steps])
@@ -426,14 +427,6 @@ IDENTITIES: dict[str, Identity] = {
 }
 
 
-def _check_partitions(**shapes: Partition) -> None:
-    """Field-named ValueError for the first shape that is not a partition."""
-    for field, lam in shapes.items():
-        if (not isinstance(lam, (tuple, list)) or any(type(p) is not int or p < 1 for p in lam)
-                or any(map(lt, lam, lam[1:]))):
-            raise ValueError(f"{field}: expected a partition, got {lam}")
-
-
 def verify_identity(
     identity: str,
     n: int,
@@ -470,7 +463,7 @@ def verify_identity(
     m = n if m is None else m
     k = 0 if k is None else k
     seed = 0 if seed is None else seed
-    _check_partitions(lam=lam, rho=rho)
+    check_partitions(lam=lam, rho=rho)
     lam, rho = tuple(lam), tuple(rho)
     values = {"n": n, "degree": cap, "m": m, "k": k, "lam": list(lam), "rho": list(rho),
               "seed": seed}

@@ -179,12 +179,15 @@ def triangular_insert(
     place the next entry on the cells the projection image adds.
 
     This is the insertion view of build_triangular for straight borders;
-    skew diagrams go through build_triangular directly.
+    skew diagrams go through build_triangular directly.  The column is
+    c[1][i], ..., c[i][i], checked and named as the last column of an array.
     """
     variant = _as_variant(variant)
     i = tableau.entries + 1
     if len(column) != i:
         raise ValueError(f"column {i} needs {i} entries, got {len(column)}")
+    validate_entries(variant, TriangularArray(i, tuple((0,) * (i - 1 - r) + (v,)
+                                                       for r, v in enumerate(column))))
     off, diag = column[:-1], column[-1]
     hat = insert(variant.base_rule, tableau, dict(enumerate(off, start=1)))
     lam = hat.shape

@@ -1,0 +1,319 @@
+"""Microbenchmark: the package layer by layer, in-process.
+
+    PYTHONPATH=src python tests/bench_layers.py --layer LAYER [--rounds 15]
+        [--passes N] [--seed 1] [--baseline SRC]
+
+A layer records the calls that its inputs (seeded by ``--seed`` and
+``--passes``, or fixed) make to some package functions, by wrapping module
+globals, and replays each group of calls in rounds, printing the median.
+``--baseline SRC`` also replays them, in alternating rounds, on the package
+under another checkout's ``src``; every contender's results and stdout must
+be equal before any timing.  pytest does not collect this file.  The layers:
+
+- strips: the partition-set enumerators and their ``oracle.interval_*``
+  references (ref/pkg) on the grids of ``strips_rows``, ms per round;
+- rules: ``apply_rule``/``unapply_rule`` in rsk round trips, ns per call;
+- projections: ``proj_apply``/``proj_unapply`` in Littlewood round trips, us;
+- builds: ``rsk``, ``rsk_inverse``, ``littlewood_map``, ``littlewood_inverse``
+  on those round trips' inputs, us per call;
+- series: ``_sweep``, ``_times`` and ``verify_identity`` on the series-verify
+  checks, us per call;
+- cli: ``cli.main`` on ``test_cli_golden.REQUESTS``, us per call; exit codes
+  and stdout must equal ``cli_golden.json``.
+"""
+
+import argparse
+import dataclasses
+import importlib
+import importlib.util
+import io
+import json
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from enum import Enum
+from pathlib import Path
+from statistics import median
+from time import perf_counter
+
+import growthdiagrams as gd
+import oracle
+import test_cli_golden as golden
+from growthdiagrams import cli, growth, series
+
+RULES = ("row", "col", "dual-row", "dual-col")
+KINDS = ("apply", "unapply")
+FAMILIES = ("all", "even-rows", "even-cols", "asym+1", "asym-1")
+#: (family, base rule or None, star or None), as littlewood-roundtrip cycles them
+VARIANTS = (("even-cols", None, None), ("all", None, None), ("even-rows", None, None),
+            ("asym+1", None, None), ("asym-1", None, None), ("all", "col", None),
+            ("even-rows", "row", None), ("asym-1", None, "col*"))
+DIAGONAL = {"all": (0, 1, 2), "even-rows": (0, 2), "even-cols": (0,), "asym+1": (0,), "asym-1": (0, 2)}
+STRIPS = ("horizontal_strips_over", "vertical_strips_over",
+          "horizontal_strips_under", "vertical_strips_under")
+
+
+def series_trips():
+    """verify_identity over the series-verify workload's fixed check list."""
+    checks = [(f"littlewood-{f}", n, cap, {})
+              for f in FAMILIES for n in (3, 4) for cap in (8, 9, 10)]
+    checks += [(identity, n, cap, {"m": n})
+               for identity in ("cauchy", "dual-cauchy") for n in (2, 3) for cap in (6, 8)]
+    checks += [(identity, n, 6, {"m": n, "lam": (2, 1), "rho": rho})
+               for identity in ("skew-cauchy", "skew-dual-cauchy")
+               for n, rho in ((2, (1, 1)), (3, (2,)))]
+    checks += [(f"skew-littlewood-{f}", 3, 6, {"lam": (2,)}) for f in FAMILIES]
+    checks += [(identity, n, 6, {"k": 2, "lam": lam})
+               for identity in ("pieri", "dual-pieri") for n, lam in ((3, (2, 1)), (4, (3, 1)))]
+    for identity, n, cap, extra in checks:
+        assert series.verify_identity(identity, n, cap, **extra).equal, identity
+
+
+def rsk_trips(seed, passes):
+    """rsk round trips on n = 8, 12, ..., 32 matrices, entries 0..2 (0/1 dual)."""
+    for index in range(passes):
+        rng = random.Random(f"{seed}:bench-rules:{index}")
+        for n in range(8, 33, 4):
+            for rule in RULES:
+                hi = 1 if rule.startswith("dual") else 2
+                matrix = [[rng.randint(0, hi) for _ in range(n)] for _ in range(n)]
+                back, _, _ = gd.rsk_inverse(rule, *gd.rsk(rule, matrix))
+                assert [list(r) for r in back] == matrix, rule
+
+
+def littlewood_trips(seed, passes):
+    """Littlewood round trips on littlewood-roundtrip's arrays of timed passes 0, 1, ..."""
+    for index in range(passes):
+        rng = random.Random(f"{seed}:littlewood-roundtrip:{index}")
+        for n in range(8, 17, 2):
+            for spec in VARIANTS:
+                hi = 1 if spec[0].startswith("asym") else 2
+                rows = [[rng.choice(DIAGONAL[spec[0]]) if j == i else rng.randint(0, hi)
+                         for j in range(i, n)] for i in range(n)]
+                v = gd.littlewood_variant(*spec)
+                back, _ = gd.littlewood_inverse(v, gd.littlewood_map(v, gd.triangular_array(rows)))
+                assert [list(r) for r in back.rows] == rows, spec
+
+
+def record(targets, run):
+    """{name: [(args, kwargs), ...]}: every call of the module globals
+    ``targets`` (pairs of module and name) while ``run()`` runs."""
+    calls = {name: [] for _, name in targets}
+    saved = [(module, name, getattr(module, name)) for module, name in targets]
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            calls[name].append((args, kwargs))
+            return fn(*args, **kwargs)
+        return call
+
+    for module, name, fn in saved:
+        setattr(module, name, logged(name, fn))
+    try:
+        run()
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+    return calls
+
+
+def group(calls, key):
+    """The calls by ``key(args)``, keys in the order first seen."""
+    out = {}
+    for call in calls:
+        out.setdefault(key(call[0]), []).append(call)
+    return out
+
+
+def strip_grid(max_size, budgets):
+    """{name: [(shape, budget), ...]} over every shape of size <= max_size."""
+    shapes = oracle.all_partitions(max_size)
+    over = [(mu, b) for mu in shapes for b in budgets]
+    under = over + [(mu, None) for mu in shapes]
+    return {name: over if name.endswith("_over") else under for name in STRIPS}
+
+
+def strips_rows(seed, passes, workdir):
+    """series: every strip call of the series-verify checks' sweeps; small,
+    tiny-wide, wide: shapes of size <= 8, 3, 3 with budgets 0..6, 6..12,
+    20..60 (and None under); shapes: size <= 9; boxes: sizes < 14 unboxed and
+    in every box up to 5 x 5; size30: size 30; box3: every pair in the 3 x 3
+    box, k <= 4, both dualities."""
+    grids = {"series": {name: [] for name in STRIPS}}
+    for args, kwargs in record([(series, "_sweep")], series_trips)["_sweep"]:
+        def logged(sig, room, strips=args[3]):
+            grids["series"][strips.__name__].append((sig, room))
+            return strips(sig, room)
+        series._sweep(*args[:3], logged, *args[4:], **kwargs)
+    grids.update({"small": strip_grid(8, range(7)), "tiny-wide": strip_grid(3, range(6, 13)),
+                  "wide": strip_grid(3, range(20, 61))})
+    rows = [((name, label), f"partitions.{name}", grid[name])
+            for name in STRIPS for label, grid in grids.items() if grid[name]]
+    rows.append((("sub_partitions", "shapes"), "partitions.sub_partitions",
+                 [(mu,) for mu in oracle.all_partitions(9)]))
+    boxes = [None] + [(r, c) for r in range(6) for c in range(6)]
+    for name in ("enumerate_partitions", "partitions_of_size"):
+        rows.append(((name, "boxes"), f"partitions.{name}", [(m, b) for m in range(14) for b in boxes]))
+        rows.append(((name, "size30"), f"partitions.{name}", [(30,)]))
+    box3 = [p for p in oracle.all_partitions(9) if len(p) <= 3 and (not p or p[0] <= 3)]
+    pairs = [(lam, rho, dual) for lam in box3 for rho in box3 for dual in (False, True)]
+    for name, ks in (("up_set", range(5)), ("down_set", range(5)),
+                     ("up_sets_through", (4,)), ("down_sets_through", (4,))):
+        rows.append(((name, "box3"), f"interlacing.{name}",
+                     [(lam, rho, k, dual) for lam, rho, dual in pairs for k in ks]))
+    return [(labels, path, [(args, {}) for args in calls]) for labels, path, calls in rows]
+
+
+def rules_rows(seed, passes, workdir):
+    calls = record([(growth, f"{kind}_rule") for kind in KINDS], lambda: rsk_trips(seed, passes))
+    by = {kind: group(calls[f"{kind}_rule"], lambda a: a[0].value) for kind in KINDS}
+    return [((rule, kind), f"growth.{kind}_rule", by[kind][rule]) for rule in RULES for kind in KINDS]
+
+
+def projections_rows(seed, passes, workdir):
+    calls = record([(growth, f"proj_{kind}") for kind in KINDS], lambda: littlewood_trips(seed, passes))
+    by = {kind: group(calls[f"proj_{kind}"], lambda a: a[0].family.value) for kind in KINDS}
+    return [((family, kind), f"growth.proj_{kind}", by[kind][family])
+            for family in sorted(by["apply"]) for kind in KINDS]
+
+
+def builds_rows(seed, passes, workdir):
+    rule, family = (lambda a: gd.Rule(a[0]).value), (lambda a: a[0].family.value)
+    keys = {"rsk": rule, "rsk_inverse": rule, "littlewood_map": family, "littlewood_inverse": family}
+    calls = record([(gd, name) for name in keys],
+                   lambda: (rsk_trips(seed, passes), littlewood_trips(seed, passes)))
+    return [((name, label), name, group_calls)
+            for name, key in keys.items() for label, group_calls in group(calls[name], key).items()]
+
+
+def series_rows(seed, passes, workdir):
+    keys = {"_sweep": lambda a: a[3].__name__, "_times": lambda a: "dual" if a[2] else "plain",
+            "verify_identity": lambda a: a[0]}
+    calls = record([(series, name) for name in keys], series_trips)
+    return [((name, label), f"series.{name}", group_calls)
+            for name, key in keys.items() for label, group_calls in group(calls[name], key).items()]
+
+
+def cli_rows(seed, passes, workdir):
+    """The golden requests by command, each checked against its recording."""
+    paths = {"{%s}" % name: Path(workdir) / f"{name}.json" for name in golden.FILES}
+    for name, data in golden.FILES.items():
+        paths["{%s}" % name].write_text(json.dumps(data), encoding="utf-8")
+    recorded = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
+    calls = []
+    for argv in golden.REQUESTS:
+        calls.append((([str(paths.get(a, a)) for a in argv],), {}))
+        want = recorded[" ".join(argv)]
+        assert outcomes(cli.main, calls[-1:]) == ([want["code"]], want["stdout"]), argv
+    return [((command,), "cli.main", group_calls)
+            for command, group_calls in group(calls, lambda a: a[0][0]).items()]
+
+
+#: name: (label headers, unit, per call (else per round), digits, default passes, rows)
+LAYERS = {
+    "strips": (("function", "grid"), "ms", False, 2, 1, strips_rows),
+    "rules": (("rule", "call"), "ns", True, 0, 2, rules_rows),
+    "projections": (("family", "call"), "us", True, 2, 5, projections_rows),
+    "builds": (("function", "input"), "us", True, 1, 2, builds_rows),
+    "series": (("function", "group"), "us", True, 1, 1, series_rows),
+    "cli": (("command",), "us", True, 1, 1, cli_rows),
+}
+
+
+def load_baseline(src):
+    """The growthdiagrams package under ``src``, imported as ``baseline_growthdiagrams``."""
+    for name in [m for m in sys.modules if m.partition(".")[0] == "baseline_growthdiagrams"]:
+        del sys.modules[name]  # a package loaded before, maybe from another src
+    package = Path(src).resolve() / "growthdiagrams"
+    spec = importlib.util.spec_from_file_location("baseline_growthdiagrams", package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolve(package, path):
+    """A package's function at ``module.name`` (or a top-level name), or its oracle reference."""
+    module, _, name = path.rpartition(".")
+    if package is oracle:
+        return getattr(oracle, f"interval_{name}")
+    return getattr(importlib.import_module(".".join(filter(None, (package.__name__, module)))), name)
+
+
+def port(value, package=None):
+    """The value with each enum, dataclass and function in its tuples and
+    lists rebuilt from the package's own, or made plain (comparable across
+    packages) when None.  Dicts are taken as they are."""
+    if type(value) is tuple and all(type(v) is int for v in value):  # a partition
+        return value
+    name = type(value).__name__
+    if isinstance(value, Enum):
+        return value.value if package is None else getattr(package, name)(value.value)
+    if dataclasses.is_dataclass(value):
+        fields = [port(getattr(value, f.name), package) for f in dataclasses.fields(value)]
+        return (name, *fields) if package is None else getattr(package, name)(*fields)
+    if callable(value):
+        path = f"{value.__module__.partition('.')[2]}.{value.__name__}"
+        return path if package is None else resolve(package, path)
+    if isinstance(value, (tuple, list)):
+        return type(value)(port(v, package) for v in value)
+    return value
+
+
+def outcomes(fn, calls):
+    """(plain results, stdout) of the calls."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        values = [fn(*args, **kwargs) for args, kwargs in calls]
+    return port(values), out.getvalue()
+
+
+def time_calls(fn, calls):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        start = perf_counter()
+        for args, kwargs in calls:
+            fn(*args, **kwargs)
+        return perf_counter() - start
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--layer", choices=LAYERS, required=True)
+    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--passes", type=int, help="seeded passes of inputs (default per layer)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--baseline", metavar="SRC", help="also time the package under SRC")
+    args = parser.parse_args(argv)
+    headers, unit, per_call, digits, passes, rows = LAYERS[args.layer]
+    contenders = ([("reference", oracle)] if args.layer == "strips" else []) + (
+        [("baseline", load_baseline(args.baseline))] if args.baseline else []) + [("package", gd)]
+    with tempfile.TemporaryDirectory() as workdir:
+        table = []
+        for labels, path, calls in rows(args.seed, args.passes or passes, workdir):
+            runs = [(resolve(package, path), port(calls, None if package is oracle else package))
+                    for _, package in contenders]
+            results = [outcomes(fn, run_calls) for fn, run_calls in runs]
+            assert all(result == results[0] for result in results), labels
+            table.append((labels, len(calls), runs))
+        heads = [f"{title} {unit}" for title, _ in contenders]
+        heads += [{"reference": "ref/pkg", "baseline": "base/pkg"}[t] for t, _ in contenders[:-1]]
+        widths = [max(len(h), *(len(r[0][c]) for r in table)) + 1 for c, h in enumerate(headers)]
+
+        def show(labels, count, cells):
+            print(" ".join([f"{label:<{w}}" for label, w in zip(labels, widths)] + [f"{count:>6}"]
+                           + [f"{cell:>{len(h) + 1}}" for cell, h in zip(cells, heads)]))
+
+        show(headers, "calls", heads)
+        scale = {"ms": 1e3, "us": 1e6, "ns": 1e9}[unit]
+        for labels, count, runs in table:
+            times = [[] for _ in runs]
+            for _ in range(args.rounds):
+                for (fn, calls), t in zip(runs, times):
+                    t.append(time_calls(fn, calls))
+            med = [median(t) * scale / (count if per_call else 1) for t in times]
+            show(labels, count, [f"{m:.{digits}f}" for m in med]
+                 + [f"{m / med[-1]:.2f}" for m in med[:-1]])
+
+
+if __name__ == "__main__":
+    main()

@@ -16,6 +16,8 @@ row bounds of ``interlacing._up_interval``/``_down_interval``.  Those run
 the reference that the package's one row-by-row walk is checked against,
 order included.  ``compare`` is the reference the dominant-key comparison of
 ``verify_identity`` is checked against: it compares every monomial.
+``classical_insertion`` is row and column insertion (Knuth, Burge) on plain
+lists, which pins each correspondence to the classical map it equals.
 """
 
 from __future__ import annotations
@@ -503,3 +505,37 @@ def triangular_growths(array, dual=False):
         lambda i, j: triangular_size(array, i, j),
         dual,
     )
+
+
+# ---------------------------------------------------------------------------
+# Classical insertion (Knuth 1970, Burge 1974), on plain lists.
+
+def classical_insertion(matrix, columns=False, weak=False, descending=False):
+    """(P, Q) as row lists, row 1 first, of the classical insertion of a
+    matrix: its columns j = 1..m are read in turn, and each column's row
+    indices i, with multiplicity, ascending (or ``descending``), are inserted
+    into P; Q records j in every cell that an insertion adds.  An entry x
+    goes into the first row (the first column when ``columns``): it bumps the
+    first entry there that is > x (>= x when ``weak``) into the next line, or
+    is put at the line's end if there is none.  Reads no package code."""
+    lines, record = [], []  # P and Q by rows, or by columns when ``columns``
+    n = len(matrix)
+    for j in range(len(matrix[0]) if n else 0):
+        for i in (range(n - 1, -1, -1) if descending else range(n)):
+            for _ in range(matrix[i][j]):
+                x, k = i + 1, 0
+                while k < len(lines):
+                    line = lines[k]
+                    at = next((p for p, y in enumerate(line) if (y >= x if weak else y > x)), None)
+                    if at is None:
+                        break
+                    line[at], x, k = x, line[at], k + 1
+                if k == len(lines):
+                    lines.append([])
+                    record.append([])
+                lines[k].append(x)
+                record[k].append(j + 1)
+    if columns:  # read the rows off the columns
+        lines, record = ([[c[r] for c in cs if len(c) > r] for r in range(len(cs[0]) if cs else 0)]
+                         for cs in (lines, record))
+    return lines, record

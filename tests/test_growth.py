@@ -454,6 +454,14 @@ def test_entry_points_accept_rule_names(rule):
     assert pieri_inverse(rule.value, hat, t.shape) == pieri_inverse(rule, hat, t.shape) == (t, (1, 1))
 
 
+@pytest.mark.parametrize("shape", [(2, 1, 0), (1, 2), (2, -1), (2.0, 1), "x", None])
+def test_pieri_inverse_refuses_a_shape_that_is_not_a_partition(shape):
+    hat = pieri(Rule.ROW, TableauChain.trivial((2, 1), 2), [1, 1])
+    with pytest.raises(ValueError, match=r"^shape: expected a partition, got "):
+        pieri_inverse(Rule.ROW, hat, shape)
+    assert pieri_inverse(Rule.ROW, hat, [2, 1]) == pieri_inverse(Rule.ROW, hat, (2, 1))
+
+
 def test_entry_points_reject_unknown_rule_names():
     t = TableauChain.from_rows([[1]], 2)
     P, Q = rsk(Rule.ROW, REF_A)

@@ -294,6 +294,25 @@ def test_triangular_insert_zero_column():
     assert extended.chain[-1] == t.shape  # zero diagonal adds nothing new
 
 
+@pytest.mark.parametrize("family, entries, column, message", [
+    ("all", ((), (1,)), [0, 0.5], r"^rows\[1\]\[0\]: expected a non-negative integer$"),
+    ("all", ((),), ["1"], r"^rows\[0\]\[0\]: expected a non-negative integer$"),
+    ("all", ((), (1,)), [-1, 0], r"^rows\[0\]\[1\]: expected a non-negative integer$"),
+    ("even-rows", ((),), [1], r"^diagonal entry c\[1\]\[1\] = 1 outside the multiples of 2"),
+    ("asym+1", ((), (1,)), [2, 0], r"^entry c\[1\]\[2\] = 2 must be 0 or 1 for dual variants$"),
+], ids=["float", "str", "negative", "diagonal", "dual"])
+def test_triangular_insert_checks_its_column_as_an_array(family, entries, column, message):
+    """The column is checked as the last column of an array is: an entry that
+    is not a non-negative int, a diagonal entry outside the family's domain or
+    a dual entry above 1 is refused by name, as littlewood_map refuses it."""
+    rows = [[0] * (len(column) - 1 - r) + [v] for r, v in enumerate(column)]
+    if all(type(v) is int and v >= 0 for v in column):
+        with pytest.raises(ValueError, match=message):
+            littlewood_map(family, triangular_array(rows))
+    with pytest.raises(ValueError, match=message):
+        triangular_insert(family, TableauChain(entries), column)
+
+
 def test_symmetric_matrix_equivalence():
     """For the full family, the triangular grid is the upper half of the
     rectangular growth of the symmetrized matrix."""
