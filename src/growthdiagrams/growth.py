@@ -259,13 +259,16 @@ def pieri_inverse(
     """Recover (tableau, counts) from the Pieri image and the source shape."""
     rule = Rule(rule)
     check_chain("hat", hat)  # an i-chain, like insert's tableau
-    check_partitions(shape=shape)
+    (shape,) = check_partitions(shape=shape)
     grid = [[EMPTY, p] for p in hat.chain]
-    grid[-1][0] = tuple(shape)
+    grid[-1][0] = shape
     counts = [[0] for _ in range(hat.entries)]
-    _ungrow(grid, counts, [1] * len(grid), rule)
-    if grid[0][0] != hat.chain[0]:
-        raise DomainError("inner shapes disagree after inversion")
+    try:  # every hat has a source, so a refusal here is the shape's
+        _ungrow(grid, counts, [1] * len(grid), rule)
+        if grid[0][0] != hat.chain[0]:
+            raise DomainError("inner shapes disagree after inversion")
+    except DomainError as err:
+        raise DomainError(f"shape: {shape} is not the Pieri source of hat ({err})") from None
     return TableauChain(tuple(row[0] for row in grid)), tuple(c[0] for c in counts)
 
 

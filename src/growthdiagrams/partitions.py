@@ -187,12 +187,14 @@ def check_non_negative(**fields: int | None) -> None:
             raise ValueError(f"{field}: expected a non-negative integer, got {value}")
 
 
-def check_partitions(**shapes: Partition) -> None:
-    """Field-named ValueError for the first shape that is not a partition."""
+def check_partitions(**shapes: Partition) -> list[Partition]:
+    """Field-named ValueError for the first shape that is not a partition;
+    else the shapes, lists made tuples."""
     for field, lam in shapes.items():
         if (not isinstance(lam, (tuple, list)) or any(type(p) is not int or p < 1 for p in lam)
                 or any(map(lt, lam, lam[1:]))):
             raise ValueError(f"{field}: expected a partition, got {lam}")
+    return [tuple(lam) for lam in shapes.values()]
 
 
 def enumerate_partitions(

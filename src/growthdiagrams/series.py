@@ -5,22 +5,25 @@ a total-degree cap; products silently drop terms beyond the cap.  Schur and
 skew Schur polynomials are weighted sums over strip chains, which one sweep
 out of one shape enumerates for every shape it reaches: up sweeps add strips
 for the sum sides, down sweeps remove them for the inner sums and for
-``schur``.  ``IDENTITIES`` is the table of every check ``verify_identity``
-runs.  A series identity is verified by computing both sides independently
-and comparing coefficients.  Both sides are symmetric in each group of
-variables (x, and y for Cauchy), so a verification computes and compares only
-their dominant terms, whose exponents weakly decrease within each group (the
-m_lambda basis).  The table also holds the bijective check that column
-insertion builds the same tableaux as the growth diagram.  Every check
-reports ``equal``, ``checked_terms`` and ``params`` plus its own details.
+``schur``.  A sweep summed over a set of final shapes (a Littlewood family,
+the Pieri strips, ``schur``'s mu) ends in that one total.  ``IDENTITIES`` is
+the table of every check ``verify_identity`` runs.  A series identity is
+verified by computing both sides independently and comparing coefficients.
+Both sides are symmetric in each group of variables (x, and y for Cauchy), so
+a verification computes and compares only their dominant terms, whose
+exponents weakly decrease within each group (the m_lambda basis).  The table
+also holds the bijective check that column insertion builds the same tableaux
+as the growth diagram.  Every check reports ``equal``, ``checked_terms`` and
+``params`` plus its own details.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, prod
-from operator import add, ge
+from operator import add, ge, itemgetter
 from typing import Callable, NamedTuple
 
 from .growth import build_growth, insert
@@ -115,7 +118,8 @@ _UNDER = {StepKind.HORIZONTAL: horizontal_strips_under, StepKind.VERTICAL: verti
 
 
 def _sweep(shape: Partition, n: int, budget: int,
-           strips: Callable[[Partition, int], list[Partition]], dominant: bool = False) -> States:
+           strips: Callable[[Partition, int], list[Partition]], dominant: bool = False,
+           keep: Callable[[Partition], bool] | None = None) -> States | Terms:
     """All n-step strip chains out of one shape at once (the branching rule).
 
     ``strips`` enumerates the strips over a shape (an up sweep) or under it (a
@@ -124,42 +128,46 @@ def _sweep(shape: Partition, n: int, budget: int,
     appended to every exponent tuple.  An up sweep ends at nu with
     s_{nu/shape}(x_1..x_n), or s_{nu'/shape'} for vertical strips.  A down
     sweep ends at mu with s_{shape/mu} in x_n..x_1; a skew Schur polynomial is
-    symmetric, so its term dict is the same.
+    symmetric, so its term dict is the same.  Each shape's strips are listed
+    once per room within the call.
 
     With ``dominant`` only chains whose strips weakly shrink are kept, so the
     weakly decreasing terms alone remain: a step moves no strip larger than
     the previous step's strip of that term.
+
+    With ``keep`` the last step adds the terms of the shapes that ``keep``
+    accepts (asked once per shape) into the one term dict returned.
     """
-    top = size(shape)
+    top = sum(shape)
     states: States = {shape: {(): 1}}
+    listed: dict[tuple[Partition, int], list[Partition]] = {}
+    kept = cache(keep) if keep is not None else None
     for step in range(n):
         prune = dominant and step > 0
+        last = kept and step == n - 1
         nxt: States = {}
         for sig, terms in states.items():
-            s = size(sig)
+            s = sum(sig)
             room = budget - abs(s - top)
             if prune:
-                room = min(room, max(e[-1] for e in terms))
-            for tau in strips(sig, room):
-                d = abs(size(tau) - s)
-                acc = nxt.setdefault(tau, {})
+                room = min(room, max(map(itemgetter(-1), terms)))
+            taus = listed.get((sig, room))
+            if taus is None:
+                taus = listed[sig, room] = strips(sig, room)
+            for tau in filter(kept, taus) if last else taus:
+                d = abs(sum(tau) - s)
+                acc = nxt.get(None if last else tau)  # None: the last step's one total
+                if acc is None:
+                    acc = nxt[None if last else tau] = {}
                 for exps, coeff in terms.items():
                     if prune and exps[-1] < d:
                         continue
                     key = exps + (d,)
                     acc[key] = acc.get(key, 0) + coeff
         states = nxt
-    return states
-
-
-def _total(states: States, keep: Callable[[Partition], bool]) -> Terms:
-    """The sum of the states whose shape ``keep`` accepts."""
-    total: Terms = {}
-    for shape, terms in states.items():
-        if keep(shape):
-            for exps, coeff in terms.items():
-                total[exps] = total.get(exps, 0) + coeff
-    return total
+    if keep is None:
+        return states
+    return states.get(None, {}) if n else ({(): 1} if keep(shape) else {})
 
 
 def schur(
@@ -177,11 +185,11 @@ def schur(
     beyond the cap.  It is read at mu off a down sweep from lam.
     """
     check_non_negative(n=n, cap=cap)
-    check_partitions(lam=lam, mu=mu)
+    lam, mu = check_partitions(lam=lam, mu=mu)
     if not contains(mu, lam):
         raise ValueError(f"{mu} is not contained in {lam}")
-    states = _sweep(lam, n, min(cap, size(lam) - size(mu)), _UNDER[steps])
-    return TruncatedPolynomial(n, cap, states.get(mu))
+    budget = min(cap, size(lam) - size(mu))
+    return TruncatedPolynomial(n, cap, _sweep(lam, n, budget, _UNDER[steps], keep=mu.__eq__))
 
 
 def count_syt(lam: Partition) -> int:
@@ -344,10 +352,9 @@ def _littlewood(e: Identity, n: int, cap: int, lam: Partition, **_):
     inner sum is of s_{lam'/mu}(x) over mu in the opposite family."""
     row = LITTLEWOOD[e.family]
     shape = conjugate(lam) if row.dual else lam
-    lhs = _total(_sweep(lam, n, cap, horizontal_strips_over, dominant=True),
-                 lambda nu: member(nu, e.family))
-    inner = _total(_sweep(shape, n, cap, horizontal_strips_under),
-                   lambda mu: member(mu, row.inner))
+    lhs = _sweep(lam, n, cap, horizontal_strips_over, dominant=True,
+                 keep=lambda nu: member(nu, e.family))
+    inner = _sweep(shape, n, cap, horizontal_strips_under, keep=lambda mu: member(mu, row.inner))
     return _compare(lhs, _times(inner, _factors(e.family, n, 0), row.dual, cap, dominant=True), n)
 
 
@@ -359,8 +366,7 @@ def _pieri(e: Identity, n: int, cap: int, lam: Partition, k: int, **_):
     shapes = {nu for nu in _OVER[e.steps](lam, k) if size(nu) == top}
     lhs = schur((k,) if k else EMPTY, n, cap, e.steps) * schur(lam, n, cap)
     lhs = {exps: coeff for exps, coeff in lhs.terms.items() if _decreasing(exps)}
-    rhs = _total(_sweep(EMPTY, n, top, horizontal_strips_over, dominant=True),
-                 shapes.__contains__)
+    rhs = _sweep(EMPTY, n, top, horizontal_strips_over, dominant=True, keep=shapes.__contains__)
     return _compare(lhs, rhs, n)
 
 
@@ -463,8 +469,7 @@ def verify_identity(
     m = n if m is None else m
     k = 0 if k is None else k
     seed = 0 if seed is None else seed
-    check_partitions(lam=lam, rho=rho)
-    lam, rho = tuple(lam), tuple(rho)
+    lam, rho = check_partitions(lam=lam, rho=rho)
     values = {"n": n, "degree": cap, "m": m, "k": k, "lam": list(lam), "rho": list(rho),
               "seed": seed}
     params = {name: values[name] for name in entry.params}

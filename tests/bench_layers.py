@@ -17,7 +17,9 @@ be equal before any timing.  pytest does not collect this file.  The layers:
 - builds: ``rsk``, ``rsk_inverse``, ``littlewood_map``, ``littlewood_inverse``
   on those round trips' inputs, us per call;
 - series: ``_sweep``, ``_times`` and ``verify_identity`` on the series-verify
-  checks, us per call;
+  checks, and ``verify_identity`` on ``series_grid``, us per call; ``_sweep``
+  is private and its signature changes between checkouts, so its rows time
+  the package only;
 - cli: ``cli.main`` on ``test_cli_golden.REQUESTS``, us per call; exit codes
   and stdout must equal ``cli_golden.json``.
 """
@@ -68,6 +70,30 @@ def series_trips():
                for identity in ("pieri", "dual-pieri") for n, lam in ((3, (2, 1)), (4, (3, 1)))]
     for identity, n, cap, extra in checks:
         assert series.verify_identity(identity, n, cap, **extra).equal, identity
+
+
+def series_grid():
+    """(identity, kwargs) of 2,736 verify_identity checks: littlewood-* at n
+    0-5, degrees 0-11; (dual-)cauchy at n, m 0-3, degrees 0/3/6/8; skew-(dual-)
+    cauchy over the 49 pairs of shapes of size <= 3 at 5 (n, m) and degrees
+    4/7; skew-littlewood-* over 10 shapes of size 1-4 at n 1-3, degrees 5/8;
+    (dual-)pieri over 8 shapes at k 0-4, n 1-4, degrees 2/5/8; squarefree n
+    0-7."""
+    small = oracle.all_partitions(3)
+    cases = [(f"littlewood-{f}", {"n": n, "cap": cap})
+             for f in FAMILIES for n in range(6) for cap in range(12)]
+    cases += [(identity, {"n": n, "m": m, "cap": cap}) for identity in ("cauchy", "dual-cauchy")
+              for n in range(4) for m in range(4) for cap in (0, 3, 6, 8)]
+    cases += [(identity, {"n": n, "m": m, "cap": cap, "lam": lam, "rho": rho})
+              for identity in ("skew-cauchy", "skew-dual-cauchy") for lam in small for rho in small
+              for n, m in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2)) for cap in (4, 7)]
+    cases += [(f"skew-littlewood-{f}", {"n": n, "cap": cap, "lam": lam})
+              for f in FAMILIES for lam in oracle.all_partitions(4)[1:11]
+              for n in (1, 2, 3) for cap in (5, 8)]
+    cases += [(identity, {"n": n, "cap": cap, "k": k, "lam": lam})
+              for identity in ("pieri", "dual-pieri") for lam in small + [(2, 2)]
+              for k in range(5) for n in range(1, 5) for cap in (2, 5, 8)]
+    return cases + [("squarefree", {"n": n}) for n in range(8)]
 
 
 def rsk_trips(seed, passes):
@@ -191,8 +217,10 @@ def series_rows(seed, passes, workdir):
     keys = {"_sweep": lambda a: a[3].__name__, "_times": lambda a: "dual" if a[2] else "plain",
             "verify_identity": lambda a: a[0]}
     calls = record([(series, name) for name in keys], series_trips)
-    return [((name, label), f"series.{name}", group_calls)
+    rows = [((name, label), f"series.{name}", group_calls)
             for name, key in keys.items() for label, group_calls in group(calls[name], key).items()]
+    grid = [((identity,), kwargs) for identity, kwargs in series_grid()]
+    return rows + [(("verify_identity", "grid"), "series.verify_identity", grid)]
 
 
 def cli_rows(seed, passes, workdir):
@@ -209,6 +237,9 @@ def cli_rows(seed, passes, workdir):
     return [((command,), "cli.main", group_calls)
             for command, group_calls in group(calls, lambda a: a[0][0]).items()]
 
+
+#: private functions whose signature may differ in a baseline: timed for the package only
+PACKAGE_ONLY = {"series._sweep"}
 
 #: name: (label headers, unit, per call (else per round), digits, default passes, rows)
 LAYERS = {
@@ -291,8 +322,9 @@ def main(argv=None):
         table = []
         for labels, path, calls in rows(args.seed, args.passes or passes, workdir):
             runs = [(resolve(package, path), port(calls, None if package is oracle else package))
+                    if package is gd or path not in PACKAGE_ONLY else None
                     for _, package in contenders]
-            results = [outcomes(fn, run_calls) for fn, run_calls in runs]
+            results = [outcomes(*run) for run in runs if run]
             assert all(result == results[0] for result in results), labels
             table.append((labels, len(calls), runs))
         heads = [f"{title} {unit}" for title, _ in contenders]
@@ -306,13 +338,14 @@ def main(argv=None):
         show(headers, "calls", heads)
         scale = {"ms": 1e3, "us": 1e6, "ns": 1e9}[unit]
         for labels, count, runs in table:
-            times = [[] for _ in runs]
+            times = [[] if run else None for run in runs]
             for _ in range(args.rounds):
-                for (fn, calls), t in zip(runs, times):
-                    t.append(time_calls(fn, calls))
-            med = [median(t) * scale / (count if per_call else 1) for t in times]
-            show(labels, count, [f"{m:.{digits}f}" for m in med]
-                 + [f"{m / med[-1]:.2f}" for m in med[:-1]])
+                for run, t in zip(runs, times):
+                    if run:
+                        t.append(time_calls(*run))
+            med = [t and median(t) * scale / (count if per_call else 1) for t in times]
+            show(labels, count, ["-" if m is None else f"{m:.{digits}f}" for m in med]
+                 + ["-" if m is None else f"{m / med[-1]:.2f}" for m in med[:-1]])
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ order included.  ``compare`` is the reference the dominant-key comparison of
 ``verify_identity`` is checked against: it compares every monomial.
 ``classical_insertion`` is row and column insertion (Knuth, Burge) on plain
 lists, which pins each correspondence to the classical map it equals.
+``total`` sums a full sweep's states over the shapes kept, which a sweep with
+``keep`` must equal.
 """
 
 from __future__ import annotations
@@ -446,6 +448,16 @@ def compare(identity, params, lhs, rhs):
         details["mismatch"] = {"exponents": list(e), "lhs": lhs.terms.get(e, 0),
                                "rhs": rhs.terms.get(e, 0)}
     return Report(identity, not wrong, len(keys), params, details)
+
+
+def total(states, keep):
+    """The sum of the states whose shape ``keep`` accepts."""
+    out = {}
+    for shape, terms in states.items():
+        if keep(shape):
+            for exps, coeff in terms.items():
+                out[exps] = out.get(exps, 0) + coeff
+    return out
 
 
 # ---------------------------------------------------------------------------

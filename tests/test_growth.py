@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from growthdiagrams import (
     EMPTY,
+    DomainError,
     Rule,
     StepKind,
     TableauChain,
@@ -460,6 +462,19 @@ def test_pieri_inverse_refuses_a_shape_that_is_not_a_partition(shape):
     with pytest.raises(ValueError, match=r"^shape: expected a partition, got "):
         pieri_inverse(Rule.ROW, hat, shape)
     assert pieri_inverse(Rule.ROW, hat, [2, 1]) == pieri_inverse(Rule.ROW, hat, (2, 1))
+
+
+@pytest.mark.parametrize("shape,why", [
+    ((5,), r"\(4, 1\) is not above both \(5,\) and \(3, 1\)"),
+    ((), r"\(4, 1\) is not above both \(\) and \(3, 1\)"),
+    ((2, 1, 1), r"\(4, 1\) is not above both \(2, 1, 1\) and \(3, 1\)"),
+    ((1,), "inner shapes disagree after inversion"),
+])
+def test_pieri_inverse_refuses_a_shape_that_is_not_the_source(shape, why):
+    hat = pieri(Rule.ROW, TableauChain.trivial((2, 1), 2), [1, 1])
+    message = rf"^shape: {re.escape(str(shape))} is not the Pieri source of hat \({why}\)$"
+    with pytest.raises(DomainError, match=message):
+        pieri_inverse(Rule.ROW, hat, shape)
 
 
 def test_entry_points_reject_unknown_rule_names():

@@ -22,8 +22,9 @@ from growthdiagrams import (
     size,
     verify_identity,
 )
+from growthdiagrams import series
 from growthdiagrams.partitions import sub_partitions
-from growthdiagrams.series import IDENTITIES, _compare
+from growthdiagrams.series import IDENTITIES, _compare, _sweep
 
 
 from hypothesis import given, strategies as st
@@ -123,6 +124,71 @@ def test_schur_symmetric_under_variable_permutation():
         p = schur(lam, 3, 7)
         for perm in permutations(range(3)):
             assert {tuple(e[i] for i in perm): c for e, c in p.terms.items()} == p.terms
+
+
+def test_schur_takes_list_shapes():
+    assert schur([2, 1], 2, 3) == schur((2, 1), 2, 3)
+    skew = schur((2, 1), 2, 3, mu=(1,))
+    assert schur((2, 1), 2, 3, mu=[1]) == schur([2, 1], 2, 3, mu=[1]) == skew
+    assert skew.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+
+
+STRIPS = [series.horizontal_strips_over, series.vertical_strips_over,
+          series.horizontal_strips_under, series.vertical_strips_under]
+
+
+def test_sweep_keep_is_the_total_of_the_kept_states():
+    """A sweep with ``keep`` returns what summing the full sweep's kept
+    states gives, for every shape of size <= 5, n <= 4, budget <= 7, both
+    ways of ``dominant``, every strip kind, each family and a two-shape set."""
+    keeps = [lambda nu, f=f: member(nu, f) for f in Family] + [{(1,), (3, 2)}.__contains__]
+    for shape in oracle.all_partitions(5):
+        for n in range(5):
+            for budget in range(8):
+                for dominant in (False, True):
+                    for strips in STRIPS:
+                        states = _sweep(shape, n, budget, strips, dominant)
+                        for keep in keeps:
+                            assert _sweep(shape, n, budget, strips, dominant, keep) == \
+                                oracle.total(states, keep), (shape, n, budget, dominant, strips)
+
+
+def test_no_strip_list_outlives_its_sweep(monkeypatch):
+    """Each sweep lists a (shape, room) once, and nothing is kept between
+    calls: the same check asks the enumerators the same number of times."""
+    asked = []
+    for strips in STRIPS:
+        def logged(sig, room, strips=strips):
+            asked.append((strips.__name__, sig, room))
+            return strips(sig, room)
+        monkeypatch.setattr(series, strips.__name__, logged)
+    monkeypatch.setattr(series, "_OVER", {k: getattr(series, f.__name__)
+                                          for k, f in series._OVER.items()})
+    monkeypatch.setattr(series, "_UNDER", {k: getattr(series, f.__name__)
+                                           for k, f in series._UNDER.items()})
+    counts = []
+    for _ in range(2):
+        asked.clear()
+        assert verify_identity("littlewood-all", 4, 10).equal
+        counts.append(len(asked))
+    assert counts[0] == counts[1] > 0
+    sweep, lists = series._sweep, []
+
+    def one_sweep(*args, **kwargs):
+        asked.clear()
+        out = sweep(*args, **kwargs)
+        assert len(set(asked)) == len(asked), args[:3]
+        lists.append(len(asked))
+        return out
+
+    monkeypatch.setattr(series, "_sweep", one_sweep)
+    for name, kwargs in (("littlewood-even-rows", dict(n=4, cap=10)),
+                         ("skew-littlewood-asym-1", dict(n=3, cap=8, lam=(2, 1))),
+                         ("skew-cauchy", dict(n=3, m=2, cap=8, lam=(2, 1), rho=(2,))),
+                         ("skew-dual-cauchy", dict(n=3, m=2, cap=8, lam=(2, 1), rho=(2,))),
+                         ("dual-pieri", dict(n=4, cap=6, k=2, lam=(3, 1)))):
+        assert verify_identity(name, **kwargs).equal, name
+    assert len(lists) > 10 and sum(lists) > 100
 
 
 def test_schur_errors():
