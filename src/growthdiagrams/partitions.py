@@ -6,7 +6,8 @@ in French convention (row 1 is the bottom, and the longest, row).  Everything
 here is a pure function on immutable values.  Every set of partitions listed here
 or in ``interlacing.py`` (strips, boxes, size classes, up and down sets) is an
 interval of Young's lattice, and one iterative row-by-row walk,
-``_rows_between``, lists them all.
+``_rows_between``, lists them all but the horizontal strips over a shape: their
+rows are independent and the series sweeps list them most, so they have their own.
 """
 
 from __future__ import annotations
@@ -223,8 +224,8 @@ def partitions_of_size(s: int, box: tuple[int, int] | None = None) -> list[Parti
 
 
 # ---------------------------------------------------------------------------
-# Interval enumeration: every strip set, up/down set, box and size class is one
-# row-by-row walk over an interval of Young's lattice with one cell budget.
+# Interval enumeration: every up/down set, box, size class and strip set, but the
+# horizontal strips over a shape, is one walk over an interval of Young's lattice.
 
 def _rows_between(lo: Sequence[int], hi: Sequence[int], budget: int, up: bool,
                   cap: bool = False, exact: bool = False) -> list[Partition]:
@@ -287,8 +288,27 @@ def _end(level: list, p: Partition) -> None:
 
 
 def horizontal_strips_over(mu: Partition, max_add: int) -> list[Partition]:
-    """All nu with mu < nu (horizontal strip) and |nu/mu| <= max_add, lex-ascending."""
-    return _rows_between(mu + (0,), (part(mu, 1) + max_add,) + mu, max_add, True)
+    """All nu with mu < nu (horizontal strip) and |nu/mu| <= max_add, lex-ascending;
+    ``[]`` for max_add < 0.  Row r lies in [mu_r, mu_(r-1)] (row 1 up to mu_1 + max_add,
+    the new row up to mu_l) whatever the other rows are, so this walk carries only
+    (prefix, budget left), with none of ``_rows_between``'s bounds, caps or runs."""
+    if max_add <= 0:
+        return [mu] if max_add == 0 else []
+    level, top = [((), max_add)], (mu[0] if mu else 0) + max_add
+    for m in mu:
+        prev, level = level, []
+        add = level.append
+        for p, b in prev:
+            c = m + b
+            for v in range(m, (c if c < top else top) + 1):
+                add((p + (v,), c - v))
+        top = m
+    out: list[Partition] = []
+    for p, b in level:  # the new row, written straight into out
+        out.append(p)
+        for v in range(1, (b if b < top else top) + 1):
+            out.append(p + (v,))
+    return out
 
 
 def vertical_strips_over(mu: Partition, max_add: int) -> list[Partition]:

@@ -21,8 +21,10 @@ SETTINGS = {
     "dual-row": (False, False, True),
     "dual-col": (True, True, False),
 }
-#: canonical Littlewood variant: the rule whose insertion of the array's symmetric matrix is P
-SYMMETRIC = {"all": "row", "even-rows": "col", "even-cols": "row"}
+#: test id: Littlewood (family, base rule) whose P is the base rule's insertion of the
+#: array's symmetric matrix; the family's name is its canonical variant
+SYMMETRIC = {"all": ("all", "row"), "even-rows": ("even-rows", "col"),
+             "even-cols": ("even-cols", "row"), "all-col": ("all", "col")}
 DIAGONAL = {"all": (0, 1, 2), "even-rows": (0, 2), "even-cols": (0,)}
 
 
@@ -47,12 +49,13 @@ def test_rsk_is_the_classical_insertion(rule):
         assert (P.to_rows(), Q.to_rows()) == want, matrix
 
 
-@pytest.mark.parametrize("family", list(SYMMETRIC))
-def test_canonical_littlewood_maps_insert_the_symmetric_matrix(family):
-    """P of the canonical all, even-rows and even-cols maps is the insertion
-    tableau of the array's symmetric matrix, diagonal as given."""
-    variant = littlewood_variant(family)
-    rng = random.Random(f"classical:{family}")
+@pytest.mark.parametrize("case", list(SYMMETRIC))
+def test_canonical_littlewood_maps_insert_the_symmetric_matrix(case):
+    """P of the canonical all, even-rows and even-cols maps, and of all over col,
+    is the insertion tableau of the array's symmetric matrix, diagonal as given."""
+    family, base = SYMMETRIC[case]
+    variant = littlewood_variant(family, base)
+    rng = random.Random(f"classical:{case}")
     arrays = [[[d, a, b], [e, c], [f]] for a, b, c in product((0, 1), repeat=3)
               for d, e, f in product(DIAGONAL[family], repeat=3)]
     for _ in range(60):
@@ -62,5 +65,5 @@ def test_canonical_littlewood_maps_insert_the_symmetric_matrix(family):
     for rows in arrays:
         n = len(rows)
         symmetric = [[rows[min(i, j)][abs(i - j)] for j in range(n)] for i in range(n)]
-        want, _ = oracle.classical_insertion(symmetric, *SETTINGS[SYMMETRIC[family]])
+        want, _ = oracle.classical_insertion(symmetric, *SETTINGS[base])
         assert littlewood_map(variant, triangular_array(rows)).to_rows() == want, rows

@@ -188,14 +188,16 @@ def test_enumerators_match_cell_oracle_exhaustively():
 
 def test_strip_enumerators_match_interval_reference():
     """The row-by-row strip sets equal the oracle's recursive interval search
-    list for list, order included, on every shape of size <= 9."""
+    list for list, order included, on every shape of size <= 9, and at budgets
+    20, 40 and 60 on every shape of size <= 3."""
     pairs = ((horizontal_strips_over, oracle.interval_horizontal_strips_over),
              (vertical_strips_over, oracle.interval_vertical_strips_over),
              (horizontal_strips_under, oracle.interval_horizontal_strips_under),
              (vertical_strips_under, oracle.interval_vertical_strips_under))
     for mu in oracle.all_partitions(9):
+        wide = (20, 40, 60) if sum(mu) <= 3 else ()
         for new, ref in pairs:
-            for b in range(-1, 7):
+            for b in (*range(-1, 7), *wide):
                 assert new(mu, b) == ref(mu, b), (new.__name__, mu, b)
         for new, ref in pairs[2:]:
             assert new(mu, None) == ref(mu, None) == new(mu), (new.__name__, mu)
@@ -220,6 +222,10 @@ def test_deep_strips_need_no_recursion():
     assert vertical_strips_over(EMPTY, 2000) == [column[:j] for j in range(2001)]
     assert vertical_strips_under(column) == [column[:j] for j in range(2000, -1, -1)]
     assert len(horizontal_strips_under(column)) == 2
+    rest, new_row = column[1:], (1,)  # rows 2..2000 stay 1; the new row is 0 or 1
+    assert horizontal_strips_over(column, 3) == [
+        column, column + new_row, (2,) + rest, (2,) + rest + new_row,
+        (3,) + rest, (3,) + rest + new_row, (4,) + rest]
 
 
 def test_deep_boxes_need_no_recursion():
