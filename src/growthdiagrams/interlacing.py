@@ -7,10 +7,12 @@ For a pair of partitions (lam, rho) the four sets are
 
 and their dual variants where the strip condition on the rho side (down) or
 the lam side (up) is vertical instead of horizontal.  By interlacing, each
-row of a member lies between rows of lam and rho, so each set is an interval
-of Young's lattice cut to one size, which ``partitions._rows_between`` walks
-row by row with no recursion; the structured encodings below identify their
-elements with multisets of ribbon positions.
+row of a member lies between rows of lam and rho (which also keeps it at most
+the row before), so each set is an interval of Young's lattice cut to one
+size, |lam v rho| + k up and |lam ^ rho| - k down, which
+``partitions._rows_between`` walks with no recursion; the ``*_sets_through``
+lists take the window of every k <= kmax at once.  The structured encodings
+below identify the elements with multisets of ribbon positions.
 The growth enumerator lists each vertex through ``up_set``.  The local rules
 in ``rules.py`` call nothing here: the encodings are the paper's statement of
 the rules, which the tests check the rules against.  Nothing here is cached.
@@ -135,7 +137,7 @@ def _dual_addable_rows(lam: Partition, rho: Partition) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # The up and down sets: one interval per (lam, rho, kmax), walked by
-# ``_rows_between`` and cut to one size or split by size.
+# ``_rows_between`` in a window of one size or of kmax + 1 sizes, split by size.
 
 def _up_interval(lam: Partition, rho: Partition, kmax: int,
                  dual: bool) -> tuple[Partition, list[int]]:
@@ -154,7 +156,7 @@ def up_sets_through(lam: Partition, rho: Partition, kmax: int,
                     dual: bool = False) -> list[list[Partition]]:
     """[U(lam, rho, k) for k in 0..kmax], each sorted."""
     lo, hi = _up_interval(lam, rho, kmax, dual)
-    return _by_size(_rows_between(lo, hi, kmax, True), lo, kmax)
+    return _by_size(_rows_between(lo, hi, sum(lo), sum(lo) + kmax), lo, kmax)
 
 
 def _down_interval(lam: Partition, rho: Partition,
@@ -174,7 +176,7 @@ def down_sets_through(
 ) -> list[list[Partition]]:
     """[D(lam, rho, k) for k in 0..kmax], each sorted."""
     lo, hi = _down_interval(lam, rho, dual)
-    return _by_size(_rows_between(lo, hi, kmax, False)[::-1], hi, kmax)
+    return _by_size(_rows_between(lo, hi, sum(hi) - kmax, sum(hi)), hi, kmax)
 
 
 def _by_size(members: list[Partition], base: Partition, kmax: int) -> list[list[Partition]]:
@@ -191,7 +193,7 @@ def up_set(lam: Partition, rho: Partition, k: int, dual: bool = False) -> list[P
     if k < 0:
         raise ValueError("k must be >= 0")
     lo, hi = _up_interval(lam, rho, k, dual)
-    return _rows_between(lo, hi, k, True, exact=True)
+    return _rows_between(lo, hi, sum(lo) + k, sum(lo) + k)
 
 
 def down_set(lam: Partition, rho: Partition, k: int, dual: bool = False) -> list[Partition]:
@@ -199,7 +201,7 @@ def down_set(lam: Partition, rho: Partition, k: int, dual: bool = False) -> list
     if k < 0:
         raise ValueError("k must be >= 0")
     lo, hi = _down_interval(lam, rho, dual)
-    return _rows_between(lo, hi, sum(hi) - sum(lo) - k, True, exact=True)
+    return _rows_between(lo, hi, sum(hi) - k, sum(hi) - k)
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ class TruncatedPolynomial:
     """Multivariate polynomial with integer coefficients, truncated at a total
     degree cap.  Immutable by convention; a product is a new value, and the
     constructor drops zero coefficients and terms beyond the cap.  The result
-    type of ``schur``, ``product_side`` and the Pieri check's product; the only
-    arithmetic is ``*``.  The verify sides are plain term dicts within the cap."""
+    type of ``schur`` and ``product_side``; the only arithmetic is ``*``.  The
+    verify sides are plain term dicts within the cap."""
 
     __slots__ = ("nvars", "cap", "terms")
 
@@ -358,16 +358,17 @@ def _littlewood(e: Identity, n: int, cap: int, lam: Partition, **_):
     return _compare(lhs, _times(inner, _factors(e.family, n, 0), row.dual, cap, dominant=True), n)
 
 
-def _pieri(e: Identity, n: int, cap: int, lam: Partition, k: int, **_):
+def _pieri(e: Identity, n: int, lam: Partition, k: int, **_):
     """h_k s_lam is the sum of s_nu over the horizontal k-strips nu over lam;
-    the dual identity has e_k and vertical strips."""
+    the dual identity has e_k and vertical strips.  h_k (e_k) is the degree-k
+    part of the product of 1/(1 - x_i) (of 1 + x_i), so the left side is
+    s_lam times that product, read at degree |lam| + k."""
     top = size(lam) + k
-    cap = max(cap, top)
     shapes = {nu for nu in _OVER[e.steps](lam, k) if size(nu) == top}
-    lhs = schur((k,) if k else EMPTY, n, cap, e.steps) * schur(lam, n, cap)
-    lhs = {exps: coeff for exps, coeff in lhs.terms.items() if _decreasing(exps)}
+    units = [[tuple(int(t == i) for t in range(n))] for i in range(n)]
+    lhs = _times(schur(lam, n, top).terms, units, e.steps is StepKind.VERTICAL, top, dominant=True)
     rhs = _sweep(EMPTY, n, top, horizontal_strips_over, dominant=True, keep=shapes.__contains__)
-    return _compare(lhs, rhs, n)
+    return _compare({exps: coeff for exps, coeff in lhs.items() if sum(exps) == top}, rhs, n)
 
 
 def _squarefree(e: Identity, n: int, **_):

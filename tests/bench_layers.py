@@ -11,7 +11,8 @@ under another checkout's ``src``; every contender's results and stdout must
 be equal before any timing.  pytest does not collect this file.  The layers:
 
 - strips: the partition-set enumerators and their ``oracle.interval_*``
-  references (ref/pkg) on the grids of ``strips_rows``, ms per round;
+  references (ref/pkg; none on the deep grid) on the grids of
+  ``strips_rows``, ms per round;
 - rules: ``apply_rule``/``unapply_rule`` in rsk round trips, ns per call;
 - projections: ``proj_apply``/``proj_unapply`` in Littlewood round trips, us;
 - builds: ``rsk``, ``rsk_inverse``, ``littlewood_map``, ``littlewood_inverse``
@@ -54,6 +55,7 @@ VARIANTS = (("even-cols", None, None), ("all", None, None), ("even-rows", None, 
 DIAGONAL = {"all": (0, 1, 2), "even-rows": (0, 2), "even-cols": (0,), "asym+1": (0,), "asym-1": (0, 2)}
 STRIPS = ("horizontal_strips_over", "vertical_strips_over",
           "horizontal_strips_under", "vertical_strips_under")
+COLUMN = (1,) * 2000
 
 
 def series_trips():
@@ -164,8 +166,10 @@ def strips_rows(seed, passes, workdir):
     """series: every strip call of the series-verify checks' sweeps; small,
     tiny-wide, wide: shapes of size <= 8, 3, 3 with budgets 0..6, 6..12,
     20..60 (and None under); shapes: size <= 9; boxes: sizes < 14 unboxed and
-    in every box up to 5 x 5; size30: size 30; box3: every pair in the 3 x 3
-    box, k <= 4, both dualities."""
+    in every box up to 5 x 5; size30: size 30; deep: the 2,000-row column (the
+    strips under and the sub-partitions of it, 3 over it, the vertical strips
+    over () at 2,000) and its (2000, 1) box, which the recursive references
+    cannot list; box3: every pair in the 3 x 3 box, k <= 4, both dualities."""
     grids = {"series": {name: [] for name in STRIPS}}
     for args, kwargs in record([(series, "_sweep")], series_trips)["_sweep"]:
         def logged(sig, room, strips=args[3]):
@@ -173,15 +177,21 @@ def strips_rows(seed, passes, workdir):
             return strips(sig, room)
         series._sweep(*args[:3], logged, *args[4:], **kwargs)
     grids.update({"small": strip_grid(8, range(7)), "tiny-wide": strip_grid(3, range(6, 13)),
-                  "wide": strip_grid(3, range(20, 61))})
+                  "wide": strip_grid(3, range(20, 61)),
+                  "deep": {"horizontal_strips_over": [(COLUMN, 3)],
+                           "vertical_strips_over": [((), 2000)],
+                           "horizontal_strips_under": [(COLUMN, None)],
+                           "vertical_strips_under": [(COLUMN, None)]}})
     rows = [((name, label), f"partitions.{name}", grid[name])
             for name in STRIPS for label, grid in grids.items() if grid[name]]
     rows.append((("sub_partitions", "shapes"), "partitions.sub_partitions",
                  [(mu,) for mu in oracle.all_partitions(9)]))
+    rows.append((("sub_partitions", "deep"), "partitions.sub_partitions", [(COLUMN,)]))
     boxes = [None] + [(r, c) for r in range(6) for c in range(6)]
     for name in ("enumerate_partitions", "partitions_of_size"):
         rows.append(((name, "boxes"), f"partitions.{name}", [(m, b) for m in range(14) for b in boxes]))
         rows.append(((name, "size30"), f"partitions.{name}", [(30,)]))
+        rows.append(((name, "deep"), f"partitions.{name}", [(2000, (2000, 1))]))
     box3 = [p for p in oracle.all_partitions(9) if len(p) <= 3 and (not p or p[0] <= 3)]
     pairs = [(lam, rho, dual) for lam in box3 for rho in box3 for dual in (False, True)]
     for name, ks in (("up_set", range(5)), ("down_set", range(5)),
@@ -322,7 +332,8 @@ def main(argv=None):
         table = []
         for labels, path, calls in rows(args.seed, args.passes or passes, workdir):
             runs = [(resolve(package, path), port(calls, None if package is oracle else package))
-                    if package is gd or path not in PACKAGE_ONLY else None
+                    if package is gd or path not in PACKAGE_ONLY and (
+                        package is not oracle or labels[-1] != "deep") else None
                     for _, package in contenders]
             results = [outcomes(*run) for run in runs if run]
             assert all(result == results[0] for result in results), labels

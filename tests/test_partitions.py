@@ -206,7 +206,7 @@ def test_strip_enumerators_match_interval_reference():
 def test_box_and_size_enumerators_match_interval_reference():
     """sub_partitions, enumerate_partitions and partitions_of_size list what the
     oracle's recursive interval search lists, order included: every shape of
-    size <= 12, and every size <= 12 in every box up to 6 x 6."""
+    size <= 12, every size <= 12 in every box up to 6 x 6, and size 30 unboxed."""
     for mu in oracle.all_partitions(12):
         assert sub_partitions(mu) == oracle.interval_sub_partitions(mu), mu
     boxes = [None] + [(rows, cols) for rows in range(7) for cols in range(7)]
@@ -214,6 +214,8 @@ def test_box_and_size_enumerators_match_interval_reference():
         for box in boxes:
             assert enumerate_partitions(m, box) == oracle.interval_enumerate_partitions(m, box)
             assert partitions_of_size(m, box) == oracle.interval_partitions_of_size(m, box)
+    assert enumerate_partitions(30) == oracle.interval_enumerate_partitions(30)
+    assert partitions_of_size(30) == oracle.interval_partitions_of_size(30)
 
 
 def test_deep_strips_need_no_recursion():

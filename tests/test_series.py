@@ -307,6 +307,8 @@ def test_count_syt():
         *((f"skew-littlewood-{f.value}", dict(n=3, cap=6, lam=(3, 1)))
           for f in Family),
         *((f"littlewood-{f.value}", dict(n=5, cap=14)) for f in Family),
+        ("pieri", dict(n=5, cap=8, lam=(3, 2), k=3)),
+        ("dual-pieri", dict(n=5, cap=8, lam=(3, 2), k=3)),
     ],
 )
 def test_verify_identities_small(identity, kwargs):
