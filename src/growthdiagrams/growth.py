@@ -45,14 +45,13 @@ def _grow(v: list[list[Partition]], a: Matrix, starts: Sequence[int], rule: Rule
     """Fill v[i][j] for every square (i, j), row by row, from v[i-1][j-1],
     v[i][j-1], v[i-1][j] and a[i-1][j-1].  With a Littlewood ``variant`` the first
     square of each row is the half square that runs its projection: it reads
-    only v[i-1][j-1] and v[i-1][j]."""
+    v[i-1][j-1], v[i-1][j] and its entry a[i-1][j-1], as the full squares do."""
     end = len(v[0])
     for i in range(1, len(v)):
         up, row, entries = v[i - 1], v[i], a[i - 1]
         first = starts[i]
         if variant is not None:
-            mu, lam = up[first - 1], up[first]
-            row[first] = proj_apply(variant, lam, size(lam) - size(mu) + entries[first - 1], mu)
+            row[first] = proj_apply(variant, up[first], entries[first - 1], up[first - 1])
             first += 1
         mu, lam = up[first - 1], row[first - 1]  # then the rho and nu of the square before
         for j in range(first, end):

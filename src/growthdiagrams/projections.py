@@ -2,10 +2,11 @@
 
 For a family X these are bijections
 
-    proj_apply(v, lam, k, .) : (down-side domain)  ->  U_X(lam, k)
+    proj_apply(v, lam, ., .) : (mu, c)  ->  nu in U_X(lam, |lam/mu| + c)
 
-where U_X(lam, k) = {nu in X : nu > lam, |nu/lam| = k} and the down side uses
-vertical strips for the asymmetric families and horizontal strips otherwise.
+from the members mu below lam (by vertical strips for the asymmetric families,
+horizontal strips otherwise) with a half square's entry c, where
+U_X(lam, k) = {nu in X : nu > lam, |nu/lam| = k}; proj_unapply inverts them.
 
   all        mu |-> F_{lam,lam,k}(mu) for the variant's base rule
   even-rows  conjugated through the part-halving bijection phi
@@ -37,7 +38,6 @@ from .partitions import (
     _frobenius_rows,
     frobenius,
     FrobeniusCoords,
-    size,
 )
 from .rules import Rule, apply_rule, unapply_rule
 
@@ -258,33 +258,31 @@ def _row_pairs(rows: Partition) -> Partition:
 # ---------------------------------------------------------------------------
 # The five projection maps.
 
-def proj_apply(v: LittlewoodVariant, lam: Partition, k: int, mu: Partition) -> Partition:
-    """Apply the projection bijection; k is the target strip size |nu/lam|."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
+def proj_apply(v: LittlewoodVariant, lam: Partition, c: int, mu: Partition) -> Partition:
+    """Apply the projection bijection to (mu, c), c the half square's entry:
+    nu has |nu/lam| = |lam/mu| + c, and proj_unapply(v, lam, nu) == (mu, c)."""
+    if c < 0:
+        raise DomainError("c must be >= 0")
     fam = v.family
     if fam is Family.ALL:
-        return apply_rule(v.base_rule, lam, lam, k, mu)
+        return apply_rule(v.base_rule, lam, lam, None, mu, entry=c)
     if fam is Family.EVEN_ROWS:
+        if c & 1:
+            raise DomainError(f"even-row projections take an even entry, not c = {c}")
         lo, hi = halves(lam)  # phi_halve and apply_rule refuse a mu outside the domain
-        odd = sum(hi) - sum(lo)  # the odd parts of lam
-        if (k - odd) % 2 or k < odd:
-            raise DomainError(f"no even-row partners of {lam} at k = {k}")
-        nu_half = apply_rule(v.base_rule, lo, hi, (k - odd) // 2, phi_halve(mu))
-        return phi_double(nu_half)
+        return phi_double(apply_rule(v.base_rule, lo, hi, None, phi_halve(mu), entry=c >> 1))
     if fam is Family.EVEN_COLS:
-        if k != sum(lam[0::2]) - sum(lam[1::2]):
-            raise DomainError(f"no even-column partners of {lam} at k = {k}")
+        if c:
+            raise DomainError(f"even-column projections take entry 0, not c = {c}")
         if mu != _row_pairs(lam[1::2]):
             raise DomainError(f"{mu} is not the even-column partner of {lam}")
         return _row_pairs(lam[0::2])
     sign, down, up, pad = _asym_tables(v, lam)
     ranks = [r + (r >= pad) for r in _asym_choice(down, sign, mu)]
-    drop = size(lam) - size(mu)
-    if sign == -1 and k == drop + 2:
+    if sign == -1 and c == 2:
         ranks.append(pad)
-    elif k != drop:
-        raise DomainError(f"k = {k} is not |lam/mu| or, for asym-1, |lam/mu| + 2")
+    elif c:
+        raise DomainError(f"c = {c} is not 0 or, for asym-1, 2")
     return _asym_build(up, sign, ranks)
 
 

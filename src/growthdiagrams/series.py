@@ -45,7 +45,7 @@ from .partitions import (
 )
 from .projections import LITTLEWOOD
 from .rules import Rule
-from .tableaux import StepKind, TableauChain
+from .tableaux import StepKind, TableauChain, step_kind
 
 Exponents = tuple[int, ...]
 
@@ -189,7 +189,8 @@ def schur(
     if not contains(mu, lam):
         raise ValueError(f"{mu} is not contained in {lam}")
     budget = min(cap, size(lam) - size(mu))
-    return TruncatedPolynomial(n, cap, _sweep(lam, n, budget, _UNDER[steps], keep=mu.__eq__))
+    under = _UNDER[step_kind(steps)]
+    return TruncatedPolynomial(n, cap, _sweep(lam, n, budget, under, keep=mu.__eq__))
 
 
 def count_syt(lam: Partition) -> int:

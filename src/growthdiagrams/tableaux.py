@@ -33,12 +33,22 @@ def strip_kind(dual: bool) -> StepKind:
     return StepKind.VERTICAL if dual else StepKind.HORIZONTAL
 
 
+def step_kind(steps: StepKind | str) -> StepKind:
+    """A step kind given as a member or by name; anything else is refused as ``steps``."""
+    try:
+        return StepKind(steps)
+    except ValueError:
+        raise ValueError(f"steps: unknown step kind {steps!r}") from None
+
+
 @dataclass(frozen=True)
 class TableauChain:
     chain: tuple[Partition, ...]
     steps: StepKind = StepKind.HORIZONTAL
 
     def __post_init__(self) -> None:
+        if type(self.steps) is not StepKind:  # a name; members skip the lookup
+            object.__setattr__(self, "steps", step_kind(self.steps))
         if not self.chain:
             raise ValueError("a tableau chain needs at least one partition")
         ok = is_horizontal_strip if self.steps is StepKind.HORIZONTAL else is_vertical_strip
@@ -90,11 +100,17 @@ class TableauChain:
     @classmethod
     def from_rows(cls, rows: list[list[int]], entries: int | None = None,
                   steps: StepKind = StepKind.HORIZONTAL) -> "TableauChain":
-        """Build a chain from a straight-shape filling (bottom row first)."""
-        top = max((v for row in rows for v in row), default=0)
-        n = entries if entries is not None else top
-        if top > n:
-            raise ValueError(f"entry {top} exceeds {n}")
+        """Build a chain from a straight-shape filling (bottom row first): weakly
+        increasing rows of ints in 1..entries, by default up to the largest."""
+        for r, row in enumerate(rows):
+            for c, v in enumerate(row):
+                if type(v) is not int or v < 1:
+                    raise ValueError(f"rows[{r}][{c}]: expected a positive integer, got {v!r}")
+                if entries is not None and v > entries:
+                    raise ValueError(f"rows[{r}][{c}]: entry {v} exceeds {entries}")
+                if c and v < row[c - 1]:
+                    raise ValueError(f"rows[{r}][{c}]: {v} is less than the entry before it")
+        n = max((v for row in rows for v in row), default=0) if entries is None else entries
         chain = []
         for i in range(n + 1):
             chain.append(partition(sum(1 for v in row if v <= i) for row in rows))

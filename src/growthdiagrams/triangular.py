@@ -5,7 +5,7 @@ vertex set (i, j), 0 <= i <= j <= n.  Full squares follow the variant's base
 rule exactly as in rectangular growths; the diagonal half squares
 
         mu --- lam
-                |        nu = proj_apply(variant, lam, |lam/mu| + c[i][i], mu)
+                |        nu = proj_apply(variant, lam, c[i][i], mu)
                nu
 
 use the variant's projection bijection, which keeps the diagonal chain inside
@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .growth import _enumerate, _grow, _ungrow, insert
 from .interlacing import DomainError
-from .partitions import EMPTY, Partition, member, size
+from .partitions import EMPTY, Partition, member
 from .projections import LITTLEWOOD, LittlewoodVariant, littlewood_variant, proj_apply
 from .tableaux import TableauChain, check_chain, strip_kind
 
@@ -190,10 +190,7 @@ def triangular_insert(
                                                        for r, v in enumerate(column))))
     off, diag = column[:-1], column[-1]
     hat = insert(variant.base_rule, tableau, dict(enumerate(off, start=1)))
-    lam = hat.shape
-    mu = tableau.shape
-    k = size(lam) - size(mu) + diag
-    nu = proj_apply(variant, lam, k, mu)
+    nu = proj_apply(variant, hat.shape, diag, tableau.shape)
     return TableauChain(hat.chain + (nu,))
 
 

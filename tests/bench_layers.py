@@ -15,6 +15,8 @@ be equal before any timing.  pytest does not collect this file.  The layers:
   ``strips_rows``, ms per round;
 - rules: ``apply_rule``/``unapply_rule`` in rsk round trips, ns per call;
 - projections: ``proj_apply``/``proj_unapply`` in Littlewood round trips, us;
+  ``proj_apply``'s rows time the package only, since an older baseline reads
+  its third argument as the strip size k, not the entry c;
 - builds: ``rsk``, ``rsk_inverse``, ``littlewood_map``, ``littlewood_inverse``
   on those round trips' inputs, us per call;
 - series: ``_sweep``, ``_times`` and ``verify_identity`` on the series-verify
@@ -248,8 +250,10 @@ def cli_rows(seed, passes, workdir):
             for command, group_calls in group(calls, lambda a: a[0][0]).items()]
 
 
-#: private functions whose signature may differ in a baseline: timed for the package only
-PACKAGE_ONLY = {"series._sweep"}
+#: functions whose arguments may differ in a baseline, timed for the package only:
+#: the private ``series._sweep``, and ``proj_apply``, whose third argument an older
+#: baseline reads as the strip size k
+PACKAGE_ONLY = {"series._sweep", "growth.proj_apply"}
 
 #: name: (label headers, unit, per call (else per round), digits, default passes, rows)
 LAYERS = {

@@ -401,8 +401,8 @@ def family_down_set(family, lam, k):
 
 
 def proj_domain(family, lam, k):
-    """The exact down-side domain of proj_apply for the given target size k:
-    the members mu with |lam/mu| = k - c for each allowed diagonal entry c."""
+    """The members mu that proj_apply takes into U_X(lam, k), each with its
+    entry: those with |lam/mu| = k - c for each allowed diagonal entry c."""
     row = LITTLEWOOD[family]
     out = []
     for c in row.diagonal or range(0, k + 1, row.power):

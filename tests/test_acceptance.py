@@ -155,7 +155,7 @@ def test_criterion_5_projection_laws():
                 assert len(down) == len(up), (fam, lam, k)
                 image = []
                 for mu in down:
-                    nu = proj_apply(pf, lam, k, mu)
+                    nu = proj_apply(pf, lam, k - size(lam) + size(mu), mu)
                     image.append(nu)
                     back, _ = proj_unapply(pf, lam, nu)
                     assert back == mu

@@ -20,13 +20,16 @@ from growthdiagrams import (
     enumerate_growths,
     extract_PQ,
     insert,
+    littlewood_map,
     pieri,
     pieri_inverse,
     rsk,
     rsk_inverse,
+    schur,
     triangular_array,
     triangular_insert,
 )
+from growthdiagrams.jsonio import tableau_to_json
 
 REF_A = [[0, 2, 1], [1, 1, 0], [2, 0, 0]]
 SMALL_A = [[0, 1], [1, 0], [1, 1]]
@@ -286,6 +289,41 @@ def test_non_strip_chain_is_refused():
         TableauChain(((1,), (2, 1, 1)))
     with pytest.raises(ValueError, match="not a vertical strip"):
         TableauChain(((1,), (3,)), StepKind.VERTICAL)
+
+
+def test_step_kinds_are_taken_by_name():
+    """A chain's steps and schur's may be named: a chain keeps the member, so the
+    chain checks accept it, and an unknown name is refused as ``steps``."""
+    chain = TableauChain(((), (1,)), "vertical")
+    assert chain.steps is StepKind.VERTICAL
+    assert tableau_to_json(chain) == {"chain": [[], [1]], "steps": "vertical"}
+    P, Q = rsk(Rule.DUAL_ROW, [[1, 0], [0, 1]])
+    assert rsk_inverse(Rule.DUAL_ROW, P, TableauChain(Q.chain, "vertical")) == \
+        rsk_inverse(Rule.DUAL_ROW, P, Q)
+    array = triangular_array([[0, 1], [0]])
+    border = ((), (1,), (1, 1))
+    assert littlewood_map("asym+1", array, TableauChain(border, "vertical")) == \
+        littlewood_map("asym+1", array, TableauChain(border, StepKind.VERTICAL))
+    assert schur((1, 1), 2, 2, "vertical") == schur((1, 1), 2, 2, StepKind.VERTICAL)
+    for steps in ("x", None, 1):
+        with pytest.raises(ValueError, match=rf"^steps: unknown step kind {steps!r}$"):
+            TableauChain(((), (1,)), steps)
+        with pytest.raises(ValueError, match=rf"^steps: unknown step kind {steps!r}$"):
+            schur((1,), 1, 1, steps=steps)
+
+
+@pytest.mark.parametrize("rows,entries,message", [
+    ([[2, 1]], None, r"rows\[0\]\[1\]: 1 is less than the entry before it"),
+    ([[1, 1, 2], [2, 3, 2]], None, r"rows\[1\]\[2\]: 2 is less than the entry before it"),
+    ([[True]], None, r"rows\[0\]\[0\]: expected a positive integer, got True"),
+    ([[0, 1]], None, r"rows\[0\]\[0\]: expected a positive integer, got 0"),
+    ([[1.0]], None, r"rows\[0\]\[0\]: expected a positive integer, got 1.0"),
+    ([[-1]], None, r"rows\[0\]\[0\]: expected a positive integer, got -1"),
+    ([[1, 1], [2, 3]], 2, r"rows\[1\]\[1\]: entry 3 exceeds 2"),
+])
+def test_from_rows_refuses_what_is_no_straight_filling(rows, entries, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TableauChain.from_rows(rows, entries)
 
 
 @pytest.mark.parametrize("rule", list(Rule))

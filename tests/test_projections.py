@@ -108,7 +108,8 @@ def test_zigzag_counts():
 
 
 def test_proj_apply_examples():
-    assert proj_apply(littlewood_variant(Family.ALL, Rule.ROW), (3, 2), 2, (2, 1)) == (3, 3, 1)
+    # entry c = 0 adds as many cells as lam/mu has: |nu/lam| = |(3,2)/(2,1)| = 2
+    assert proj_apply(littlewood_variant(Family.ALL, Rule.ROW), (3, 2), 0, (2, 1)) == (3, 3, 1)
     # even columns: (2,2,1,1)' = (4,2) has no odd column, the map is forced
     pf = littlewood_variant(Family.EVEN_COLS)
     assert proj_apply(pf, (2, 2, 1, 1), 0, (2, 2, 1, 1)) == (2, 2, 1, 1)
@@ -116,15 +117,19 @@ def test_proj_apply_examples():
     # (3,1)' = (2,1,1): columns 2 and 3 are odd, so two cells move
     down, up = proj_domain(Family.EVEN_COLS, (3, 1), 2), family_up_set(Family.EVEN_COLS, (3, 1), 2)
     assert down == [(1, 1)] and up == [(3, 3)]
-    assert proj_apply(pf, (3, 1), 2, (1, 1)) == (3, 3)
+    assert proj_apply(pf, (3, 1), 0, (1, 1)) == (3, 3)
 
 
 def test_proj_errors():
-    with pytest.raises(DomainError):
-        proj_apply(littlewood_variant(Family.EVEN_COLS), (3, 1), 1, (2,))
-    with pytest.raises(DomainError):
+    # k = 1 at lam = (3,1), mu = (2,) is c = k - |lam/mu| = -1; at c = 0, mu is no partner
+    cols = littlewood_variant(Family.EVEN_COLS)
+    with pytest.raises(DomainError, match="c must be >= 0"):
+        proj_apply(cols, (3, 1), -1, (2,))
+    with pytest.raises(DomainError, match="not the even-column partner"):
+        proj_apply(cols, (3, 1), 0, (2,))
+    with pytest.raises(DomainError, match="even entry"):
         proj_apply(littlewood_variant(Family.EVEN_ROWS), (2, 2), 1, (2, 2))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="admits no -1-asymmetric partners"):
         proj_apply(littlewood_variant(Family.ASYM_MINUS), (3, 3, 3), 0, (3, 3, 3))
     with pytest.raises(ValueError):
         littlewood_variant(Family.ASYM_PLUS, star=StarVariant.COL_STAR)
@@ -142,7 +147,8 @@ def test_even_cols_match_partner_reference():
         for mu in sub_partitions(lam):
             for k in range(7):
                 expect = nu_ref if (mu, k) == (mu_ref, k_ref) else DomainError
-                assert _outcome(proj_apply, pf, lam, k, mu) == expect, (lam, k, mu)
+                got = _outcome(proj_apply, pf, lam, k - size(lam) + size(mu), mu)
+                assert got == expect, (lam, k, mu)
         assert proj_unapply(pf, lam, nu_ref) == (mu_ref, 0), lam
         for nu in horizontal_strips_over(lam, 6):
             expect = (mu_ref, 0) if nu == nu_ref else DomainError
@@ -170,7 +176,7 @@ def test_proj_bijectivity(family, variants):
             for pf in variants:
                 image = []
                 for mu in down:
-                    nu = proj_apply(pf, lam, k, mu)
+                    nu = proj_apply(pf, lam, k - size(lam) + size(mu), mu)
                     image.append(nu)
                     back, c = proj_unapply(pf, lam, nu)
                     assert back == mu
@@ -205,6 +211,51 @@ def test_unapply_refuses_every_non_member(variant):
     assert refused or variant.family is Family.ALL
 
 
+#: per family with a restricted diagonal, the entries c it refuses and the refusal's words
+ENTRY_REFUSALS = {
+    Family.EVEN_ROWS: (lambda c: c & 1, "even-row projections take an even entry"),
+    Family.EVEN_COLS: (lambda c: c != 0, "even-column projections take entry 0"),
+    Family.ASYM_PLUS: (lambda c: c != 0, "is not 0 or, for asym-1, 2"),
+    Family.ASYM_MINUS: (lambda c: c not in (0, 2), "is not 0 or, for asym-1, 2"),
+}
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=_variant_id)
+def test_proj_apply_refuses_each_entry_outside_its_family(variant):
+    """c < 0 for every family, an odd c for even-rows, c != 0 for even-cols and
+    asym+1, c outside {0, 2} for asym-1; every mu below lam in the family takes
+    every other entry."""
+    refused, words = ENTRY_REFUSALS.get(variant.family, (lambda c: False, None))
+    checked = 0
+    for lam in enumerate_partitions(6):
+        for mu in {mu for d in range(5) for mu in family_down_set(variant.family, lam, d)}:
+            for c in range(-2, 5):
+                if c < 0 or refused(c):
+                    with pytest.raises(DomainError, match="c must be >= 0" if c < 0 else words):
+                        proj_apply(variant, lam, c, mu)
+                    checked += c >= 0
+                else:
+                    assert size(proj_apply(variant, lam, c, mu)) == 2 * size(lam) - size(mu) + c
+    assert checked or variant.family is Family.ALL
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=_variant_id)
+def test_proj_apply_and_unapply_are_exact_inverses(variant):
+    """proj_apply(v, lam, c, mu) == nu exactly when proj_unapply(v, lam, nu) == (mu, c)."""
+    shapes = enumerate_partitions(7)
+    for lam in shapes:
+        for mu in shapes:
+            for c in range(4):
+                nu = _outcome(proj_apply, variant, lam, c, mu)
+                if nu is not DomainError:
+                    assert proj_unapply(variant, lam, nu) == (mu, c), (lam, c, mu)
+        for nu in shapes:
+            back = _outcome(proj_unapply, variant, lam, nu)
+            if back is not DomainError:
+                mu, c = back
+                assert proj_apply(variant, lam, c, mu) == nu, (lam, nu)
+
+
 def test_projection_cardinality_laws():
     for lam in enumerate_partitions(8):
         for k in range(5):
@@ -233,10 +284,11 @@ def test_asym_size_relations():
     for lam in enumerate_partitions(8):
         for k in range(5):
             for mu in proj_domain(Family.ASYM_PLUS, lam, k):
-                nu = proj_apply(pf_plus, lam, k, mu)
+                nu = proj_apply(pf_plus, lam, k - size(lam) + size(mu), mu)
                 assert size(nu) - size(lam) == size(lam) - size(mu)
             for mu in proj_domain(Family.ASYM_MINUS, lam, k):
-                nu = proj_apply(littlewood_variant(Family.ASYM_MINUS), lam, k, mu)
+                c = k - size(lam) + size(mu)
+                nu = proj_apply(littlewood_variant(Family.ASYM_MINUS), lam, c, mu)
                 assert (size(nu) - size(lam)) - (size(lam) - size(mu)) in (0, 2)
 
 
@@ -502,7 +554,8 @@ def test_asym_projections_match_index_set_reference():
             for other in parts:
                 if size(other) <= size(lam):
                     for k in range(7):
-                        got = _outcome(proj_apply, pf, lam, k, other)
+                        c = k - size(lam) + size(other)
+                        got = _outcome(proj_apply, pf, lam, c, other)
                         assert got == _outcome(_ref_apply, pf, lam, k, other), (pf, lam, k, other)
                 if size(other) >= size(lam):
                     got = _outcome(proj_unapply, pf, lam, other)
