@@ -45,7 +45,8 @@ def _grow(v: list[list[Partition]], a: Matrix, starts: Sequence[int], rule: Rule
     """Fill v[i][j] for every square (i, j), row by row, from v[i-1][j-1],
     v[i][j-1], v[i-1][j] and a[i-1][j-1].  With a Littlewood ``variant`` the first
     square of each row is the half square that runs its projection: it reads
-    v[i-1][j-1], v[i-1][j] and its entry a[i-1][j-1], as the full squares do."""
+    v[i-1][j-1], v[i-1][j] and its entry a[i-1][j-1], as the full squares do.
+    Only a[i-1][starts[i] - 1:] is read: a staircase's upper triangle."""
     end = len(v[0])
     for i in range(1, len(v)):
         up, row, entries = v[i - 1], v[i], a[i - 1]

@@ -12,15 +12,17 @@ U_X(lam, k) = {nu in X : nu > lam, |nu/lam| = k}; proj_unapply inverts them.
   even-rows  conjugated through the part-halving bijection phi
   even-cols  the unique map (add/remove one cell in every odd column), by row pairs
   asym+1     index-set transport in Frobenius coordinates
-  asym-1     index-set transport with an s_0 pad (row*) or an index shift (col*)
+  asym-1     the same, with one more free index above lam for the two extra cells
 
 An asymmetric member is fixed by one coordinate sequence c, (c | c+1) for
-asym+1 and (c+1 | c) for asym-1.  One option table per Frobenius index i of
-lam = (a | b) lists the values c_i may take below lam (vertical strip) and
-above it (horizontal strip), the smaller strip first; the sentinels are
-a_0 = +inf, b_{l+1} = -1 and, for asym-1, a virtual index l+1 above lam (see
-:func:`_asym_options`).  The indices with two values are the free sets R and S,
-and both maps match the free choices below lam to those above it by rank.
+asym+1 and (c+1 | c) for asym-1.  One walk down lam's diagonal pairs each
+Frobenius index with the values c_i may take below lam (vertical strip) and
+above it (horizontal strip), the smaller strip first (see
+:func:`_asym_partner`).  One walk down the given shape's diagonal reads a bit
+per index with two values: whether it takes the larger strip.  The partner
+takes the same bits in order, above lam with one more for an asym-1 partner's
+two extra cells, first (row*) or last (col*), and its rows are written from
+its coordinates.
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .interlacing import DomainError
-from .partitions import (
-    Family,
-    Partition,
-    _frobenius_rows,
-    frobenius,
-    FrobeniusCoords,
-)
+from .partitions import Family, Partition
 from .rules import Rule, apply_rule, unapply_rule
 
 
@@ -122,105 +118,87 @@ def littlewood_variant(family: Family, base_rule: Rule | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Asymmetric members below and above lam: one option table per index.
+# Asymmetric partners: one walk down lam's diagonal, one down the target's.
 
-_Options = list[tuple[int, ...]]
+def _asym_partner(v: LittlewoodVariant, lam: Partition, target: Partition,
+                  c: int | None = None) -> tuple[Partition, int]:
+    """(nu, c) from mu = target below lam and the entry c (apply), or (mu, c)
+    from nu = target above lam when c is None (unapply).
 
-
-def _asym_options(coords: FrobeniusCoords, sign: int) -> tuple[_Options, _Options]:
-    """(down, up): per Frobenius index of lam, the allowed values of c for the
-    members below and above lam, the smaller strip first.
-
-    A family member is (c | c+1) for sign +1 and (c+1 | c) for sign -1; with
-    t = 0 for +1 and t = 1 for -1 its index i has arm c_i + t and leg
-    c_i + 1 - t.  For each Frobenius index i of lam = (a | b), the members
-    below lam by a vertical strip take c_i from (a_i - t, a_i - 1 - t) and
-    those above lam by a horizontal strip from (b_i - 1 + t, b_i + t).  Below,
-    a value c >= 0 is allowed when its leg lies in [b_{i+1} + 1, b_i], and
-    c = -1 (index absent) only when a_i = 0.  Above, a value is allowed when
-    c >= 0 and its arm lies in [a_i, a_{i-1} - 1].  The sentinels are
-    a_0 = +inf and b_{l+1} = -1; for sign -1 a virtual index l+1 takes (-1, 0)
-    above lam when l = 0 or a_l > 1, and (-1,) otherwise.
-
-    The indices with two allowed values are the free sets R (below) and S
-    (above).  When some index has none, lam has no partner.
+    Index i of a member has arm c_i + t and leg c_i + 1 - t, where t is 0 for
+    asym+1 and 1 for asym-1.  Below lam =
+    (a | b), c_i is a_i - t or a_i - 1 - t with its leg in [b_{i+1} + 1, b_i]
+    (-1, the index absent, only when a_i = 0); above lam, b_i - 1 + t or
+    b_i + t with c_i >= 0 and its arm in [a_i, a_{i-1} - 1].  Here a_0 = +inf,
+    b_{l+1} = -1, and asym-1 has a virtual index l+1 above lam that takes -1
+    or, when l = 0 or a_l > 1, 0.  Each table entry is the pair of allowed
+    values, the smaller strip first, equal when only one is allowed.
     """
-    t = (1 - sign) // 2
-    a, b = coords
-    l = len(a)
-    down: _Options = []
-    up: _Options = []
+    t = 1 if v.family is Family.ASYM_MINUS else 0
+    sign = 1 - 2 * t
+    down: list[tuple[int, int]] = []
+    up: list[tuple[int, int]] = []
+    h = len(lam)  # the height of column i + 1
     a_prev = math.inf
-    for i, ai in enumerate(a):  # each pair's slice keeps its allowed values
-        b_next = b[i + 1] if i + 1 < l else -1
-        c = ai - t  # c < 0 only as c = -1 with a_i = 0
-        first = c < 0 or b_next < c + 1 - t <= b[i]
-        second = b_next < c - t <= b[i] if c > 0 else c == ai == 0
-        down.append((c, c - 1)[not first:1 + second])
-        c = b[i] - 1 + t
-        first = c >= 0 and ai <= c + t < a_prev
-        second = ai <= c + 1 + t < a_prev
-        up.append((c, c + 1)[not first:1 + second])
-        a_prev = ai
-    if sign == -1:
-        up.append((-1, 0) if l == 0 or a[-1] > 1 else (-1,))
-    return down, up
+    for i, p in enumerate(lam):
+        if p <= i:
+            break
+        a, b = p - i - 1, h - i - 1
+        while h > i + 1 and lam[h - 1] <= i + 1:
+            h -= 1
+        b_next = h - i - 2  # -1 past the last index
+        x = a - t
+        first = x < 0 or b_next < x + 1 - t <= b
+        second = b_next < x - t <= b if x > 0 else x == a == 0
+        y = b - 1 + t
+        up_first = y >= 0 and a <= y + t < a_prev
+        up_second = a <= y + 1 + t < a_prev
+        if not (first or second) or not (up_first or up_second):
+            raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partners")
+        down.append((x if first else x - 1, x - 1 if second else x))
+        up.append((y if up_first else y + 1, y + 1 if up_second else y))
+        a_prev = a
+    if t:
+        up.append((-1, 0 if a_prev > 1 else -1))
+    read, write = (down, up) if c is not None else (up, down)
 
-
-def _asym_choice(options: _Options, sign: int, target: Partition) -> list[int]:
-    """The 0-based ranks, among the indices with two values, of those where
-    target takes the larger strip.
-
-    Raises DomainError unless target is in the sign's family and each of its
-    coordinates (-1 past its last) is an allowed value of its index.
-    """
-    t = (1 - sign) // 2
-    arms, legs = frobenius(target)
-    if any(leg != arm + 1 - 2 * t for arm, leg in zip(arms, legs)):
-        raise DomainError(f"{target} is not {sign:+d}-asymmetric")
-    if len(arms) > len(options):
+    coords = []
+    h = len(target)
+    for i, p in enumerate(target):
+        if p <= i:
+            break
+        while target[h - 1] <= i:
+            h -= 1
+        if h - p != sign:  # leg - arm
+            raise DomainError(f"{target} is not {sign:+d}-asymmetric")
+        coords.append(p - i - 1 - t)
+    if len(coords) > len(read):
         raise DomainError(f"{target} has too many Frobenius coordinates")
-    ranks: list[int] = []
-    rank = 0
-    for i, opts in enumerate(options):
-        c = arms[i] - t if i < len(arms) else -1
-        if c not in opts:
+    coords += [-1] * (len(read) - len(coords))  # -1: the index is absent
+    bits = []  # per two-valued entry: whether the target takes the larger strip
+    for value, (x, y) in zip(coords, read):
+        if value != x and value != y:
             raise DomainError(f"{target} is not a {sign:+d}-asymmetric partner")
-        if len(opts) == 2:
-            if c == opts[1]:
-                ranks.append(rank)
-            rank += 1
-    return ranks
+        if x != y:
+            bits.append(value == y)
 
-
-def _asym_build(options: _Options, sign: int, ranks: list[int]) -> Partition:
-    """The member whose indices with two values take the larger strip exactly
-    at the given 0-based ranks, and their only value elsewhere."""
-    t = (1 - sign) // 2
-    cs = []
-    rank = 0
-    for opts in options:
-        c = opts[0]
-        if len(opts) == 2:
-            c = opts[rank in ranks]
-            rank += 1
-        if c >= 0:
-            cs.append(c)
-    return _frobenius_rows([c + t for c in cs], [c + 1 - t for c in cs])
-
-
-def _asym_tables(v: LittlewoodVariant, lam: Partition) -> tuple[int, _Options, _Options, int]:
-    """(sign, down, up, pad) for lam, where pad is the rank above lam that takes
-    the two extra cells of an asym-1 partner: the first (row*) or the last
-    (col*) index with two values.  The other ranks keep their order.  For
-    asym+1, which has no extra cells, pad = |R| lies past every rank."""
-    sign = 1 if v.family is Family.ASYM_PLUS else -1
-    down, up = _asym_options(frobenius(lam), sign)
-    if not (all(down) and all(up)):
-        raise DomainError(f"{lam} admits no {sign:+d}-asymmetric partners")
-    if sign == -1 and v.star is StarVariant.ROW_STAR:
-        return sign, down, up, 0
-    return sign, down, up, sum(len(opts) == 2 for opts in down)
+    front = v.star is StarVariant.ROW_STAR  # where asym-1's extra-cells bit goes above lam
+    if c is None:
+        c = 2 * bits.pop(0 if front else -1) if t else 0
+    elif c not in (0, 2 * t):
+        raise DomainError(f"c = {c} is not 0 or, for asym-1, 2")
+    elif t:
+        bits.insert(0 if front else len(bits), c == 2)
+    bits.reverse()
+    rows: list[int] = []
+    for x, y in write:  # row i of the Durfee square is c_i + t + i
+        value = y if x != y and bits.pop() else x
+        if value < 0:
+            break
+        rows.append(value + t + len(rows) + 1)
+    for i in range(len(rows), 0, -1):  # then runs of i, up to column i's height row_i + sign
+        rows += (i,) * (rows[i - 1] + sign - len(rows))
+    return tuple(rows), c
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +255,7 @@ def proj_apply(v: LittlewoodVariant, lam: Partition, c: int, mu: Partition) -> P
         if mu != _row_pairs(lam[1::2]):
             raise DomainError(f"{mu} is not the even-column partner of {lam}")
         return _row_pairs(lam[0::2])
-    sign, down, up, pad = _asym_tables(v, lam)
-    ranks = [r + (r >= pad) for r in _asym_choice(down, sign, mu)]
-    if sign == -1 and c == 2:
-        ranks.append(pad)
-    elif c:
-        raise DomainError(f"c = {c} is not 0 or, for asym-1, 2")
-    return _asym_build(up, sign, ranks)
+    return _asym_partner(v, lam, mu, c)[0]
 
 
 def proj_unapply(v: LittlewoodVariant, lam: Partition, nu: Partition) -> tuple[Partition, int]:
@@ -301,7 +273,4 @@ def proj_unapply(v: LittlewoodVariant, lam: Partition, nu: Partition) -> tuple[P
         if nu != _row_pairs(lam[0::2]):
             raise DomainError(f"{nu} is not the even-column partner of {lam}")
         return _row_pairs(lam[1::2]), 0
-    sign, down, up, pad = _asym_tables(v, lam)
-    ranks = _asym_choice(up, sign, nu)
-    mu = _asym_build(down, sign, [r - (r > pad) for r in ranks if r != pad])
-    return mu, 2 if pad in ranks else 0
+    return _asym_partner(v, lam, nu)

@@ -100,9 +100,15 @@ class TableauChain:
     @classmethod
     def from_rows(cls, rows: list[list[int]], entries: int | None = None,
                   steps: StepKind = StepKind.HORIZONTAL) -> "TableauChain":
-        """Build a chain from a straight-shape filling (bottom row first): weakly
-        increasing rows of ints in 1..entries, by default up to the largest."""
+        """Build a chain from a straight-shape filling (bottom row first): nonempty,
+        weakly increasing rows of ints in 1..entries, by default up to the largest,
+        none longer than the row below it, and (horizontal steps) strictly
+        increasing columns."""
         for r, row in enumerate(rows):
+            if not row:
+                raise ValueError(f"rows[{r}]: expected at least one entry")
+            if r and len(row) > len(rows[r - 1]):
+                raise ValueError(f"rows[{r}]: {len(row)} entries, more than the row below it")
             for c, v in enumerate(row):
                 if type(v) is not int or v < 1:
                     raise ValueError(f"rows[{r}][{c}]: expected a positive integer, got {v!r}")
@@ -110,6 +116,8 @@ class TableauChain:
                     raise ValueError(f"rows[{r}][{c}]: entry {v} exceeds {entries}")
                 if c and v < row[c - 1]:
                     raise ValueError(f"rows[{r}][{c}]: {v} is less than the entry before it")
+                if r and v <= rows[r - 1][c] and steps == StepKind.HORIZONTAL:
+                    raise ValueError(f"rows[{r}][{c}]: {v} is not greater than the entry below it")
         n = max((v for row in rows for v in row), default=0) if entries is None else entries
         chain = []
         for i in range(n + 1):

@@ -13,9 +13,11 @@ the variant's partition family.  Reading the last column yields the tableau of
 the Littlewood correspondence.  In dual grids (asymmetric variants) j-steps
 are vertical strips; i-steps are always horizontal, so the output is an SSYT.
 
-Builds and inverses run the rectangular engine of growth.py, and the enumerator
-its up-set enumerator, on the staircase starts[i] = i, with the array read as
-its symmetric n x n matrix: each diagonal square comes first in its row, and
+Builds and inverses run the rectangular engine of growth.py on the staircase
+starts[i] = i, where each diagonal square comes first in its row: a build
+reads the array as its upper triangle, rows padded with zeros on the left,
+and an inverse writes it there.  The enumerator runs the engine's up-set
+enumerator on the array's symmetric n x n matrix, as its size law
 |vertex(i, j)| is the matrix's sum over [1..i] x [1..j].
 """
 
@@ -137,7 +139,8 @@ def build_triangular(
     n = array.n
     validate_entries(variant, array)
     grid = [list(_default_border(variant, n, S))] + [[EMPTY] * (n + 1) for _ in range(n)]
-    _grow(grid, _symmetric(array), range(n + 1), variant.base_rule, variant)
+    upper = [(0,) * i + tuple(r) for i, r in enumerate(array.rows)]
+    _grow(grid, upper, range(n + 1), variant.base_rule, variant)
     return TriGrid(tuple(tuple(row[i:]) for i, row in enumerate(grid)), array, variant)
 
 

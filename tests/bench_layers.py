@@ -15,8 +15,8 @@ be equal before any timing.  pytest does not collect this file.  The layers:
   ``strips_rows``, ms per round;
 - rules: ``apply_rule``/``unapply_rule`` in rsk round trips, ns per call;
 - projections: ``proj_apply``/``proj_unapply`` in Littlewood round trips, us;
-  ``proj_apply``'s rows time the package only, since an older baseline reads
-  its third argument as the strip size k, not the entry c;
+  ``proj_apply``'s rows time the package only against a baseline whose
+  ``proj_apply`` reads its third argument as the strip size k, not the entry c;
 - builds: ``rsk``, ``rsk_inverse``, ``littlewood_map``, ``littlewood_inverse``
   on those round trips' inputs, us per call;
 - series: ``_sweep``, ``_times`` and ``verify_identity`` on the series-verify
@@ -31,6 +31,7 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import random
@@ -251,9 +252,8 @@ def cli_rows(seed, passes, workdir):
 
 
 #: functions whose arguments may differ in a baseline, timed for the package only:
-#: the private ``series._sweep``, and ``proj_apply``, whose third argument an older
-#: baseline reads as the strip size k
-PACKAGE_ONLY = {"series._sweep", "growth.proj_apply"}
+#: the private ``series._sweep``
+PACKAGE_ONLY = {"series._sweep"}
 
 #: name: (label headers, unit, per call (else per round), digits, default passes, rows)
 LAYERS = {
@@ -276,6 +276,13 @@ def load_baseline(src):
     sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def package_only(baseline):
+    """PACKAGE_ONLY, and ``proj_apply`` when the baseline's reads its third
+    argument as the strip size k, as before it took the half square's entry c."""
+    third = list(inspect.signature(baseline.proj_apply).parameters)[2]
+    return PACKAGE_ONLY | ({"growth.proj_apply"} if third != "c" else set())
 
 
 def resolve(package, path):
@@ -330,13 +337,15 @@ def main(argv=None):
     parser.add_argument("--baseline", metavar="SRC", help="also time the package under SRC")
     args = parser.parse_args(argv)
     headers, unit, per_call, digits, passes, rows = LAYERS[args.layer]
+    baseline = args.baseline and load_baseline(args.baseline)
     contenders = ([("reference", oracle)] if args.layer == "strips" else []) + (
-        [("baseline", load_baseline(args.baseline))] if args.baseline else []) + [("package", gd)]
+        [("baseline", baseline)] if baseline else []) + [("package", gd)]
+    skip = package_only(baseline) if baseline else PACKAGE_ONLY
     with tempfile.TemporaryDirectory() as workdir:
         table = []
         for labels, path, calls in rows(args.seed, args.passes or passes, workdir):
             runs = [(resolve(package, path), port(calls, None if package is oracle else package))
-                    if package is gd or path not in PACKAGE_ONLY and (
+                    if package is gd or path not in skip and (
                         package is not oracle or labels[-1] != "deep") else None
                     for _, package in contenders]
             results = [outcomes(*run) for run in runs if run]

@@ -9,8 +9,9 @@ adds or removes one cell per odd column and conjugates back.  The size laws
 sum the matrix or array entries themselves.  Three groups read package code:
 the family sets (``family_up_set``, ``family_down_set``, ``proj_domain``)
 filter the package's strip enumerators through the cell-set ``member``,
-``asym_indices`` reads the option tables of ``projections._asym_options``
-at the cell-set ``frobenius``, and the ``interval_*`` enumerators read the
+``asym_indices`` reads the option tables of ``asym_options`` (the reference
+for the tables the asym projections fill in their walk down lam's diagonal) at
+the cell-set ``frobenius``, and the ``interval_*`` enumerators read the
 row bounds of ``interlacing._up_interval``/``_down_interval``.  Those run
 ``partitions_between``, a recursive two-budget interval search kept here as
 the reference that the package's one row-by-row walk is checked against,
@@ -37,7 +38,7 @@ from growthdiagrams.partitions import (
     part,
     vertical_strips_under,
 )
-from growthdiagrams.projections import LITTLEWOOD, _asym_options
+from growthdiagrams.projections import LITTLEWOOD
 from growthdiagrams.series import Report
 
 
@@ -418,11 +419,50 @@ class AsymIndexSets:
     exists: bool  # whether lam admits any partner at all
 
 
+def asym_options(coords, sign):
+    """(down, up): per Frobenius index of lam, the allowed values of c for the
+    members below and above lam, the smaller strip first.
+
+    A family member is (c | c+1) for sign +1 and (c+1 | c) for sign -1; with
+    t = 0 for +1 and t = 1 for -1 its index i has arm c_i + t and leg
+    c_i + 1 - t.  For each Frobenius index i of lam = (a | b), the members
+    below lam by a vertical strip take c_i from (a_i - t, a_i - 1 - t) and
+    those above lam by a horizontal strip from (b_i - 1 + t, b_i + t).  Below,
+    a value c >= 0 is allowed when its leg lies in [b_{i+1} + 1, b_i], and
+    c = -1 (index absent) only when a_i = 0.  Above, a value is allowed when
+    c >= 0 and its arm lies in [a_i, a_{i-1} - 1].  The sentinels are
+    a_0 = +inf and b_{l+1} = -1; for sign -1 a virtual index l+1 takes (-1, 0)
+    above lam when l = 0 or a_l > 1, and (-1,) otherwise.
+
+    The indices with two allowed values are the free sets R (below) and S
+    (above).  When some index has none, lam has no partner.
+    """
+    t = (1 - sign) // 2
+    a, b = coords
+    l = len(a)
+    down, up = [], []
+    a_prev = inf
+    for i, ai in enumerate(a):  # each pair's slice keeps its allowed values
+        b_next = b[i + 1] if i + 1 < l else -1
+        c = ai - t  # c < 0 only as c = -1 with a_i = 0
+        first = c < 0 or b_next < c + 1 - t <= b[i]
+        second = b_next < c - t <= b[i] if c > 0 else c == ai == 0
+        down.append((c, c - 1)[not first:1 + second])
+        c = b[i] - 1 + t
+        first = c >= 0 and ai <= c + t < a_prev
+        second = ai <= c + 1 + t < a_prev
+        up.append((c, c + 1)[not first:1 + second])
+        a_prev = ai
+    if sign == -1:
+        up.append((-1, 0) if l == 0 or a[-1] > 1 else (-1,))
+    return down, up
+
+
 def asym_indices(lam, sign):
     """The free-choice index sets R and S of the +-1-asymmetric bijections,
-    read from the option tables of ``projections._asym_options``: both empty
-    and ``exists`` False when lam has no partner."""
-    down, up = _asym_options(frobenius(lam), sign)
+    read from the option tables of ``asym_options``: both empty and ``exists``
+    False when lam has no partner."""
+    down, up = asym_options(frobenius(lam), sign)
     if not (all(down) and all(up)):
         return AsymIndexSets((), (), False)
     return AsymIndexSets(

@@ -320,6 +320,11 @@ def test_step_kinds_are_taken_by_name():
     ([[1.0]], None, r"rows\[0\]\[0\]: expected a positive integer, got 1.0"),
     ([[-1]], None, r"rows\[0\]\[0\]: expected a positive integer, got -1"),
     ([[1, 1], [2, 3]], 2, r"rows\[1\]\[1\]: entry 3 exceeds 2"),
+    ([[1], [2, 2]], None, r"rows\[1\]: 2 entries, more than the row below it"),
+    ([[1], [1]], None, r"rows\[1\]\[0\]: 1 is not greater than the entry below it"),
+    ([[1, 2], [3, 2]], None, r"rows\[1\]\[1\]: 2 is less than the entry before it"),
+    ([[1, 2], []], None, r"rows\[1\]: expected at least one entry"),
+    ([[]], 1, r"rows\[0\]: expected at least one entry"),
 ])
 def test_from_rows_refuses_what_is_no_straight_filling(rows, entries, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

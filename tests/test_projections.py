@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from oracle import (
@@ -560,3 +562,32 @@ def test_asym_projections_match_index_set_reference():
                 if size(other) >= size(lam):
                     got = _outcome(proj_unapply, pf, lam, other)
                     assert got == _outcome(_ref_unapply, pf, lam, other), (pf, lam, other)
+
+
+@pytest.mark.parametrize("family,star", [("asym+1", None), ("asym-1", "row*"), ("asym-1", "col*")])
+def test_asym_refusals_name_the_first_fault(family, star):
+    """Each asym refusal's message, for both maps, and their order: c < 0, then
+    lam, then the target (its family, its coordinate count, its values), then c."""
+    v = littlewood_variant(family, star=star)
+    sign, lonely, many, below = (("+1", (2,), (1, 1), (2, 1, 1)) if family == "asym+1"
+                                 else ("-1", (2, 2), (3, 3), (2,)))
+    lam_fault = f"{lonely} admits no {sign}-asymmetric partners"
+    cases = [
+        (proj_apply, (lonely, -1, (1,)), "c must be >= 0"),
+        (proj_apply, (lonely, 0, (1,)), lam_fault),
+        (proj_unapply, (lonely, (1,)), lam_fault),
+        (proj_apply, ((), 0, (2, 2)), f"(2, 2) is not {sign}-asymmetric"),
+        (proj_unapply, ((), (2, 2)), f"(2, 2) is not {sign}-asymmetric"),
+        (proj_apply, ((), 0, many), f"{many} has too many Frobenius coordinates"),
+        (proj_unapply, ((), many), f"{many} has too many Frobenius coordinates"),
+        (proj_apply, ((1, 1), 0, below), f"{below} is not a {sign}-asymmetric partner"),
+        (proj_unapply, ((1, 1), ()), f"() is not a {sign}-asymmetric partner"),
+        (proj_apply, ((), 1, (2, 2)), f"(2, 2) is not {sign}-asymmetric"),
+        (proj_apply, ((), 1, ()), "c = 1 is not 0 or, for asym-1, 2"),
+        (proj_apply, ((), 3, ()), "c = 3 is not 0 or, for asym-1, 2"),
+    ]
+    if family == "asym+1":
+        cases.append((proj_apply, ((), 2, ()), "c = 2 is not 0 or, for asym-1, 2"))
+    for fn, args, message in cases:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            fn(v, *args)

@@ -325,6 +325,8 @@ def test_symmetric_matrix_equivalence():
             for i in range(4):
                 for j in range(i, 4):
                     assert tri.vertex(i, j) == rect.vertices[i][j]
+            listed = TriangularArray(arr.n, [list(row) for row in arr.rows])  # rows as lists
+            assert build_triangular(variant, listed).rows == tri.rows
 
 
 def test_skew_dual_example():
