@@ -8,7 +8,7 @@ horizontal strips for growths and vertical strips for dual growths.  Each
 square is resolved by a local rule applied in the orientation
 
         mu ---- rho
-        |        |          nu = F(rule, lam, rho, |R(mu)| + A[i][j], mu)
+        |        |          nu = apply_rule(rule, lam, rho, A[i][j], mu)
         lam ---- nu
 
 with mu the top-left and nu the bottom-right vertex.  Coordinates are matrix
@@ -28,7 +28,7 @@ from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .interlacing import DomainError, up_set
-from .partitions import EMPTY, Partition, check_partitions, join, part, size
+from .partitions import EMPTY, Partition, check_partitions, join, size
 from .projections import LittlewoodVariant, proj_apply, proj_unapply
 from .rules import Rule, apply_rule, unapply_rule
 from .tableaux import TableauChain, check_chain, strip_kind
@@ -57,7 +57,7 @@ def _grow(v: list[list[Partition]], a: Matrix, starts: Sequence[int], rule: Rule
         mu, lam = up[first - 1], row[first - 1]  # then the rho and nu of the square before
         for j in range(first, end):
             rho = up[j]
-            lam = row[j] = apply_rule(rule, lam, rho, None, mu, entry=entries[j - 1])
+            lam = row[j] = apply_rule(rule, lam, rho, entries[j - 1], mu)
             mu = rho
 
 
@@ -181,17 +181,16 @@ def rsk_inverse(
 def insert(
     rule: Rule, tableau: TableauChain, values: Mapping[int, int] | Iterable[int]
 ) -> TableauChain:
-    """Insert a multiset of values (a set for dual rules) via the bump loop.
-
-    Equals the single-column growth with these entries: at level i the rule is
-    applied with k = (current multiplicity of i), bumped larger entries are
-    re-inserted, and the chain of the updated tableau is returned.
+    """Insert a multiset of values (a set for dual rules): the one-column growth
+    with the tableau's chain in column 0 and the multiplicity of i as row i's
+    entry, whose last column's chain is returned.  The cells bumped into level i
+    are the |R(mu)| the rule removes there, so k = |R(mu)| + (multiplicity of i).
     """
     rule = Rule(rule)
     check_chain("tableau", tableau)  # an i-chain: horizontal in every diagram
     work = Counter(dict(values)) if isinstance(values, Mapping) else Counter(values)
     n = tableau.entries
-    for v, c in list(work.items()):
+    for v, c in work.items():
         if type(v) is not int:
             raise ValueError(f"value {v!r} must be an int")
         if type(c) is not int:
@@ -199,26 +198,15 @@ def insert(
         if c < 0:
             raise ValueError("multiplicities must be >= 0")
         if c == 0:
-            del work[v]
             continue
         if not 1 <= v <= n:
             raise ValueError(f"value {v} outside 1..{n}")
         if rule.dual and c > 1:
             raise ValueError("dual insertion takes a set of values")
-    hat: list[Partition] = [tableau.chain[0]]
-    for i in range(1, n + 1):
-        mu, lam, rho = tableau.chain[i - 1], tableau.chain[i], hat[i - 1]
-        k = work.pop(i, 0)
-        nu = apply_rule(rule, lam, rho, k, mu)
-        # entries of the old tableau covered by the new i-region were bumped
-        for row in range(1, len(nu) + 1):
-            lo, hi = part(rho, row), part(nu, row)
-            for col in range(lo + 1, hi + 1):
-                bumped = tableau.entry_at(col, row)
-                if bumped is not None and bumped > i:
-                    work[bumped] += 1
-        hat.append(nu)
-    return TableauChain(tuple(hat))
+    grid = [[p, EMPTY] for p in tableau.chain]
+    grid[0][1] = tableau.chain[0]
+    _grow(grid, [[work[i]] for i in range(1, n + 1)], [1] * (n + 1), rule)
+    return TableauChain(tuple(row[1] for row in grid))
 
 
 def check_traceable(

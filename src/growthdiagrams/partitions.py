@@ -108,13 +108,8 @@ def from_frobenius(coords: FrobeniusCoords) -> Partition:
             raise ValueError(f"negative {name} in {seq!r}")
         if any(a <= b for a, b in zip(seq, seq[1:])):
             raise ValueError(f"{name} not strictly decreasing: {seq!r}")
-    return _frobenius_rows(arms, legs)
-
-
-def _frobenius_rows(arms: Sequence[int], legs: Sequence[int]) -> Partition:
-    """The rows of (arms | legs), whose coordinates are valid: row i of the Durfee
-    square is arms[i-1] + i, and the rows past it come in runs of length i, up to
-    column i's height legs[i-1] + i."""
+    # row i of the Durfee square is arms[i-1] + i, and the rows past it come in
+    # runs of length i, up to column i's height legs[i-1] + i
     rows = [a + i for i, a in enumerate(arms, start=1)]
     for i in range(len(arms), 0, -1):
         rows += (i,) * (legs[i - 1] + i - len(rows))  # len(rows): column i + 1's height

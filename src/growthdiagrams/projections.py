@@ -243,12 +243,12 @@ def proj_apply(v: LittlewoodVariant, lam: Partition, c: int, mu: Partition) -> P
         raise DomainError("c must be >= 0")
     fam = v.family
     if fam is Family.ALL:
-        return apply_rule(v.base_rule, lam, lam, None, mu, entry=c)
+        return apply_rule(v.base_rule, lam, lam, c, mu)
     if fam is Family.EVEN_ROWS:
         if c & 1:
             raise DomainError(f"even-row projections take an even entry, not c = {c}")
         lo, hi = halves(lam)  # phi_halve and apply_rule refuse a mu outside the domain
-        return phi_double(apply_rule(v.base_rule, lo, hi, None, phi_halve(mu), entry=c >> 1))
+        return phi_double(apply_rule(v.base_rule, lo, hi, c >> 1, phi_halve(mu)))
     if fam is Family.EVEN_COLS:
         if c:
             raise DomainError(f"even-column projections take entry 0, not c = {c}")

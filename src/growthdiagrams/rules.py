@@ -3,24 +3,24 @@
 Each rule F_{lam,rho,k} maps the union of down sets (dual: two down sets) onto
 the up set U(lam,rho,k) (dual: U*).  The paper states them on the multiset R of
 ribbon positions that mu removes from lam ^ rho and the multiset S that nu adds
-to lam v rho; with j = |R|
+to lam v rho; with j = |R| and a = k - j the square's matrix entry
 
-    row       R |-> R + {0^(k-j)}
+    row       R |-> R + {0^a}
     col       greedy matching against the pool of unused addable slots
-    dual-row  R |-> R, or R + {0} when |R| = k-1
-    dual-col  R |-> {x-1 : x in R}, plus {d} when |R| = k-1
+    dual-row  R |-> R, or R + {0} when a = 1
+    dual-col  R |-> {x-1 : x in R}, plus {d} when a = 1
 
 Here they act on part vectors in one pass over the rows that only compares (no
 builtin min/max; neither lam ^ rho nor lam v rho is built), and each row's
-input check is the bound the rule's arithmetic needs anyway.  The pass counts
-j, so the growth engine hands over a square's entry and k = j + entry.  Write
+input check is the bound the rule's arithmetic needs anyway.  A call takes
+the entry a, not k, so the pass never counts j; unapply returns the same a.  Write
 base = lam ^ rho and top = lam v rho.  Row and col: mu is in the domain iff
 top_{r+1} <= mu_r <= base_r in every row; row r removes base_r - mu_r cells,
 and its addable slot (row r+1) has mu_r - top_{r+1} cells left over, which is
 zero unless row r carries a removable ribbon.  So the row rule is Fomin's
-nu_1 = top_1 + k - j and nu_{r+1} = top_{r+1} + base_r - mu_r, and col matches
+nu_1 = top_1 + a and nu_{r+1} = top_{r+1} + base_r - mu_r, and col matches
 the removed cells against those left-over cells: each removed cell, then each
-of the k - j new ones, takes the nearest slot at or above its row with a cell
+of the a new ones, takes the nearest slot at or above its row with a cell
 left, else row 1.  The matches nest like parentheses, so a running count of
 the unmatched cells gives each slot's share: one scan up the slots after the
 pass (the inverse scans down them in its pass).  Dual: call row r an s-row
@@ -58,24 +58,18 @@ class Rule(str, Enum):
 _COL, _DUAL_ROW = Rule.COL, Rule.DUAL_ROW
 
 
-def apply_rule(
-    rule: Rule, lam: Partition, rho: Partition, k: int | None, mu: Partition,
-    *, entry: int | None = None,
-) -> Partition:
-    """F_{lam,rho,k}(mu); raises DomainError when mu is outside the domain.
-    With k = None and ``entry`` given, k = |R(mu)| + entry."""
-    if entry is None:
-        if k is None:
-            raise TypeError("pass k or entry, got neither")
-        if k < 0:
-            raise DomainError("k must be >= 0")
-    elif k is not None:
-        raise TypeError("pass k or entry, not both")
-    if rule.dual:
+def apply_rule(rule: Rule, lam: Partition, rho: Partition, a: int, mu: Partition) -> Partition:
+    """F_{lam,rho,k}(mu) with k = |R(mu)| + a, a the square's entry: nu has
+    |nu| + |mu| = |lam| + |rho| + a, and unapply_rule(rule, lam, rho, nu) == (mu, a).
+    Raises DomainError when mu is outside the domain or a is not >= 0 (dual: 0 or 1)."""
+    dual = rule.dual
+    if a < 0 or a > 1 and dual:
+        raise DomainError(f"a must be {'0 or 1' if dual else '>= 0'}, got {a}")
+    if dual:
         # dual-row: a removed corner's cell waits for the next s-row, the extra
         # cell goes to the first; dual-col: each goes to the last slot at or below
         dual_row = rule is _DUAL_ROW
-        nu, j, carry, slot, last, below = [], 0, 0, -1, inf, inf
+        nu, carry, slot, last, below = [], 0, -1, inf, inf
         for l, p, m in zip_longest(lam, rho, mu, fillvalue=0):
             if not (l <= last and m <= l and p - 1 <= m <= p):  # lam_r <= mu_{r-1}
                 raise DomainError(f"{mu} is not below both {lam} and {rho}")
@@ -86,21 +80,16 @@ def apply_rule(
                     slot = len(nu)
                 nu.append(l + carry)
                 carry = p - m
-                j += carry
             else:
                 if l < below:
                     slot = len(nu)
                 nu.append(l)
                 nu[slot] += p - m
-                j += p - m
             last, below = m, p
         if slot < 0 if dual_row else below:  # the row past lam and rho: an s-row with lam_r = 0
             slot = len(nu)
         nu.append(carry)
-        k = k if entry is None else j + entry
-        nu[slot] += k - j
-        if j not in (k, k - 1):
-            raise DomainError(f"|R(mu)| = {j} not in {{k, k-1}} for k = {k}")
+        nu[slot] += a
         if not nu[-1]:  # only the row past lam and rho can be empty
             nu.pop()
         return tuple(nu)
@@ -110,7 +99,7 @@ def apply_rule(
         raise DomainError(f"{mu} is not below both {lam} and {rho}")
     col = rule is _COL
     # nu[r] = top_r + cut_{r-1}: row r-1's removed cells fill the slot below it
-    nu, tops, j, cut, last = [], [], 0, 0, inf
+    nu, tops, cut, last = [], [], 0, inf
     for r in range(n):
         l, p = lam[r], rho[r]
         m = mu[r] if r < lm else 0
@@ -122,28 +111,24 @@ def apply_rule(
         if col:
             tops.append(t)
         cut = b - m
-        j += cut
         last = m
     t = lam[n] if len(lam) > n else rho[n] if len(rho) > n else 0  # row n, over a base of 0
     if last < t:
         raise DomainError(f"{mu} is not below both {lam} and {rho}")
     nu.append(t + cut)
-    k = k if entry is None else j + entry
-    if j > k:
-        raise DomainError(f"|R(mu)| = {j} exceeds k = {k}")
-    d = k - j  # cells for row 0
     if col:
-        # greedy, slots bottom-up: d counts the cells still unmatched; slot r
-        # takes u = min(mu_{r-1} - top_r, d) of them, and row r-1's cut joins d
+        # greedy, slots bottom-up: a counts the cells still unmatched, first the
+        # new ones; slot r takes u = min(mu_{r-1} - top_r, a) of them, and row
+        # r-1's cut joins a
         tops.append(t)
         for r in range(n, 0, -1):
-            v = tops[r] + d
+            v = tops[r] + a
             m = mu[r - 1] if r <= lm else 0
             if v > m:
                 v = m
-            d += nu[r] - v
+            a += nu[r] - v
             nu[r] = v
-    nu[0] += d
+    nu[0] += a  # the cells left over go to row 0
     if not nu[-1]:  # only the last row can be empty
         nu.pop()
     return tuple(nu)
@@ -152,7 +137,8 @@ def apply_rule(
 def unapply_rule(
     rule: Rule, lam: Partition, rho: Partition, nu: Partition
 ) -> tuple[Partition, int]:
-    """Invert F: returns (mu, a) with a = |nu| + |mu| - |lam| - |rho|."""
+    """Invert F: returns (mu, a) with a = |nu| + |mu| - |lam| - |rho|, so that
+    apply_rule(rule, lam, rho, a, mu) == nu."""
     if rule.dual:
         # dual-row: a slot's cell came from the s-row before it (a corner),
         # or is the extra cell at the first slot; dual-col: it came from the

@@ -12,9 +12,9 @@ verified by computing both sides independently and comparing coefficients.
 Both sides are symmetric in each group of variables (x, and y for Cauchy), so
 a verification computes and compares only their dominant terms, whose
 exponents weakly decrease within each group (the m_lambda basis).  The table
-also holds the bijective check that column insertion builds the same tableaux
-as the growth diagram.  Every check reports ``equal``, ``checked_terms`` and
-``params`` plus its own details.
+also holds the bijective check that column insertion, a one-column growth per
+column, builds the same tableaux as the whole growth diagram.  Every check
+reports ``equal``, ``checked_terms`` and ``params`` plus its own details.
 """
 
 from __future__ import annotations
@@ -379,8 +379,8 @@ def _squarefree(e: Identity, n: int, **_):
 
 
 def _insertion_agreement(e: Identity, n: int, m: int, seed: int, **_):
-    """Seed-fixed random check that column insertion equals the grid
-    construction: 20 random n x m matrices per rule."""
+    """Seed-fixed random check that column insertion (a one-column growth per
+    column) equals the whole-grid construction: 20 random n x m matrices per rule."""
     for field, count in (("n", n), ("m", m)):
         if count == 0:
             raise ValueError(f"{field}: expected a positive integer, got 0")

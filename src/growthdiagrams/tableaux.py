@@ -41,6 +41,11 @@ def step_kind(steps: StepKind | str) -> StepKind:
         raise ValueError(f"steps: unknown step kind {steps!r}") from None
 
 
+#: the refusal of an entry v < w + strict, w its neighbour: v is less than w
+#: (strict = 0) or not greater than w (strict = 1)
+_ORDER = ("less than", "not greater than")
+
+
 @dataclass(frozen=True)
 class TableauChain:
     chain: tuple[Partition, ...]
@@ -100,10 +105,11 @@ class TableauChain:
     @classmethod
     def from_rows(cls, rows: list[list[int]], entries: int | None = None,
                   steps: StepKind = StepKind.HORIZONTAL) -> "TableauChain":
-        """Build a chain from a straight-shape filling (bottom row first): nonempty,
-        weakly increasing rows of ints in 1..entries, by default up to the largest,
-        none longer than the row below it, and (horizontal steps) strictly
-        increasing columns."""
+        """Build a chain from a straight-shape filling (bottom row first): nonempty
+        rows of ints in 1..entries, by default up to the largest, none longer than
+        the row below it, with weakly increasing rows and strictly increasing
+        columns (vertical steps: strictly increasing rows, weakly increasing columns)."""
+        dual = step_kind(steps) is StepKind.VERTICAL  # strict rows, weak columns
         for r, row in enumerate(rows):
             if not row:
                 raise ValueError(f"rows[{r}]: expected at least one entry")
@@ -114,10 +120,10 @@ class TableauChain:
                     raise ValueError(f"rows[{r}][{c}]: expected a positive integer, got {v!r}")
                 if entries is not None and v > entries:
                     raise ValueError(f"rows[{r}][{c}]: entry {v} exceeds {entries}")
-                if c and v < row[c - 1]:
-                    raise ValueError(f"rows[{r}][{c}]: {v} is less than the entry before it")
-                if r and v <= rows[r - 1][c] and steps == StepKind.HORIZONTAL:
-                    raise ValueError(f"rows[{r}][{c}]: {v} is not greater than the entry below it")
+                if c and v < row[c - 1] + dual:
+                    raise ValueError(f"rows[{r}][{c}]: {v} is {_ORDER[dual]} the entry before it")
+                if r and v < rows[r - 1][c] + (not dual):
+                    raise ValueError(f"rows[{r}][{c}]: {v} is {_ORDER[not dual]} the entry below it")
         n = max((v for row in rows for v in row), default=0) if entries is None else entries
         chain = []
         for i in range(n + 1):

@@ -178,8 +178,8 @@ def littlewood_inverse(
 def triangular_insert(
     variant: LittlewoodVariant | str, tableau: TableauChain, column: Sequence[int]
 ) -> TableauChain:
-    """Insert one triangular column: bump-insert the off-diagonal entries, then
-    place the next entry on the cells the projection image adds.
+    """Insert one triangular column: insert the off-diagonal entries (a one-column
+    growth), then place the next entry on the cells the projection image adds.
 
     This is the insertion view of build_triangular for straight borders;
     skew diagrams go through build_triangular directly.  The column is

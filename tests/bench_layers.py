@@ -14,6 +14,8 @@ be equal before any timing.  pytest does not collect this file.  The layers:
   references (ref/pkg; none on the deep grid) on the grids of
   ``strips_rows``, ms per round;
 - rules: ``apply_rule``/``unapply_rule`` in rsk round trips, ns per call;
+  ``apply_rule``'s rows time the package only against a baseline whose
+  ``apply_rule`` reads its fourth argument as k, not the square's entry a;
 - projections: ``proj_apply``/``proj_unapply`` in Littlewood round trips, us;
   ``proj_apply``'s rows time the package only against a baseline whose
   ``proj_apply`` reads its third argument as the strip size k, not the entry c;
@@ -279,10 +281,12 @@ def load_baseline(src):
 
 
 def package_only(baseline):
-    """PACKAGE_ONLY, and ``proj_apply`` when the baseline's reads its third
-    argument as the strip size k, as before it took the half square's entry c."""
+    """PACKAGE_ONLY, and ``proj_apply`` (``apply_rule``) when the baseline's reads
+    its third (fourth) argument as k, as before it took the square's entry."""
     third = list(inspect.signature(baseline.proj_apply).parameters)[2]
-    return PACKAGE_ONLY | ({"growth.proj_apply"} if third != "c" else set())
+    fourth = list(inspect.signature(baseline.apply_rule).parameters)[3]
+    return PACKAGE_ONLY | ({"growth.proj_apply"} if third != "c" else set()) | (
+        {"growth.apply_rule"} if fourth == "k" else set())
 
 
 def resolve(package, path):

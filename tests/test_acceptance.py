@@ -41,7 +41,7 @@ from growthdiagrams import (
     verify_identity,
 )
 from growthdiagrams.interlacing import down_sets_through, up_sets_through
-from growthdiagrams.partitions import partitions_of_size
+from growthdiagrams.partitions import meet, partitions_of_size
 
 
 def report(name, t0, bound):
@@ -111,6 +111,7 @@ def test_criterion_4_commutation_laws_and_bijectivity():
             Us = up_sets_through(lam, rho, kmax, dual=True)
             acc = 0
             dom = []
+            base = size(meet(lam, rho))  # mu in D(lam, rho, j) has j = base - |mu|
             for k in range(kmax + 1):
                 acc += len(D[k])
                 assert len(U[k]) == acc, (lam, rho, k)
@@ -125,10 +126,10 @@ def test_criterion_4_commutation_laws_and_bijectivity():
                 ):
                     image = []
                     for mu in els:
-                        nu = apply_rule(rule, lam, rho, k, mu)
+                        a = k - base + size(mu)  # F_{lam,rho,k} on mu: entry a = k - j
+                        nu = apply_rule(rule, lam, rho, a, mu)
                         image.append(nu)
-                        back, _ = unapply_rule(rule, lam, rho, nu)
-                        assert back == mu
+                        assert unapply_rule(rule, lam, rho, nu) == (mu, a)
                     assert sorted(image) == target, (rule, lam, rho, k)
     report("criterion 4: commutation laws, 5x5 box, k<=6", t0, 120)
 

@@ -188,8 +188,11 @@ def _patch_times(monkeypatch):
     monkeypatch.setattr(series, "_times", wrong)
 
 
-def _patch_part(monkeypatch):
-    monkeypatch.setattr(growth, "part", lambda lam, r: 0)  # only insert's bump loop reads it
+def _patch_insert(monkeypatch):
+    """The column insertion the check compares puts each value i at level n + 1 - i."""
+    insert = series.insert
+    monkeypatch.setattr(series, "insert", lambda rule, tab, values: insert(
+        rule, tab, {tab.entries + 1 - i: c for i, c in values.items()}))
 
 
 @pytest.mark.parametrize(
@@ -205,7 +208,7 @@ def _patch_part(monkeypatch):
         (_patch_times, ["--identity", "cauchy", "--n", "2", "--degree", "4"],
          '{"checked_terms":14,"equal":false,"identity":"cauchy","mismatch":'
          '{"exponents":[0,2,0,2],"lhs":1,"rhs":2},"params":{"degree":4,"m":2,"n":2}}'),
-        (_patch_part, ["--identity", "insertion-agreement", "--n", "2", "--m", "3"],
+        (_patch_insert, ["--identity", "insertion-agreement", "--n", "2", "--m", "3"],
          '{"checked_terms":1,"equal":false,"identity":"insertion-agreement",'
          '"matrix":[[1,1,0],[1,2,1]],"params":{"m":3,"n":2,"seed":0}}'),
     ],

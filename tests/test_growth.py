@@ -310,6 +310,8 @@ def test_step_kinds_are_taken_by_name():
             TableauChain(((), (1,)), steps)
         with pytest.raises(ValueError, match=rf"^steps: unknown step kind {steps!r}$"):
             schur((1,), 1, 1, steps=steps)
+        with pytest.raises(ValueError, match=rf"^steps: unknown step kind {steps!r}$"):
+            TableauChain.from_rows([[1, 1]], steps=steps)  # before any row is read
 
 
 @pytest.mark.parametrize("rows,entries,message", [
@@ -325,10 +327,17 @@ def test_step_kinds_are_taken_by_name():
     ([[1, 2], [3, 2]], None, r"rows\[1\]\[1\]: 2 is less than the entry before it"),
     ([[1, 2], []], None, r"rows\[1\]: expected at least one entry"),
     ([[]], 1, r"rows\[0\]: expected at least one entry"),
+    ([[1, 1]], "vertical", r"rows\[0\]\[1\]: 1 is not greater than the entry before it"),
+    ([[2], [1]], "vertical", r"rows\[1\]\[0\]: 1 is less than the entry below it"),
+    ([[1, 2], [1, 1]], "vertical", r"rows\[1\]\[1\]: 1 is not greater than the entry before it"),
+    ([[1, 3], [2, 2]], "vertical", r"rows\[1\]\[1\]: 2 is not greater than the entry before it"),
 ])
 def test_from_rows_refuses_what_is_no_straight_filling(rows, entries, message):
+    """``entries`` bounds the values; "vertical" in its place reads a dual filling,
+    whose rows increase strictly and whose columns increase weakly."""
+    kwargs = {"steps": entries} if entries == "vertical" else {"entries": entries}
     with pytest.raises(ValueError, match=f"^{message}$"):
-        TableauChain.from_rows(rows, entries)
+        TableauChain.from_rows(rows, **kwargs)
 
 
 @pytest.mark.parametrize("rule", list(Rule))

@@ -32,7 +32,7 @@ from growthdiagrams.interlacing import (
     profile,
     up_sets_through,
 )
-from growthdiagrams.partitions import contains, enumerate_partitions, join, meet
+from growthdiagrams.partitions import enumerate_partitions, join, meet
 
 # the worked insertion table for lam = rho = (3,2), k = 2
 TABLE_ROW = {
@@ -54,8 +54,8 @@ TABLE_COL = {
 @pytest.mark.parametrize("rule,table", [(Rule.ROW, TABLE_ROW), (Rule.COL, TABLE_COL)])
 def test_worked_table(rule, table):
     lam = (3, 2)
-    for mu, nu in table.items():
-        assert apply_rule(rule, lam, lam, 2, mu) == nu
+    for mu, nu in table.items():  # k = 2 = |R(mu)| + a, |R(mu)| = |lam| - |mu|
+        assert apply_rule(rule, lam, lam, 2 - size(lam) + size(mu), mu) == nu
 
 
 def test_unapply_examples():
@@ -63,7 +63,7 @@ def test_unapply_examples():
     assert unapply_rule(Rule.ROW, lam, lam, (5, 2)) == ((3, 2), 2)
     # a = |nu| + |mu| - |lam| - |rho| = 7 + 3 - 10 = 0 here
     assert unapply_rule(Rule.COL, lam, lam, (5, 2)) == ((2, 1), 0)
-    # k = 0 forces the trivial square for every rule
+    # k = 0 (a = 0 on a mu that removes nothing) forces the trivial square for every rule
     for rule in Rule:
         assert unapply_rule(rule, (2, 1), (2, 2), (2, 2)) == ((2, 1), 0)
         assert apply_rule(rule, (2, 1), (2, 2), 0, (2, 1)) == (2, 2)
@@ -71,46 +71,44 @@ def test_unapply_examples():
 
 def test_domain_errors():
     lam = (3, 2)
-    with pytest.raises(DomainError, match=r"^\|R\(mu\)\| = 2 exceeds k = 1$"):
-        apply_rule(Rule.ROW, lam, lam, 1, (2, 1))
-    with pytest.raises(DomainError, match=r"^\|R\(mu\)\| = 0 not in \{k, k-1\} for k = 3$"):
-        apply_rule(Rule.DUAL_ROW, lam, lam, 3, (3, 2))
-    with pytest.raises(DomainError, match=r"^k must be >= 0$"):
+    with pytest.raises(DomainError, match=r"^a must be >= 0, got -1$"):
         apply_rule(Rule.ROW, lam, lam, -1, (3, 2))
+    with pytest.raises(DomainError, match=r"^a must be 0 or 1, got 3$"):
+        apply_rule(Rule.DUAL_ROW, lam, lam, 3, (3, 2))
+    with pytest.raises(DomainError, match=r"^\(3, 3\) is not below both \(3, 2\) and"):
+        apply_rule(Rule.ROW, lam, lam, 0, (3, 3))
     with pytest.raises(DomainError, match=r"^\(3, 2, 2, 1\) is not above both \(3, 2\) and"):
         unapply_rule(Rule.ROW, lam, lam, (3, 2, 2, 1))  # not in any up set
 
 
-def _message(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except DomainError as e:
-        return str(e)
-
-
-def test_entry_keyword_equals_k_from_the_removed_cells():
-    """apply_rule(..., None, mu, entry=e) is the call with k = |R(mu)| + e,
-    over every mu inside lam ^ rho in the 3x3 box (value or message)."""
+def test_apply_rule_and_unapply_are_exact_inverses():
+    """unapply_rule(rule, lam, rho, apply_rule(rule, lam, rho, a, mu)) == (mu, a) for
+    every lam, rho, mu in the 3x3 box and every allowed a (0 or 1 dual, 0..3 else)
+    on which apply accepts mu; it refuses exactly the mu outside lam ^ rho's down
+    sets, and a < 0 (dual: a not 0 or 1) by the entry's message before any mu."""
     box = enumerate_partitions(9, (3, 3))
+    applied = 0
     for rule in Rule:
+        entries = range(2) if rule.dual else range(4)
+        bad = (-1, 2) if rule.dual else (-1,)
         for lam in box:
             for rho in box:
-                base = meet(lam, rho)
+                downs = {mu for d in down_sets_through(lam, rho, 9, rule.dual) for mu in d}
                 for mu in box:
-                    if not contains(mu, base):
-                        continue
-                    for e in range(3):
-                        k = size(base) - size(mu) + e
-                        assert _message(apply_rule, rule, lam, rho, None, mu, entry=e) == (
-                            _message(apply_rule, rule, lam, rho, k, mu)
-                        ), (rule, lam, rho, mu, e)
-    with pytest.raises(TypeError, match="pass k or entry, not both"):
-        apply_rule(Rule.ROW, (1,), (1,), 1, (1,), entry=0)
-
-
-def test_apply_rule_needs_k_or_entry():
-    with pytest.raises(TypeError, match="^pass k or entry"):
-        apply_rule(Rule.ROW, (1,), (1,), None, (1,))
+                    for a in bad:
+                        assert _refusal(apply_rule, rule, lam, rho, a, mu) == (
+                            f"a must be {'0 or 1' if rule.dual else '>= 0'}, got {a}"
+                        )
+                    for a in entries:
+                        if mu not in downs:
+                            assert _refusal(apply_rule, rule, lam, rho, a, mu) == (
+                                f"{mu} is not below both {lam} and {rho}"
+                            )
+                            continue
+                        nu = apply_rule(rule, lam, rho, a, mu)
+                        assert unapply_rule(rule, lam, rho, nu) == (mu, a), (rule, lam, rho, mu, a)
+                        applied += 1
+    assert applied == 4_936
 
 
 def test_growth_engine_looks_up_apply_rule_once_per_square(monkeypatch):
@@ -166,6 +164,7 @@ def test_bijectivity_box():
             U = up_sets_through(lam, rho, 4)
             Ds = down_sets_through(lam, rho, 4, dual=True)
             Us = up_sets_through(lam, rho, 4, dual=True)
+            base = size(meet(lam, rho))  # mu in D(lam, rho, j) has j = base - |mu|
             dom = []
             for k in range(5):
                 dom.extend(D[k])
@@ -178,10 +177,10 @@ def test_bijectivity_box():
                 ):
                     image = []
                     for mu in els:
-                        nu = apply_rule(rule, lam, rho, k, mu)
+                        a = k - base + size(mu)  # F_{lam,rho,k} on mu: entry a = k - j
+                        nu = apply_rule(rule, lam, rho, a, mu)
                         image.append(nu)
-                        back, a = unapply_rule(rule, lam, rho, nu)
-                        assert back == mu
+                        assert unapply_rule(rule, lam, rho, nu) == (mu, a)
                         assert a == size(nu) + size(mu) - size(lam) - size(rho)
                         assert a >= 0
                         if rule.dual:
@@ -196,25 +195,22 @@ def test_symmetry():
         for rho in box:
             for k in range(4):
                 for mu in down_set(lam, rho, k):
-                    for kk in range(k, 5):
+                    for a in range(5 - k):  # k - j for j = k and k <= 4
                         for rule in (Rule.ROW, Rule.COL):
-                            assert apply_rule(rule, lam, rho, kk, mu) == apply_rule(
-                                rule, rho, lam, kk, mu
+                            assert apply_rule(rule, lam, rho, a, mu) == apply_rule(
+                                rule, rho, lam, a, mu
                             )
 
 
 def test_degree_bookkeeping():
     lam, rho = (4, 2, 1), (3, 3)
-    for k in range(5):
+    for k in range(2, 5):
         for mu in down_set(lam, rho, 2):
-            if 2 <= k:
-                from growthdiagrams.partitions import join, meet
-
-                nu = apply_rule(Rule.ROW, lam, rho, k, mu)
-                assert size(nu) - size(join(lam, rho)) == k
-                assert (size(meet(lam, rho)) - size(mu)) + (
-                    size(nu) + size(mu) - size(lam) - size(rho)
-                ) == k
+            nu = apply_rule(Rule.ROW, lam, rho, k - 2, mu)
+            assert size(nu) - size(join(lam, rho)) == k
+            assert (size(meet(lam, rho)) - size(mu)) + (
+                size(nu) + size(mu) - size(lam) - size(rho)
+            ) == k
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +303,12 @@ def test_rules_match_position_multiset_reference():
     for rule in Rule:
         for lam in box:
             for rho in box:
+                base = size(meet(lam, rho))
                 for mu in box:
                     for k in range(5):
                         expect = _outcome(_reference_apply, rule, lam, rho, k, mu)
-                        assert _outcome(apply_rule, rule, lam, rho, k, mu) == expect, (
+                        a = k - base + size(mu)
+                        assert _outcome(apply_rule, rule, lam, rho, a, mu) == expect, (
                             rule, lam, rho, k, mu,
                         )
                         cases += 1
@@ -332,23 +330,20 @@ def _refusal(fn, *args, **kwargs):
     return None
 
 
-def _apply_refusal(rule, lam, rho, mu, j, k):
-    """The refusal apply_rule owes when the reference's |R(mu)| is j (None when
-    the encoding refuses mu)."""
-    if j is None:
-        return f"{mu} is not below both {lam} and {rho}"
-    if rule.dual:
-        return None if j in (k, k - 1) else f"|R(mu)| = {j} not in {{k, k-1}} for k = {k}"
-    return None if j <= k else f"|R(mu)| = {j} exceeds k = {k}"
+def _apply_refusal(rule, lam, rho, mu, a, encoded):
+    """The refusal apply_rule owes on entry a: the entry's own when a < 0 (dual: a
+    not 0 or 1), else "not below both" when the encoding refuses mu."""
+    if a < 0 or rule.dual and a > 1:
+        return f"a must be {'0 or 1' if rule.dual else '>= 0'}, got {a}"
+    return None if encoded else f"{mu} is not below both {lam} and {rho}"
 
 
 def test_refusal_messages_name_their_reason():
     """Each refusal says why, with the caller's own tuples: "not below (above)
-    both" exactly when the position-multiset encoding refuses the shape, and
-    otherwise the |R(mu)| message with the reference's |R|.  Apply over the 3x3
-    box in the k and entry forms, unapply over the 4x4 box; both boxes hold lam
-    and rho whose lengths differ by 2 or 3, which the row/col passes refuse
-    after their row loop."""
+    both" exactly when the position-multiset encoding refuses the shape, unless
+    apply's entry a is refused first.  Apply over the 3x3 box with a in -1..3,
+    unapply over the 4x4 box; both boxes hold lam and rho whose lengths differ
+    by 2 or 3, which the row/col passes refuse after their row loop."""
     box = enumerate_partitions(9, (3, 3))
     above = enumerate_partitions(16, (4, 4))
     apart = 0
@@ -358,18 +353,14 @@ def test_refusal_messages_name_their_reason():
                 apart += abs(len(lam) - len(rho)) > 1
                 for mu in box:
                     try:
-                        j = multiset_size(encode(mu, lam, rho, Direction.DOWN, dual=rule.dual))
+                        encode(mu, lam, rho, Direction.DOWN, dual=rule.dual)
+                        encoded = True
                     except DomainError:
-                        j = None
-                    assert _refusal(apply_rule, rule, lam, rho, -1, mu) == "k must be >= 0"
-                    for k in range(5):
-                        assert _refusal(apply_rule, rule, lam, rho, k, mu) == (
-                            _apply_refusal(rule, lam, rho, mu, j, k)
-                        ), (rule, lam, rho, mu, k)
-                    for e in range(-1, 3):
-                        assert _refusal(apply_rule, rule, lam, rho, None, mu, entry=e) == (
-                            _apply_refusal(rule, lam, rho, mu, j, e if j is None else j + e)
-                        ), (rule, lam, rho, mu, e)
+                        encoded = False
+                    for a in range(-1, 4):
+                        assert _refusal(apply_rule, rule, lam, rho, a, mu) == (
+                            _apply_refusal(rule, lam, rho, mu, a, encoded)
+                        ), (rule, lam, rho, mu, a)
                 for nu in above:
                     try:
                         encode(nu, lam, rho, Direction.UP, dual=rule.dual)
@@ -398,7 +389,7 @@ def test_rules_match_reference_on_4x4_box(rule, count):
             for j, downs in enumerate(down_sets_through(lam, rho, 3, rule.dual)):
                 for mu in downs:
                     for k in (j, j + 1) if rule.dual else range(j, 4):
-                        nu = apply_rule(rule, lam, rho, k, mu)
+                        nu = apply_rule(rule, lam, rho, k - j, mu)
                         expect = _reference_apply(rule, lam, rho, k, mu)
                         assert nu == expect, (lam, rho, k, mu)
                         assert unapply_rule(rule, lam, rho, nu) == (
@@ -437,9 +428,9 @@ def test_rules_match_reference_on_tall_partitions(data):
     rho = data.draw(st.one_of(_tall, _nudged(lam, 6)))
     downs = [mu for d in down_sets_through(lam, rho, 4, rule.dual) for mu in d] or [meet(lam, rho)]
     mu = data.draw(st.sampled_from(downs).flatmap(lambda m: _nudged(m, 1)))
-    k = size(meet(lam, rho)) - size(mu) + data.draw(st.integers(-1, 2))
-    assert _outcome(apply_rule, rule, lam, rho, k, mu) == _outcome(
-        _reference_apply, rule, lam, rho, k, mu
+    a = data.draw(st.integers(-1, 2))
+    assert _outcome(apply_rule, rule, lam, rho, a, mu) == _outcome(
+        _reference_apply, rule, lam, rho, size(meet(lam, rho)) - size(mu) + a, mu
     )
     ups = [nu for u in up_sets_through(lam, rho, 4, rule.dual) for nu in u] or [join(lam, rho)]
     nu = data.draw(st.sampled_from(ups).flatmap(lambda n: _nudged(n, 1)))
