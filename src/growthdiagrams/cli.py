@@ -13,7 +13,6 @@ import functools
 import sys
 
 from .growth import build_growth, enumerate_growths, rsk, rsk_inverse
-from .interlacing import DomainError
 from .jsonio import (
     FormatError,
     dumps,
@@ -233,12 +232,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         variant = _variant(args)
         arr = triarray_from_json(loads(_read(args.array), "array"))
         grid = build_triangular(variant, arr)
-        rows = [list(r) for r in grid.rows]
-        padded = [[None] * i + rows[i] for i in range(len(rows))]
-        tri_matrix = [
-            [arr.entry(i, j) if i <= j else " " for j in range(1, arr.n + 1)]
-            for i in range(1, arr.n + 1)
-        ]
+        padded = [[None] * i + list(row) for i, row in enumerate(grid.rows)]
+        tri_matrix = [[" "] * i + list(row) for i, row in enumerate(arr.rows)]
         sys.stdout.write(render_grid_ascii(padded, tri_matrix))
         return 0
     raise FormatError("render: pass --matrix FILE or --array FILE")
@@ -320,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (FormatError, DomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError and DomainError among them
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

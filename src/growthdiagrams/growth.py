@@ -219,9 +219,12 @@ def check_traceable(
 
     ``reverse=None`` picks the rule's canonical order: ascending for row and
     dual-col insertion (traceable), descending for col and dual-row (reverse
-    traceable).
+    traceable).  A value given twice is refused as ``values``.
     """
-    vals = sorted(set(values))
+    vals = sorted(values)
+    for v, w in zip(vals, vals[1:]):
+        if v == w:
+            raise ValueError(f"values: {v} given twice")
     if reverse is None:
         reverse = rule in (Rule.COL, Rule.DUAL_ROW)
     if reverse:

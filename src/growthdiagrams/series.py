@@ -195,6 +195,7 @@ def schur(
 
 def count_syt(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam, by the hook length formula."""
+    (lam,) = check_partitions(lam=lam)
     conj = conjugate(lam)
     hooks = prod(p - c + conj[c] - r - 1 for r, p in enumerate(lam) for c in range(p))
     return factorial(size(lam)) // hooks

@@ -3,22 +3,25 @@
 A (dual) semistandard Young tableau with entries at most n is the same thing
 as a chain of n+1 partitions whose consecutive differences are horizontal
 (dual: vertical) strips: entry i fills the cells of chain[i]/chain[i-1].
-Skew tableaux are chains starting at a nonempty partition.
+Skew tableaux are chains starting at a nonempty partition.  Every view is
+one pass over the chain, for either strip kind: row r holds entry i
+chain[i]_r - chain[i-1]_r times, so chain[i]_r counts row r's entries <= i,
+and the weight is the differences of consecutive sizes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .partitions import (
     EMPTY,
     Partition,
     is_horizontal_strip,
     is_vertical_strip,
-    part,
-    partition,
     size,
 )
 
@@ -76,31 +79,17 @@ class TableauChain:
 
     def weight(self) -> Counter[int]:
         """Multiset of entries: weight[i] = |chain[i]/chain[i-1]|."""
-        return Counter(
-            {
-                i: size(self.chain[i]) - size(self.chain[i - 1])
-                for i in range(1, len(self.chain))
-                if size(self.chain[i]) > size(self.chain[i - 1])
-            }
-        )
-
-    def entry_at(self, col: int, row: int) -> int | None:
-        """Entry in cell (col, row); None outside the shape, 0 in the inner shape."""
-        if col > part(self.shape, row):
-            return None
-        for i, shape in enumerate(self.chain):
-            if col <= part(shape, row):
-                return i
-        return None
+        sizes = [size(shape) for shape in self.chain]
+        return Counter({i: b - a for i, (a, b) in enumerate(zip(sizes, sizes[1:]), 1) if b > a})
 
     def to_rows(self) -> list[list[int]]:
         """Row fillings, bottom row first; only for straight shapes."""
         if self.inner_shape != EMPTY:
             raise ValueError("to_rows only renders straight-shape tableaux")
-        rows = []
-        for r in range(1, len(self.shape) + 1):
-            rows.append([self.entry_at(c, r) for c in range(1, self.shape[r - 1] + 1)])
-        return rows
+        # row r's part along the chain rises to cell c first at c's entry
+        height = len(self.shape)
+        parts = zip(*(shape + (0,) * (height - len(shape)) for shape in self.chain))
+        return [[bisect_left(run, c) for c in range(1, run[-1] + 1)] for run in parts]
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], entries: int | None = None,
@@ -125,10 +114,10 @@ class TableauChain:
                 if r and v < rows[r - 1][c] + (not dual):
                     raise ValueError(f"rows[{r}][{c}]: {v} is {_ORDER[not dual]} the entry below it")
         n = max((v for row in rows for v in row), default=0) if entries is None else entries
-        chain = []
-        for i in range(n + 1):
-            chain.append(partition(sum(1 for v in row if v <= i) for row in rows))
-        return cls(tuple(chain), steps)
+        # chain[i]: each sorted row's count of entries <= i; the counts weakly
+        # decrease, so dropping the zeros leaves a partition
+        chain = tuple(tuple(filter(None, map(bisect_right, rows, repeat(i)))) for i in range(n + 1))
+        return cls(chain, steps)
 
     @classmethod
     def trivial(cls, base: Partition, length: int,

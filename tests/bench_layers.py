@@ -25,12 +25,16 @@ be equal before any timing.  pytest does not collect this file.  The layers:
   checks, and ``verify_identity`` on ``series_grid``, us per call; ``_sweep``
   is private and its signature changes between checkouts, so its rows time
   the package only;
+- tableaux: ``TableauChain.to_rows``, ``from_rows`` and ``weight`` on the
+  standard (row by row) and flat fillings of the staircases of 1,035 and
+  4,095 cells, both step kinds, ms per call;
 - cli: ``cli.main`` on ``test_cli_golden.REQUESTS``, us per call; exit codes
   and stdout must equal ``cli_golden.json``.
 """
 
 import argparse
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -41,6 +45,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 from statistics import median
 from time import perf_counter
@@ -238,6 +243,28 @@ def series_rows(seed, passes, workdir):
     return rows + [(("verify_identity", "grid"), "series.verify_identity", grid)]
 
 
+def staircase_fillings(k):
+    """(name, steps, rows) of the staircase (k, k - 1, ..., 1): standard, filled
+    row by row, for both step kinds; flat, row r all r + 1 (horizontal) or
+    every column constant (vertical)."""
+    starts = accumulate(range(k, 1, -1), initial=0)
+    standard = [list(range(s + 1, s + k - r + 1)) for r, s in enumerate(starts)]
+    return [(f"standard-{k}", "horizontal", standard), (f"standard-{k}", "vertical", standard),
+            (f"flat-{k}", "horizontal", [[r + 1] * (k - r) for r in range(k)]),
+            (f"flat-{k}", "vertical", [list(range(1, k - r + 1)) for r in range(k)])]
+
+
+def tableaux_rows(seed, passes, workdir):
+    """The three readouts on each staircase filling (fixed: no seed or passes)."""
+    rows = []
+    for name, steps, filling in staircase_fillings(45) + staircase_fillings(90):
+        t = gd.TableauChain.from_rows(filling, None, steps)
+        for method, args in (("to_rows", (t,)), ("from_rows", (filling, t.entries, t.steps)),
+                             ("weight", (t,))):
+            rows.append(((method, name, steps), f"tableaux.TableauChain.{method}", [(args, {})]))
+    return rows
+
+
 def cli_rows(seed, passes, workdir):
     """The golden requests by command, each checked against its recording."""
     paths = {"{%s}" % name: Path(workdir) / f"{name}.json" for name in golden.FILES}
@@ -264,6 +291,7 @@ LAYERS = {
     "projections": (("family", "call"), "us", True, 2, 5, projections_rows),
     "builds": (("function", "input"), "us", True, 1, 2, builds_rows),
     "series": (("function", "group"), "us", True, 1, 1, series_rows),
+    "tableaux": (("method", "filling", "steps"), "ms", True, 2, 1, tableaux_rows),
     "cli": (("command",), "us", True, 1, 1, cli_rows),
 }
 
@@ -290,11 +318,15 @@ def package_only(baseline):
 
 
 def resolve(package, path):
-    """A package's function at ``module.name`` (or a top-level name), or its oracle reference."""
-    module, _, name = path.rpartition(".")
+    """A package's function at ``module.name`` or ``module.Class.name`` (or a
+    top-level name), or its oracle reference."""
     if package is oracle:
-        return getattr(oracle, f"interval_{name}")
-    return getattr(importlib.import_module(".".join(filter(None, (package.__name__, module)))), name)
+        return getattr(oracle, f"interval_{path.rpartition('.')[2]}")
+    module, _, names = path.partition(".")
+    if not names:
+        return getattr(package, module)
+    return functools.reduce(getattr, names.split("."),
+                            importlib.import_module(f"{package.__name__}.{module}"))
 
 
 def port(value, package=None):

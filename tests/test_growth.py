@@ -340,10 +340,32 @@ def test_from_rows_refuses_what_is_no_straight_filling(rows, entries, message):
         TableauChain.from_rows(rows, **kwargs)
 
 
+def test_rows_and_weight_are_read_off_the_chain():
+    """Every filling with entries <= 3 of a shape of size <= 6 in at most 3 rows
+    comes back from its chain, with the oracle's weight; the dual fillings are
+    the transposes of the conjugate shape's fillings."""
+    cases = 0
+    for shape in oracle.all_partitions(6):
+        if len(shape) > 3:
+            continue
+        dual = [tuple(tuple(row[r] for row in f if len(row) > r) for r in range(len(shape)))
+                for f in oracle.ssyt_fillings(conjugate(shape), 3)]
+        for steps, fillings in (("horizontal", oracle.ssyt_fillings(shape, 3)), ("vertical", dual)):
+            for f in fillings:
+                t = TableauChain.from_rows(f, 3, steps)
+                assert (t.shape, t.steps.value) == (shape, steps)
+                assert t.to_rows() == [list(row) for row in f]
+                assert t.weight() == oracle.ssyt_weight(f)
+                cases += 1
+    assert cases == 358
+
+
 @pytest.mark.parametrize("rule", list(Rule))
 def test_insertion_refuses_vertical_chains(rule):
     """The tableau that insertion reads and the image it returns are i-chains,
-    horizontal in every diagram: a vertical one is refused by field name."""
+    horizontal in every diagram: a vertical one is refused by field name.  The
+    traceability check takes a set, and refuses a value given twice before it
+    inserts anything."""
     t = TableauChain(((), (1,), (1, 1)), StepKind.VERTICAL)
     calls = [
         lambda: insert(rule, t, [1]),
@@ -356,6 +378,8 @@ def test_insertion_refuses_vertical_chains(rule):
             call()
     with pytest.raises(ValueError, match="^hat: expected a horizontal-strip chain$"):
         pieri_inverse(rule, t, (1,))
+    with pytest.raises(ValueError, match="^values: 1 given twice$"):
+        check_traceable(rule, TableauChain(((), (), ())), [1, 1])
 
 
 def test_border_validation():

@@ -1,3 +1,4 @@
+import re
 import time
 from collections import Counter
 from itertools import permutations
@@ -286,6 +287,12 @@ def test_count_syt():
         assert count_syt(lam) == oracle.chain_count_syt(lam), lam
     # 2,000 cells: counting chains recursively ran past Python's recursion limit
     assert count_syt((2000,)) == 1
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, 0, 1), (0,), (-1,), (1.0,), "x"])
+def test_count_syt_refuses_what_is_no_partition(lam):
+    with pytest.raises(ValueError, match=rf"^lam: expected a partition, got {re.escape(str(lam))}$"):
+        count_syt(lam)
 
 
 @pytest.mark.parametrize(
