@@ -15,11 +15,13 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain as concat, repeat
+from operator import ge, itemgetter
 
 from .partitions import (
     EMPTY,
     Partition,
+    check_partitions,
     is_horizontal_strip,
     is_vertical_strip,
     size,
@@ -59,7 +61,19 @@ class TableauChain:
             object.__setattr__(self, "steps", step_kind(self.steps))
         if not self.chain:
             raise ValueError("a tableau chain needs at least one partition")
-        ok = is_horizontal_strip if self.steps is StepKind.HORIZONTAL else is_vertical_strip
+        horizontal = self.steps is StepKind.HORIZONTAL
+        # C-level passes: members are int tuples with a positive last part, weakly
+        # decreasing unless horizontal strips imply it; else name the first bad one
+        if not ({tuple}.issuperset(map(type, self.chain))
+                and {int}.issuperset(map(type, concat.from_iterable(self.chain)))
+                and min(map(itemgetter(-1), filter(None, self.chain)), default=1) > 0
+                and (horizontal and len(self.chain) > 1
+                     or all(all(map(ge, lam, lam[1:])) for lam in self.chain))):
+            for i, lam in enumerate(self.chain):
+                if type(lam) is not tuple:  # check_partitions takes lists
+                    raise ValueError(f"chain[{i}]: expected a partition, got {lam}")
+                check_partitions(**{f"chain[{i}]": lam})
+        ok = is_horizontal_strip if horizontal else is_vertical_strip
         for a, b in zip(self.chain, self.chain[1:]):
             if not ok(a, b):
                 raise ValueError(f"{b}/{a} is not a {self.steps.value} strip")

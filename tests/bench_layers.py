@@ -13,9 +13,10 @@ be equal before any timing.  pytest does not collect this file.  The layers:
 - strips: the partition-set enumerators and their ``oracle.interval_*``
   references (ref/pkg; none on the deep grid) on the grids of
   ``strips_rows``, ms per round;
-- rules: ``apply_rule``/``unapply_rule`` in rsk round trips, ns per call;
-  ``apply_rule``'s rows time the package only against a baseline whose
-  ``apply_rule`` reads its fourth argument as k, not the square's entry a;
+- rules: ``apply_rule``/``unapply_rule`` in rsk round trips, and on the
+  empty square (``apply-empty``, ``unapply-empty``: a call's fixed cost), ns
+  per call; ``apply_rule``'s rows time the package only against a baseline
+  whose ``apply_rule`` reads its fourth argument as k, not the square's entry a;
 - projections: ``proj_apply``/``proj_unapply`` in Littlewood round trips, us;
   ``proj_apply``'s rows time the package only against a baseline whose
   ``proj_apply`` reads its third argument as the strip size k, not the entry c;
@@ -66,6 +67,7 @@ DIAGONAL = {"all": (0, 1, 2), "even-rows": (0, 2), "even-cols": (0,), "asym+1": 
 STRIPS = ("horizontal_strips_over", "vertical_strips_over",
           "horizontal_strips_under", "vertical_strips_under")
 COLUMN = (1,) * 2000
+EMPTY_CALLS = 5000  # calls per round on the empty square
 
 
 def series_trips():
@@ -212,9 +214,14 @@ def strips_rows(seed, passes, workdir):
 
 
 def rules_rows(seed, passes, workdir):
+    """The rsk round trips' calls by rule, then each rule's call on the empty
+    square (lam = rho = mu = nu = (), a = 0), whose time is a call's fixed cost."""
     calls = record([(growth, f"{kind}_rule") for kind in KINDS], lambda: rsk_trips(seed, passes))
     by = {kind: group(calls[f"{kind}_rule"], lambda a: a[0].value) for kind in KINDS}
-    return [((rule, kind), f"growth.{kind}_rule", by[kind][rule]) for rule in RULES for kind in KINDS]
+    empty = {"apply": ((), (), 0, ()), "unapply": ((), (), ())}
+    return [((rule, kind), f"growth.{kind}_rule", by[kind][rule]) for rule in RULES for kind in KINDS] + [
+        ((rule, f"{kind}-empty"), f"growth.{kind}_rule", [((gd.Rule(rule), *empty[kind]), {})] * EMPTY_CALLS)
+        for rule in RULES for kind in KINDS]
 
 
 def projections_rows(seed, passes, workdir):

@@ -291,6 +291,27 @@ def test_non_strip_chain_is_refused():
         TableauChain(((1,), (3,)), StepKind.VERTICAL)
 
 
+@pytest.mark.parametrize("steps", list(StepKind))
+@pytest.mark.parametrize("chain,index", [
+    (((1, 2),), 0), (((), (1.5,)), 1), (((), (True,)), 1), (((0,),), 0), (((-1,),), 0),
+    (((), (1,), (2, 0)), 2), (((), 5), 1), (((), "1"), 1), (((1,), (1,), (1, 1.0)), 2),
+    (((), [1]), 1), (([1], (1,), (2, "x")), 0), (((1.5,), [1]), 0),
+])
+def test_a_member_that_is_no_partition_is_refused_by_index(chain, index, steps):
+    """Every member is checked, also in a chain of one, before any strip test."""
+    with pytest.raises(ValueError, match=rf"^chain\[{index}\]: expected a partition, got "):
+        TableauChain(chain, steps)
+
+
+def test_a_vertical_member_out_of_order_is_refused_by_index():
+    """A vertical strip does not order its ends: (1, 1) -> (1, 2) is one cell
+    per row, so the member itself is refused (a horizontal strip test would be)."""
+    with pytest.raises(ValueError, match=r"^chain\[2\]: expected a partition, got \(1, 2\)$"):
+        TableauChain(((), (1, 1), (1, 2)), StepKind.VERTICAL)
+    with pytest.raises(ValueError, match="not a horizontal strip"):
+        TableauChain(((), (1,), (1, 2)))
+
+
 def test_step_kinds_are_taken_by_name():
     """A chain's steps and schur's may be named: a chain keeps the member, so the
     chain checks accept it, and an unknown name is refused as ``steps``."""

@@ -373,13 +373,14 @@ def test_refusal_messages_name_their_reason():
 
 @pytest.mark.parametrize(
     "rule,count",
-    [(Rule.COL, 12_684), (Rule.DUAL_ROW, 8_138), (Rule.DUAL_COL, 8_138)],
-    ids=["col", "dual-row", "dual-col"],
+    [(Rule.ROW, 12_684), (Rule.COL, 12_684), (Rule.DUAL_ROW, 8_138), (Rule.DUAL_COL, 8_138)],
+    ids=["row", "col", "dual-row", "dual-col"],
 )
 def test_rules_match_reference_on_4x4_box(rule, count):
-    """The col rule's running-count scans, and the dual passes with their row
-    past lam and rho, against the rules as the paper states them, where col's
-    scans pass up to four slots: every lam, rho in the 4x4 box, mu in
+    """Each rule's own passes (row's and col's with row n outside the loop,
+    col's apply bottom-up; the dual ones with their row past lam and rho)
+    against the rules as the paper states them, where col's matching passes
+    up to four slots: every lam, rho in the 4x4 box, mu in
     D(lam, rho, j) for j <= 3 (dual: D*) and j <= k <= 3 (dual: k in
     {j, j+1}), applied and its image unapplied."""
     box = enumerate_partitions(16, (4, 4))
